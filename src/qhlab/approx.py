@@ -24,7 +24,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from scipy import ndimage
 
-from .decomposition import CoreTentacleDecomposition, build_core_tentacle
+from .decomposition import (CoreTentacleDecomposition, _cells_mask,
+                            build_core_tentacle)
 from .fixtures import AnalyticField, multi_indices
 from .grid import DomainError, GridDomain, _STRUCT8
 from .pou import PartitionOfUnity, Jet, build_partition, jet_product, \
@@ -140,29 +141,25 @@ def assemble(u: SampledFunction, pou: PartitionOfUnity,
             polys[q] = fit_polynomial(u.field, ct.dec.cube_cells(q), k, dom.h)
         return polys[q]
 
-    S = pou.sum_jet(x, y, alphas)
+    S = jet_zero(x.shape, alphas)  # accumulated in hat order, as sum_jet
     N = jet_zero(x.shape, alphas)
     err_sel = np.zeros(len(x), dtype=bool)  # union of psi/phi supports
-    for hat in pou.hats:
-        b = hat.bump.bbox
-        sel = (x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3])
-        if not sel.any():
-            continue
-        hj = hat.bump.jet(x[sel], y[sel], alphas)
+    for hat, idx, hj in pou.local_jets(x, y, alphas):
         if hat.kind == "psi":
             coeff = poly_of_cube(hat.key)
-            fj = {a: coeff.derivative(a, x[sel], y[sel]) for a in alphas}
-            err_sel[np.flatnonzero(sel)[hj[(0, 0)] > 0]] = True
+            fj = {a: coeff.derivative(a, x[idx], y[idx]) for a in alphas}
+            err_sel[idx[hj[(0, 0)] > 0]] = True
         elif hat.kind == "phi":
             g = ct.groups[hat.key]
             coeff = poly_of_cube(g.assigned_cube)
-            fj = {a: coeff.derivative(a, x[sel], y[sel]) for a in alphas}
-            err_sel[np.flatnonzero(sel)[hj[(0, 0)] > 0]] = True
+            fj = {a: coeff.derivative(a, x[idx], y[idx]) for a in alphas}
+            err_sel[idx[hj[(0, 0)] > 0]] = True
         else:  # xi: reproduce u itself
-            fj = {a: u.jets[a][sel] for a in alphas}
+            fj = {a: u.jets[a][idx] for a in alphas}
         term = jet_product(hj, fj, alphas)
         for a in alphas:
-            N[a][sel] += term[a]
+            S[a][idx] += hj[a]
+            N[a][idx] += term[a]
     um = jet_quotient(N, S, alphas)
 
     out = Approximant(ct.m, k, u.p, grid, um, S, polys, {}, err_sel)
@@ -202,7 +199,7 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
     top = [a for a in alphas if sum(a) == k]
     for q in pick:
         ref = approx.polynomials[q]
-        sel = u.grid.region(_cells_to_mask(ct.domain.shape, ct.bq[q]))
+        sel = u.grid.region(_cells_mask(ct.domain.shape, ct.bq[q]))
         idx = np.flatnonzero(sel)
         if len(idx) > 400:
             idx = idx[rng.choice(len(idx), size=400, replace=False)]
@@ -244,12 +241,6 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
             scale = np.abs(direct).max() + 1.0
             worst = max(worst, float(np.abs(full - direct).max() / scale))
     return worst
-
-
-def _cells_to_mask(shape, cells):
-    out = np.zeros(shape, dtype=bool)
-    out[cells[:, 0], cells[:, 1]] = True
-    return out
 
 
 def error_localization(u: SampledFunction, approx: Approximant) -> float:

@@ -15,6 +15,7 @@ sizes assume the gallery's unit bounding box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -25,39 +26,40 @@ from .qh import QhMetric
 from .whitney import WhitneyDecomposition
 
 
-def mask_rectangles(mask: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Exact cover of a boolean mask by maximal-run rectangles (i0, j0, ni, nj).
+class Rect(NamedTuple):
+    """Cell rectangle: first row and column, and its extent in cells."""
 
-    Greedy: horizontal runs per row, merged vertically while runs coincide.
+    i0: int
+    j0: int
+    ni: int
+    nj: int
+
+
+def mask_rectangles(mask: np.ndarray) -> list[Rect]:
+    """Exact cover of a boolean mask by maximal-run rectangles, sorted.
+
+    Horizontal runs per row, merged vertically while runs coincide: each
+    rectangle is a chain of identical (j0, j1) runs in consecutive rows.
     """
-    rects: list[tuple[int, int, int, int]] = []
-    open_runs: dict[tuple[int, int], tuple[int, int]] = {}  # (j0, j1) -> (i0, rows)
-    for i in range(mask.shape[0]):
-        row = mask[i]
-        runs = []
-        j = 0
-        while j < len(row):
-            if row[j]:
-                j0 = j
-                while j < len(row) and row[j]:
-                    j += 1
-                runs.append((j0, j))
-            else:
-                j += 1
-        new_open = {}
-        for r in runs:
-            if r in open_runs:
-                i0, rows = open_runs.pop(r)
-                new_open[r] = (i0, rows + 1)
-            else:
-                new_open[r] = (i, 1)
-        for (j0, j1), (i0, rows) in open_runs.items():
-            rects.append((i0, j0, rows, j1 - j0))
-        open_runs = new_open
-    for (j0, j1), (i0, rows) in open_runs.items():
-        rects.append((i0, j0, rows, j1 - j0))
-    rects.sort()
-    return rects
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        return []
+    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    step = np.diff(padded, axis=1)
+    rows, j0 = np.nonzero(step == 1)  # row-major: the k-th start and the
+    _, j1 = np.nonzero(step == -1)  # k-th end bound the same run
+    order = np.lexsort((rows, j1, j0))
+    rows, j0, j1 = rows[order], j0[order], j1[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = ((j0[1:] != j0[:-1]) | (j1[1:] != j1[:-1])
+                 | (rows[1:] != rows[:-1] + 1))
+    starts = np.flatnonzero(first)
+    ni = np.diff(np.append(starts, len(rows)))
+    i0, j0, nj = rows[starts], j0[starts], (j1 - j0)[starts]
+    order = np.lexsort((j0, i0))
+    return [Rect(*map(int, r))
+            for r in zip(i0[order], j0[order], ni[order], nj[order])]
 
 
 def _cells_mask(shape, cells: np.ndarray) -> np.ndarray:
@@ -169,7 +171,7 @@ class CoreTentacleDecomposition:
             for q in dec.cubes
             if not q.flagged and self.core_mask[q.cell_slices()].all()
         ]
-        w1set = set(self.W1)
+        self._w1 = np.array(self.W1, dtype=np.int64)  # for cover()
         self.P1 = [
             i for i in self.W1
             if l_min - 1e-12 <= dec.cubes[i].l < l_cap - 1e-12
@@ -452,23 +454,21 @@ class CoreTentacleDecomposition:
         is in a core cube or on some band cube's trail."""
         dom = self.domain
         cells = self.bq[qidx]
-        cubes_here = np.unique(self.dec.cell_cube[cells[:, 0], cells[:, 1]])
-        w1set = set(self.W1)
-        direct = sorted(int(c) for c in cubes_here if int(c) in w1set)
+        cubes_here = self.dec.cell_cube[cells[:, 0], cells[:, 1]]
+        direct = np.intersect1d(cubes_here, self._w1).tolist()
         nodes = dom.cell_node[cells[:, 0], cells[:, 1]]
         nodes = nodes[nodes >= 0]
         T, cols = self._trail_matrix()
         rows = T[nodes]
-        via = []
-        for q, t in cols.items():
-            if (rows[:, t >> 6] >> np.uint64(t & 63) & np.uint64(1)).any():
-                via.append(q)
-        covered = np.zeros(len(nodes), dtype=bool)
+        # column t of the trail matrix is the t-th band cube in index order
+        hit = np.bitwise_or.reduce(rows, axis=0).astype("<u8")
+        bits = np.unpackbits(hit.view(np.uint8), bitorder="little")
+        band = sorted(cols)
+        via = [band[t] for t in np.flatnonzero(bits[:len(band)])]
         cube_of = self.dec.cell_cube[tuple(dom.node_cells[nodes].T)]
-        covered |= np.isin(cube_of, list(w1set))
-        covered |= (rows != 0).any(axis=1)
+        covered = np.isin(cube_of, self._w1) | (rows != 0).any(axis=1)
         uncovered = dom.node_cells[nodes[~covered]]
-        return direct, sorted(via), uncovered
+        return direct, via, uncovered
 
     # -- chains -------------------------------------------------------------
 

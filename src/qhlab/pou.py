@@ -21,6 +21,17 @@ Three bump families mirror the cover:
          and 11/10-dilated boxes;
   xi   - per thick component U: 1 on U, supported in B(U, 2^-m/100).
 The normalized partition divides each raw bump by the total sum.
+
+Evaluation engine: a set bump evaluates its boxes only at the points inside
+its bounding box.  In fixed-size point blocks it finds the (point, box)
+pairs, evaluates the profile ramps of all pairs with one ``_ramp`` call per
+derivative order, and folds the product rank by rank (the r-th box acting on
+each point, in box order), so its jets are bitwise those of a box-by-box
+loop.  ``PartitionOfUnity.local_jets`` evaluates each hat once per point
+set; ``sum_jet`` and the approximant's assembly both accumulate from it.
+``measured_sup`` probes a hat once for every alpha and keeps the sups in a
+memo owned by the partition, keyed by hat position and normalization, which
+a new partition starts empty.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ from math import comb
 
 import numpy as np
 
-from .decomposition import CoreTentacleDecomposition, mask_rectangles
+from .decomposition import (CoreTentacleDecomposition, _cells_mask,
+                            mask_rectangles)
 from .fixtures import multi_indices
 from .grid import DomainError
 
@@ -85,6 +97,18 @@ def _ramp(t: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _plateau(t, lo, hi, w_lo, w_hi, up_scale, down_scale, d: int
+             ) -> np.ndarray:
+    """d-th derivative of plateau profiles at t; the parameters are scalars
+    or arrays matching t, with up_scale = w_lo**d and
+    down_scale = (-1/w_hi)**d.  Both ramps take one ``_ramp`` call."""
+    n = len(t)
+    ramps = _ramp(np.concatenate([(t - (lo - w_lo)) / w_lo,
+                                  ((hi + w_hi) - t) / w_hi]), d)
+    out = np.where(t <= lo, ramps[:n] / up_scale, 0.0 if d else 1.0)
+    return np.where(t >= hi, ramps[n:] * down_scale, out)
+
+
 @dataclass(frozen=True)
 class Profile:
     """1-D plateau profile: 0 -> 1 over [lo-w_lo, lo], 1 on [lo, hi],
@@ -97,11 +121,9 @@ class Profile:
 
     def eval(self, t: np.ndarray, d: int) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        up = _ramp((t - (self.lo - self.w_lo)) / self.w_lo, d) / self.w_lo**d
-        out = np.where(t <= self.lo, up, 0.0 if d else 1.0)
-        down_arg = ((self.hi + self.w_hi) - t) / self.w_hi
-        down = _ramp(down_arg, d) * (-1.0 / self.w_hi) ** d
-        return np.where(t >= self.hi, down, out)
+        return _plateau(t.ravel(), self.lo, self.hi, self.w_lo, self.w_hi,
+                        self.w_lo**d, (-1.0 / self.w_hi) ** d,
+                        d).reshape(t.shape)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -158,11 +180,27 @@ def jet_zero(shape, alphas=ALPHAS) -> Jet:
     return {a: np.zeros(shape) for a in alphas}
 
 
-class SetBump:
-    """Smooth bump equal to 1 on a cell set, supported in its dilation.
+# Points per block of the pair search in ``SetBump``: bounds the
+# (point, box) temporaries whatever the number of points evaluated.
+_POINT_BLOCK = 512
 
-    ``rects`` are physical plateau rectangles (x0, x1, y0, y1) with per-side
-    ramp widths (wx0, wx1, wy0, wy1).
+
+def _one_minus(acc: Jet) -> Jet:
+    """Jet of 1 - f from the jet of f."""
+    out = {a: -v for a, v in acc.items()}
+    out[(0, 0)] = 1.0 - acc[(0, 0)]
+    return out
+
+
+class SetBump:
+    """Smooth bump equal to 1 on a cell set, supported in its dilation:
+    1 - prod(1 - b) over its boxes.
+
+    Evaluation finds the (point, box) pairs with the point strictly inside
+    the box support, evaluates the profiles of all pairs at once, and folds
+    the product rank by rank: the r-th box acting on each point, boxes in
+    list order.  Every point sees the same operations in the same order as
+    a box-by-box loop, so the jets are bitwise those of that loop.
     """
 
     def __init__(self, boxes: list[BoxBump]):
@@ -177,23 +215,82 @@ class SetBump:
         """1 - prod(1 - b) over the boxes, accumulated only where boxes act."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        acc = jet_zero(x.shape, alphas)
-        acc[(0, 0)] = np.ones(x.shape)
-        for box in self.boxes:
-            s = box.support
-            sel = (x > s[0]) & (x < s[1]) & (y > s[2]) & (y < s[3])
-            if not sel.any():
-                continue
-            bj = box.jet(x[sel], y[sel], alphas)
-            comp = {a: (1.0 - bj[a] if a == (0, 0) else -bj[a])
-                    for a in alphas}
-            sub = {a: acc[a][sel] for a in alphas}
-            prod = jet_product(sub, comp, alphas)
+        acc = jet_zero(x.size, alphas)
+        acc[(0, 0)] = np.ones(x.size)
+        idx, local = self._local_product(x.ravel(), y.ravel(), alphas)
+        for a in alphas:
+            acc[a][idx] = local[a]
+        return {a: v.reshape(x.shape) for a, v in _one_minus(acc).items()}
+
+    def local_jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS
+                  ) -> tuple[np.ndarray, Jet]:
+        """Indices of the 1-D points inside the bbox and the jet there."""
+        idx, local = self._local_product(x, y, alphas)
+        return idx, _one_minus(local)
+
+    def _local_product(self, x, y, alphas) -> tuple[np.ndarray, Jet]:
+        """Jet of prod(1 - b) at the 1-D points inside the bbox."""
+        x0, x1, y0, y1 = self.bbox
+        idx = np.flatnonzero((x > x0) & (x < x1) & (y > y0) & (y < y1))
+        acc = jet_zero(len(idx), alphas)
+        acc[(0, 0)] = np.ones(len(idx))
+        if len(idx):
+            boxes = _BoxTable(self.boxes, {c for a in alphas for c in a})
+            for lo in range(0, len(idx), _POINT_BLOCK):
+                block = idx[lo:lo + _POINT_BLOCK]
+                boxes.fold(acc, x[block], y[block], lo, alphas)
+        return idx, acc
+
+
+class _BoxTable:
+    """Supports and profile parameters of a box list as arrays, the x
+    profiles of all boxes first, then their y profiles.  The ramp scales
+    are the Python powers ``Profile.eval`` takes, so that every value is
+    bitwise the one a box-by-box evaluation computes."""
+
+    def __init__(self, boxes: list[BoxBump], orders):
+        self.supports = np.array([b.support for b in boxes])
+        profs = [b.px for b in boxes] + [b.py for b in boxes]
+        self.n_boxes = len(boxes)
+        self.params = tuple(np.array([getattr(p, f) for p in profs])
+                            for f in ("lo", "hi", "w_lo", "w_hi"))
+        self.scales = {d: (np.array([p.w_lo**d for p in profs]),
+                           np.array([(-1.0 / p.w_hi) ** d for p in profs]))
+                       for d in orders}
+
+    def fold(self, acc: Jet, x, y, start: int, alphas) -> None:
+        """Multiply acc at start, start+1, ... by (1 - b) for every box b
+        acting on the corresponding points x, y."""
+        s = self.supports
+        near = np.flatnonzero((s[:, 0] < x.max()) & (s[:, 1] > x.min())
+                              & (s[:, 2] < y.max()) & (s[:, 3] > y.min()))
+        s = s[near]
+        xc, yc = x[:, None], y[:, None]
+        pt, k = np.nonzero((xc > s[:, 0]) & (xc < s[:, 1])
+                           & (yc > s[:, 2]) & (yc < s[:, 3]))
+        if not len(pt):
+            return
+        box = near[k]  # pairs sorted by point, then by box
+        first = np.ones(len(pt), dtype=bool)
+        first[1:] = pt[1:] != pt[:-1]
+        starts = np.flatnonzero(first)
+        rank = np.arange(len(pt)) - np.repeat(starts, np.diff(
+            np.append(starts, len(pt))))
+        n = len(pt)
+        t = np.concatenate([x[pt], y[pt]])
+        prof = np.concatenate([box, box + self.n_boxes])
+        lo, hi, w_lo, w_hi = (a[prof] for a in self.params)
+        vals = {d: _plateau(t, lo, hi, w_lo, w_hi, up[prof], down[prof], d)
+                for d, (up, down) in self.scales.items()}
+        comp = {a: -(vals[a[0]][:n] * vals[a[1]][n:]) for a in alphas}
+        comp[(0, 0)] = 1.0 - vals[0][:n] * vals[0][n:]
+        for r in range(int(rank.max()) + 1):
+            at = rank == r
+            dst = start + pt[at]
+            prod = jet_product({a: acc[a][dst] for a in alphas},
+                               {a: c[at] for a, c in comp.items()}, alphas)
             for a in alphas:
-                acc[a][sel] = prod[a]
-        out = {a: -acc[a] for a in alphas}
-        out[(0, 0)] = 1.0 - acc[(0, 0)]
-        return out
+                acc[a][dst] = prod[a]
 
 
 @dataclass
@@ -233,16 +330,22 @@ class Hat:
         return np.concatenate(xs), np.concatenate(ys)
 
 
-def _rects_physical(mask: np.ndarray, h: float
+def _rects_physical(mask: np.ndarray, h: float, origin=(0, 0)
                     ) -> list[tuple[float, float, float, float]]:
-    return [(i0 * h, (i0 + ni) * h, j0 * h, (j0 + nj) * h)
-            for i0, j0, ni, nj in mask_rectangles(mask)]
+    """Physical rectangles of a cell mask whose cell (0, 0) is ``origin``."""
+    oi, oj = origin
+    return [((oi + r.i0) * h, (oi + r.i0 + r.ni) * h,
+             (oj + r.j0) * h, (oj + r.j0 + r.nj) * h)
+            for r in mask_rectangles(mask)]
 
 
-def _cells_rects(shape, cells: np.ndarray, h: float):
-    mask = np.zeros(shape, dtype=bool)
-    mask[cells[:, 0], cells[:, 1]] = True
-    return _rects_physical(mask, h)
+def _cells_rects(cells: np.ndarray, h: float):
+    """Physical rectangles of a cell set, covered on its bounding window."""
+    if not len(cells):
+        return []
+    lo = cells.min(axis=0)
+    window = _cells_mask(tuple(cells.max(axis=0) - lo + 1), cells - lo)
+    return _rects_physical(window, h, (int(lo[0]), int(lo[1])))
 
 
 def _uniform_bump(rects, delta: float) -> SetBump:
@@ -280,7 +383,6 @@ class PartitionOfUnity:
         self.alphas = multi_indices(kmax)
         self.delta = 2.0 ** (-ct.m) / 100.0
         h = self.domain.h
-        shape = self.domain.shape
         dec = ct.dec
         self.hats: list[Hat] = []
 
@@ -288,7 +390,7 @@ class PartitionOfUnity:
             cube = dec.cubes[q]
             ramp = 0.05 * ct.c0 * cube.l
             allowed = cube.box(h, 1.1 * ct.c0)
-            rects = _cells_rects(shape, ct.halo[q], h)
+            rects = _cells_rects(ct.halo[q], h)
             bump = _clipped_bump(rects, ramp, allowed, h)
             return Hat(kind, key, bump, rects,
                        [b.support for b in bump.boxes], [allowed])
@@ -329,31 +431,31 @@ class PartitionOfUnity:
                                  rects, [b.support for b in bump.boxes],
                                  allowed))
 
-    # -- evaluation ---------------------------------------------------------
+        self._positions = {id(hat): i for i, hat in enumerate(self.hats)}
+        # measured_sup memo: (hat position, normalized) -> {alpha: sup}
+        self._sups: dict[tuple[int, bool], dict] = {}
 
-    def active_hats(self, x: np.ndarray, y: np.ndarray) -> list[Hat]:
-        out = []
-        for hat in self.hats:
-            b = hat.bump.bbox
-            if ((x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3])).any():
-                out.append(hat)
-        return out
+    # -- evaluation ---------------------------------------------------------
 
     def sum_jet(self, x: np.ndarray, y: np.ndarray, alphas=None) -> Jet:
         """Jet of the raw hat-sum S (>= 1 on the domain)."""
         alphas = alphas or self.alphas
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        total = jet_zero(x.shape, alphas)
-        for hat in self.hats:
-            b = hat.bump.bbox
-            sel = (x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3])
-            if not sel.any():
-                continue
-            hj = hat.jet(x[sel], y[sel], alphas)
+        total = jet_zero(x.size, alphas)
+        for _, idx, hj in self.local_jets(x.ravel(), y.ravel(), alphas):
             for a in alphas:
-                total[a][sel] += hj[a]
-        return total
+                total[a][idx] += hj[a]
+        return {a: v.reshape(x.shape) for a, v in total.items()}
+
+    def local_jets(self, x: np.ndarray, y: np.ndarray, alphas):
+        """(hat, indices, raw jet) for each hat acting on some of the 1-D
+        points, in hat order: every hat is evaluated once, only inside its
+        bbox."""
+        for hat in self.hats:
+            idx, hj = hat.bump.local_jet(x, y, alphas)
+            if len(idx):
+                yield hat, idx, hj
 
     def check_coverage(self, x: np.ndarray, y: np.ndarray) -> None:
         s = self.sum_jet(x, y, alphas=[(0, 0)])[(0, 0)]
@@ -375,7 +477,17 @@ class PartitionOfUnity:
     def measured_sup(self, hat: Hat, alpha: tuple[int, int],
                      normalized: bool = True) -> float:
         """sup |grad^alpha| over ramp-straddling probe points (accurate even
-        when ramps are narrower than any evaluation grid)."""
+        when ramps are narrower than any evaluation grid).  One probe gives
+        the sups of every alpha; they are kept for the partition's life."""
+        pos = self._positions.get(id(hat))
+        if pos is None:
+            raise DomainError("hat is not a member of this partition")
+        key = (pos, normalized)
+        if key not in self._sups:
+            self._sups[key] = self._probe_sups(hat, normalized)
+        return self._sups[key][alpha]
+
+    def _probe_sups(self, hat: Hat, normalized: bool) -> dict:
         x, y = hat.probe_points()
         ok = self.domain.interior[
             np.clip((x / self.domain.h).astype(int), 0,
@@ -385,12 +497,12 @@ class PartitionOfUnity:
         ]
         x, y = x[ok], y[ok]
         if not len(x):
-            return 0.0
+            return {a: 0.0 for a in self.alphas}
         if normalized:
             jet = self.normalized_jet(hat, x, y, alphas=self.alphas)
         else:
             jet = hat.jet(x, y, self.alphas)
-        return float(np.abs(jet[alpha]).max())
+        return {a: float(np.abs(jet[a]).max()) for a in self.alphas}
 
     def support_violation(self, hat: Hat, x: np.ndarray, y: np.ndarray,
                           tol: float = 1e-12) -> int:

@@ -13,7 +13,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .decomposition import CoreTentacleDecomposition, mask_rectangles
+from .decomposition import (CoreTentacleDecomposition, _cells_mask,
+                            mask_rectangles)
 from .grid import GridDomain
 from .whitney import WhitneyDecomposition
 
@@ -77,10 +78,14 @@ def emit_svg(layers: list[SvgLayer], path, extent: tuple[float, float],
         fh.write("\n".join(lines) + "\n")
 
 
+def _draw_mask(layer: SvgLayer, mask: np.ndarray, h: float, **style) -> None:
+    for r in mask_rectangles(mask):
+        layer.rect(r.i0 * h, r.j0 * h, r.ni * h, r.nj * h, **style)
+
+
 def _mask_layer(name: str, mask: np.ndarray, h: float, **style) -> SvgLayer:
     layer = SvgLayer(name)
-    for i0, j0, i1, j1 in mask_rectangles(mask):
-        layer.rect(i0 * h, j0 * h, (i1 - i0) * h, (j1 - j0) * h, **style)
+    _draw_mask(layer, mask, h, **style)
     return layer
 
 
@@ -123,29 +128,22 @@ def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
 
     haloes = SvgLayer("haloes")
     for i in ct.P:
-        cells = ct.halo[i]
-        mask = np.zeros(dom.shape, dtype=bool)
-        mask[cells[:, 0], cells[:, 1]] = True
-        for i0, j0, i1, j1 in mask_rectangles(mask):
-            haloes.rect(i0 * h, j0 * h, (i1 - i0) * h, (j1 - j0) * h,
-                        fill="#9ecae1", opacity=0.35)
+        _draw_mask(haloes, _cells_mask(dom.shape, ct.halo[i]), h,
+                   fill="#9ecae1", opacity=0.35)
 
     thick = SvgLayer("components_thick")
     thin = SvgLayer("components_thin")
     for lab in ct.U_ids:
-        for i0, j0, i1, j1 in mask_rectangles(ct.comp_labels == lab):
-            thick.rect(i0 * h, j0 * h, (i1 - i0) * h, (j1 - j0) * h,
-                       fill="#a1d99b", opacity=0.5)
+        _draw_mask(thick, ct.comp_labels == lab, h,
+                   fill="#a1d99b", opacity=0.5)
     for lab in ct.V_ids:
-        for i0, j0, i1, j1 in mask_rectangles(ct.comp_labels == lab):
-            thin.rect(i0 * h, j0 * h, (i1 - i0) * h, (j1 - j0) * h,
-                      fill="#fdae6b", opacity=0.6)
+        _draw_mask(thin, ct.comp_labels == lab, h,
+                   fill="#fdae6b", opacity=0.6)
 
     tentacles = SvgLayer("tentacles")
     for g in ct.groups:
-        for i0, j0, i1, j1 in mask_rectangles(ct.tentacle_mask(g)):
-            tentacles.rect(i0 * h, j0 * h, (i1 - i0) * h, (j1 - j0) * h,
-                           stroke="#d62728", stroke_width=0.003)
+        _draw_mask(tentacles, ct.tentacle_mask(g), h,
+                   stroke="#d62728", stroke_width=0.003)
     return [core, haloes, band, thick, thin, tentacles]
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from qhlab import gallery
@@ -11,6 +13,7 @@ from qhlab.grid import DomainError, _STRUCT8
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import (
+    Rect,
     build_core_tentacle,
     chain_pair_classes,
     mask_rectangles,
@@ -267,3 +270,73 @@ def test_mask_rectangles_exact_cover():
         assert count.max(initial=0) <= 1  # disjoint
     assert mask_rectangles(np.zeros((4, 4), dtype=bool)) == []
     assert mask_rectangles(np.ones((3, 2), dtype=bool)) == [(0, 0, 3, 2)]
+
+
+def _greedy_rectangles(mask):
+    """Row-by-row greedy cover: horizontal runs merged downwards while the
+    run in the next row is identical."""
+    rects = []
+    open_runs = {}  # (j0, j1) -> (i0, rows)
+    for i in range(mask.shape[0]):
+        row = mask[i]
+        runs = []
+        j = 0
+        while j < len(row):
+            if row[j]:
+                j0 = j
+                while j < len(row) and row[j]:
+                    j += 1
+                runs.append((j0, j))
+            else:
+                j += 1
+        new_open = {}
+        for r in runs:
+            if r in open_runs:
+                i0, rows = open_runs.pop(r)
+                new_open[r] = (i0, rows + 1)
+            else:
+                new_open[r] = (i, 1)
+        rects += [(i0, j0, rows, j1 - j0)
+                  for (j0, j1), (i0, rows) in open_runs.items()]
+        open_runs = new_open
+    rects += [(i0, j0, rows, j1 - j0)
+              for (j0, j1), (i0, rows) in open_runs.items()]
+    return sorted(rects)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+def test_mask_rectangles_equal_greedy_cover(mask):
+    rects = mask_rectangles(mask)
+    assert rects == _greedy_rectangles(mask)
+    assert all(isinstance(r, Rect) for r in rects)
+
+
+def _reference_cover(ct, qidx):
+    """Per-column loop over the trail matrix, as cover() is specified."""
+    dom = ct.domain
+    cells = ct.bq[qidx]
+    cubes_here = np.unique(ct.dec.cell_cube[cells[:, 0], cells[:, 1]])
+    w1set = set(ct.W1)
+    direct = sorted(int(c) for c in cubes_here if int(c) in w1set)
+    nodes = dom.cell_node[cells[:, 0], cells[:, 1]]
+    nodes = nodes[nodes >= 0]
+    T, cols = ct._trail_matrix()
+    rows = T[nodes]
+    via = [q for q, t in cols.items()
+           if (rows[:, t >> 6] >> np.uint64(t & 63) & np.uint64(1)).any()]
+    cube_of = ct.dec.cell_cube[tuple(dom.node_cells[nodes].T)]
+    covered = np.isin(cube_of, list(w1set)) | (rows != 0).any(axis=1)
+    return direct, sorted(via), dom.node_cells[nodes[~covered]]
+
+
+def test_cover_matches_per_column_reference(ct6):
+    ct = ct6
+    assert ct.P
+    for q in ct.P:
+        direct, via, uncovered = ct.cover(q)
+        ref_direct, ref_via, ref_uncovered = _reference_cover(ct, q)
+        assert direct == ref_direct
+        assert via == ref_via
+        assert all(type(v) is int for v in direct + via)
+        assert np.array_equal(uncovered, ref_uncovered)

@@ -1,21 +1,29 @@
 """Tests for the closed-form smooth partition of unity."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhlab import gallery
+from qhlab import gallery, pou as pou_module
 from qhlab.grid import DomainError
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
-from qhlab.decomposition import build_core_tentacle
+from qhlab.decomposition import _cells_mask, build_core_tentacle
+from qhlab.fixtures import multi_indices
 from qhlab.pou import (
     ALPHAS,
     BoxBump,
     Profile,
+    SetBump,
+    _cells_rects,
     _ramp,
+    _rects_physical,
     build_partition,
     jet_product,
     jet_quotient,
+    jet_zero,
     ramp_derivative_maxima,
 )
 
@@ -193,3 +201,166 @@ def test_dumbbell_phi_hat():
     y = (cells[:, 1] + 0.5) * dom.h
     vals = phis[0].jet(x, y, alphas=[(0, 0)])[(0, 0)]
     assert vals.max() == pytest.approx(1.0)
+
+
+# -- the box-bump engine against a box-by-box reference -----------------------
+
+def _reference_profile(p: Profile, t: np.ndarray, d: int) -> np.ndarray:
+    up = _ramp((t - (p.lo - p.w_lo)) / p.w_lo, d) / p.w_lo**d
+    out = np.where(t <= p.lo, up, 0.0 if d else 1.0)
+    down = _ramp(((p.hi + p.w_hi) - t) / p.w_hi, d) * (-1.0 / p.w_hi) ** d
+    return np.where(t >= p.hi, down, out)
+
+
+def _reference_jet(boxes, x, y, alphas):
+    """1 - prod(1 - b), multiplied in one box at a time over the points the
+    box acts on."""
+    acc = jet_zero(x.shape, alphas)
+    acc[(0, 0)] = np.ones(x.shape)
+    for box in boxes:
+        s = box.support
+        sel = (x > s[0]) & (x < s[1]) & (y > s[2]) & (y < s[3])
+        if not sel.any():
+            continue
+        bj = {a: _reference_profile(box.px, x[sel], a[0])
+              * _reference_profile(box.py, y[sel], a[1]) for a in alphas}
+        comp = {a: (1.0 - bj[a] if a == (0, 0) else -bj[a]) for a in alphas}
+        prod = jet_product({a: acc[a][sel] for a in alphas}, comp, alphas)
+        for a in alphas:
+            acc[a][sel] = prod[a]
+    out = {a: -acc[a] for a in alphas}
+    out[(0, 0)] = 1.0 - acc[(0, 0)]
+    return out
+
+
+_ramp_width = st.floats(0.004, 0.2)
+_boxes = st.lists(
+    st.builds(
+        lambda x0, wx, y0, wy, r: BoxBump(Profile(x0, x0 + wx, r[0], r[1]),
+                                          Profile(y0, y0 + wy, r[2], r[3])),
+        st.floats(0.0, 0.5), st.floats(0.0, 0.4),
+        st.floats(0.0, 0.5), st.floats(0.0, 0.4),
+        st.tuples(_ramp_width, _ramp_width, _ramp_width, _ramp_width)),
+    min_size=1, max_size=8)
+
+
+def _edge_points(boxes):
+    """Points exactly on every support edge, plateau edge and corner."""
+    xs, ys = [], []
+    for b in boxes:
+        sx, sy = b.px.support, b.py.support
+        gx = [sx[0], b.px.lo, 0.5 * (b.px.lo + b.px.hi), b.px.hi, sx[1]]
+        gy = [sy[0], b.py.lo, 0.5 * (b.py.lo + b.py.hi), b.py.hi, sy[1]]
+        mx, my = np.meshgrid(gx, gy)
+        xs.append(mx.ravel())
+        ys.append(my.ravel())
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _points_inside(boxes, fractions):
+    """Points of each box support, at the given fractions of its sides."""
+    sups = np.array([b.support for b in boxes])
+    fx, fy = np.array(fractions).T[:, :, None]
+    x = sups[:, 0] + fx * (sups[:, 1] - sups[:, 0])
+    y = sups[:, 2] + fy * (sups[:, 3] - sups[:, 2])
+    return x.ravel(), y.ravel()
+
+
+@settings(max_examples=80, deadline=None)
+@given(boxes=_boxes,
+       points=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+                       max_size=40),
+       fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=8),
+       alphas=st.sampled_from([ALPHAS, multi_indices(2), [(0, 0)]]),
+       block=st.sampled_from([1, 3, 2048]))
+def test_set_bump_jet_bitwise_equals_box_loop(boxes, points, fractions,
+                                              alphas, block):
+    ex, ey = _edge_points(boxes)
+    ix, iy = _points_inside(boxes, fractions)
+    px = np.array([p[0] for p in points])
+    py = np.array([p[1] for p in points])
+    # and two points outside the bbox
+    x = np.concatenate([ex, ix, px, [-1.0, 3.0]])
+    y = np.concatenate([ey, iy, py, [0.5, 0.5]])
+    with mock.patch.object(pou_module, "_POINT_BLOCK", block):
+        got = SetBump(boxes).jet(x, y, alphas)
+    want = _reference_jet(boxes, x, y, alphas)
+    for a in alphas:
+        assert got[a].tobytes() == want[a].tobytes(), a
+
+
+def test_set_bump_local_jet_matches_jet():
+    boxes = [BoxBump(Profile(0.1, 0.3, 0.05, 0.1), Profile(0.2, 0.4, 0.1, 0.02)),
+             BoxBump(Profile(0.25, 0.5, 0.1, 0.1), Profile(0.3, 0.6, 0.05, 0.05))]
+    rng = np.random.default_rng(1)
+    x, y = rng.uniform(-0.2, 1.0, (2, 500))
+    bump = SetBump(boxes)
+    idx, local = bump.local_jet(x, y)
+    full = bump.jet(x, y)
+    b = bump.bbox
+    assert np.array_equal(
+        idx, np.flatnonzero((x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3])))
+    for a in ALPHAS:
+        assert local[a].tobytes() == full[a][idx].tobytes()
+    grid = bump.jet(x.reshape(20, 25), y.reshape(20, 25))
+    assert grid[(1, 2)].shape == (20, 25)
+    assert grid[(1, 2)].ravel().tobytes() == full[(1, 2)].tobytes()
+
+
+# -- rectangle covers ---------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(
+    st.integers(60, 120), st.integers(60, 120)))
+def test_windowed_cells_rects_equal_full_mask(seed, shape):
+    rng = np.random.default_rng(seed)
+    offset = rng.integers(0, np.array(shape) - 40)  # a 40x40 window
+    cells = np.unique(rng.integers(0, 40, (rng.integers(1, 40), 2)) + offset,
+                      axis=0)
+    h = 1 / 64
+    assert _cells_rects(cells, h) == _rects_physical(
+        _cells_mask(shape, cells), h)
+
+
+# -- measured sups ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_ct():
+    dom = gallery.disk(1 / 32)
+    return build_core_tentacle(whitney_decompose(dom), QhMetric(dom), 6)
+
+
+def _probe_jet(part, hat, normalized):
+    x, y = hat.probe_points()
+    dom = part.domain
+    i = np.clip((x / dom.h).astype(int), 0, dom.shape[0] - 1)
+    j = np.clip((y / dom.h).astype(int), 0, dom.shape[1] - 1)
+    keep = dom.interior[i, j]
+    x, y = x[keep], y[keep]
+    if normalized:
+        return part.normalized_jet(hat, x, y)
+    return hat.jet(x, y, part.alphas)
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(3 * 10 * 2)))
+def test_measured_sup_is_max_of_the_probe_jet_in_any_call_order(small_ct,
+                                                                order):
+    part = build_partition(small_ct)  # a fresh, empty memo
+    hats = part.hats[::len(part.hats) // 3][:3]
+    calls = [(h, a, nz) for h in hats for a in part.alphas
+             for nz in (True, False)]
+    assert len(calls) == len(order)
+    jets = {(id(h), nz): _probe_jet(part, h, nz) for h in hats
+            for nz in (True, False)}
+    for c in order:
+        hat, a, nz = calls[c]
+        want = float(np.abs(jets[id(hat), nz][a]).max())
+        assert part.measured_sup(hat, a, normalized=nz) == want
+
+
+def test_measured_sup_rejects_a_foreign_hat(small_ct):
+    first, second = build_partition(small_ct), build_partition(small_ct)
+    with pytest.raises(DomainError):
+        first.measured_sup(second.hats[0], (1, 0))
