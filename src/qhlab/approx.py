@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy import ndimage
 
 from .decomposition import (CoreTentacleDecomposition, _cells_mask,
-                            build_core_tentacle)
+                            build_core_tentacle, core_mask_at_level)
 from .fixtures import AnalyticField, multi_indices
-from .grid import DomainError, GridDomain, _STRUCT8
+from .grid import DomainError, GridDomain
 from .pou import PartitionOfUnity, Jet, build_partition, jet_product, \
     jet_quotient, jet_zero
 from .poly import PolyApprox, fit_polynomial
@@ -125,6 +124,11 @@ class Approximant:
         return {a: u.jets[a] - self.jets[a] for a in self.jets}
 
 
+def _donor_cube(hat, ct: CoreTentacleDecomposition) -> int:
+    """Cube whose polynomial a psi or phi hat carries."""
+    return hat.key if hat.kind == "psi" else ct.groups[hat.key].assigned_cube
+
+
 def assemble(u: SampledFunction, pou: PartitionOfUnity,
              ct: CoreTentacleDecomposition) -> Approximant:
     """Evaluate u_m and its derivatives up to order k on the grid."""
@@ -145,17 +149,12 @@ def assemble(u: SampledFunction, pou: PartitionOfUnity,
     N = jet_zero(x.shape, alphas)
     err_sel = np.zeros(len(x), dtype=bool)  # union of psi/phi supports
     for hat, idx, hj in pou.local_jets(x, y, alphas):
-        if hat.kind == "psi":
-            coeff = poly_of_cube(hat.key)
-            fj = {a: coeff.derivative(a, x[idx], y[idx]) for a in alphas}
-            err_sel[idx[hj[(0, 0)] > 0]] = True
-        elif hat.kind == "phi":
-            g = ct.groups[hat.key]
-            coeff = poly_of_cube(g.assigned_cube)
-            fj = {a: coeff.derivative(a, x[idx], y[idx]) for a in alphas}
-            err_sel[idx[hj[(0, 0)] > 0]] = True
-        else:  # xi: reproduce u itself
+        if hat.kind == "xi":  # reproduce u itself
             fj = {a: u.jets[a][idx] for a in alphas}
+        else:
+            coeff = poly_of_cube(_donor_cube(hat, ct))
+            fj = {a: coeff.derivative(a, x[idx], y[idx]) for a in alphas}
+            err_sel[idx[hj[(0, 0)] > 0]] = True
         term = jet_product(hj, fj, alphas)
         for a in alphas:
             S[a][idx] += hj[a]
@@ -185,8 +184,6 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
                    + sum_j grad^b(u - P_ref) grad^(a-b) xi_j ]
                    + grad^a u * sum_j xi_j.
     """
-    from math import comb
-
     k = u.k
     alphas = multi_indices(k)
     rng = np.random.default_rng(seed)
@@ -207,34 +204,18 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
         S = pou.sum_jet(x, y, alphas)
         xi_sum = np.zeros(len(x))
         rebuilt = {a: np.zeros(len(x)) for a in top}
-        for hat in pou.hats:
-            b = hat.bump.bbox
-            insel = (x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3])
-            if not insel.any():
-                continue
-            nj = jet_quotient(hat.bump.jet(x, y, alphas), S, alphas)
-            if hat.kind == "psi":
-                coeff = approx.polynomials[hat.key]
-                fj = {a: coeff.derivative(a, x, y) - ref.derivative(a, x, y)
-                      for a in alphas}
-            elif hat.kind == "phi":
-                coeff = approx.polynomials[ct.groups[hat.key].assigned_cube]
-                fj = {a: coeff.derivative(a, x, y) - ref.derivative(a, x, y)
-                      for a in alphas}
+        for hat, at, hj in pou.local_jets(x, y, alphas):
+            nj = jet_quotient(hj, {a: S[a][at] for a in alphas}, alphas)
+            if hat.kind == "xi":
+                src = u.field
+                xi_sum[at] += nj[(0, 0)]
             else:
-                fj = {a: u.field.derivative(a, x, y) - ref.derivative(a, x, y)
-                      for a in alphas}
-                xi_sum = xi_sum + nj[(0, 0)]
-            for a in top:
-                acc = np.zeros(len(x))
-                for b1 in range(a[0] + 1):
-                    for b2 in range(a[1] + 1):
-                        if (b1, b2) == a:
-                            continue  # beta < alpha terms only
-                        c = comb(a[0], b1) * comb(a[1], b2)
-                        acc += c * fj[(b1, b2)] \
-                            * nj[(a[0] - b1, a[1] - b2)]
-                rebuilt[a] += acc
+                src = approx.polynomials[_donor_cube(hat, ct)]
+            fj = {a: src.derivative(a, x[at], y[at])
+                  - ref.derivative(a, x[at], y[at]) for a in alphas}
+            prod = jet_product(fj, nj, top)
+            for a in top:  # beta < alpha terms only
+                rebuilt[a][at] += prod[a] - fj[a] * nj[(0, 0)]
         for a in top:
             direct = approx.jets[a][idx]
             full = rebuilt[a] + u.field.derivative(a, x, y) * xi_sum
@@ -253,21 +234,6 @@ def error_localization(u: SampledFunction, approx: Approximant) -> float:
     if total == 0:
         return 0.0
     return (total - inside) / total
-
-
-def core_mask_at_level(dec: WhitneyDecomposition, level: float) -> np.ndarray:
-    """Component of the base point in the union of unflagged cubes of side
-    at least 2^-level (fractional levels allowed)."""
-    dom = dec.domain
-    l_min = 2.0 ** (-level)
-    big = np.zeros(dom.shape, dtype=bool)
-    for q in dec.cubes:
-        if not q.flagged and q.l >= l_min - 1e-12:
-            big[q.cell_slices()] = True
-    if not big[dom.x0]:
-        return np.zeros(dom.shape, dtype=bool)
-    labels, _ = ndimage.label(big, structure=_STRUCT8)
-    return labels == labels[dom.x0]
 
 
 def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,

@@ -14,13 +14,16 @@ sizes assume the gallery's unit bounding box.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dfield
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
-from .grid import DomainError, GridDomain, components, _STRUCT8
+from .grid import (DomainError, GridDomain, components, _STRUCT8,
+                   _component_at, _walk)
 from .properties import PropertyReport
 from .qh import QhMetric
 from .whitney import WhitneyDecomposition
@@ -62,11 +65,49 @@ def mask_rectangles(mask: np.ndarray) -> list[Rect]:
             for r in zip(i0[order], j0[order], ni[order], nj[order])]
 
 
-def _cells_mask(shape, cells: np.ndarray) -> np.ndarray:
+def _cells_mask(shape, *cell_arrays: np.ndarray) -> np.ndarray:
+    """Mask of the union of (n, 2) cell arrays, scattered one by one."""
     out = np.zeros(shape, dtype=bool)
-    if len(cells):
-        out[cells[:, 0], cells[:, 1]] = True
+    for cells in cell_arrays:
+        if len(cells):
+            out[cells[:, 0], cells[:, 1]] = True
     return out
+
+
+# offsets of the 8 neighbors of a cell
+_RING8 = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+
+
+def core_mask_at_level(dec: WhitneyDecomposition, level: float) -> np.ndarray:
+    """Component of the base point in the union of unflagged cubes of side
+    at least 2^-level (fractional levels allowed); empty when the base
+    point's cube is smaller."""
+    dom = dec.domain
+    l_min = 2.0 ** (-level)
+    big = np.zeros(dom.shape, dtype=bool)
+    for q in dec.cubes:
+        if not q.flagged and q.l >= l_min - 1e-12:
+            big[q.cell_slices()] = True
+    return _component_at(big, dom.x0)
+
+
+def _cut_off(raw: np.ndarray, lab0: int, where) -> bool | None:
+    """Do the cells ``where`` (a mask or an index tuple) lie off the base
+    point's label ``lab0`` of the raw labels ``raw``?  None (degenerate)
+    when every cell is removed (label 0)."""
+    labs = raw[where]
+    labs = labs[labs > 0]
+    if not len(labs):
+        return None
+    return bool((labs != lab0).all())
+
+
+def _unpack_trails(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Column bits of packed trail rows (last axis: 64-bit words, column t
+    is bit t & 63 of word t >> 6) as booleans over the columns."""
+    octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(octets, axis=-1, bitorder="little")
+    return bits[..., :ncols].astype(bool)
 
 
 def dilated_component_cells(
@@ -88,12 +129,10 @@ def dilated_component_cells(
     jj = (np.arange(j0, j1) + 0.5) * h
     inside = ((ii >= x0b) & (ii <= x1b))[:, None] & ((jj >= y0b) & (jj <= y1b))[None, :]
     window = inside & domain.interior[i0:i1, j0:j1]
-    labels, _ = ndimage.label(window, structure=_STRUCT8)
     ci, cj = q.center_cell()
-    lab = labels[ci - i0, cj - j0]
-    if lab == 0:  # degenerate: center not in the window (should not happen)
+    cells = np.argwhere(_component_at(window, (ci - i0, cj - j0)))
+    if not len(cells):  # center not in the window (should not happen)
         raise DomainError(f"cube {qidx} outside its own dilation window")
-    cells = np.argwhere(labels == lab)
     cells[:, 0] += i0
     cells[:, 1] += j0
     return cells
@@ -154,17 +193,12 @@ class CoreTentacleDecomposition:
         l_min = 2.0 ** (-self.m)
         l_cap = 2.0 ** (-(self.m - 2))
 
-        big = np.zeros(dom.shape, dtype=bool)
-        for q in dec.cubes:
-            if not q.flagged and q.l >= l_min - 1e-12:
-                big[q.cell_slices()] = True
-        if not big[dom.x0]:
+        self.core_mask = core_mask_at_level(dec, self.m)
+        if not self.core_mask[dom.x0]:
             raise DomainError(
                 f"level m={self.m} too coarse: base point's cube is smaller "
                 f"than {l_min}"
             )
-        labels, _ = ndimage.label(big, structure=_STRUCT8)
-        self.core_mask = labels == labels[dom.x0]
 
         self.W1 = [
             q.index
@@ -188,10 +222,7 @@ class CoreTentacleDecomposition:
         self.P = [i for i in self.P1 if i not in set(self.P_minus)]
 
         # components of the domain minus the closed halos of the pruned band
-        removed = np.zeros(dom.shape, dtype=bool)
-        for i in self.P:
-            cells = self.halo[i]
-            removed[cells[:, 0], cells[:, 1]] = True
+        removed = _cells_mask(dom.shape, *(self.halo[i] for i in self.P))
         if removed[dom.x0]:
             raise DomainError(
                 "base point swallowed by a blocking neighborhood; "
@@ -200,151 +231,107 @@ class CoreTentacleDecomposition:
         self.comp_labels = components(dom, removed)
         n_comp = int(self.comp_labels.max()) + 1
 
-        # bounding band cubes per component: halo dilated by one cell ring
+        # bounding band cubes per component: labels on the halo's one-cell
+        # ring (halos are interior, so the ring stays inside the bitmap)
         touch: list[set[int]] = [set() for _ in range(n_comp)]
         for i in self.P:
-            hm = _cells_mask(dom.shape, self.halo[i])
-            ring = ndimage.binary_dilation(hm, structure=_STRUCT8)
-            labs = np.unique(self.comp_labels[ring])
-            for lab in labs:
-                if lab >= 0:
-                    touch[int(lab)].add(i)
+            hi, hj = self.halo[i].T
+            for di, dj in _RING8:
+                labs = self.comp_labels[hi + di, hj + dj]
+                for lab in np.unique(labs[labs >= 0]).tolist():
+                    touch[lab].add(i)
 
         # relabel: thick components are those all of whose incident Whitney
-        # cubes have l >= 2^-(m-2); the base component is always thick
-        self.U_ids: list[int] = []
-        self.V_ids: list[int] = []
-        for lab in range(n_comp):
-            cells_mask = self.comp_labels == lab
-            incident = np.unique(dec.cell_cube[cells_mask])
-            incident = incident[incident >= 0]
-            thick = all(
-                dec.cubes[int(ci)].l >= l_cap - 1e-12
-                and not dec.cubes[int(ci)].flagged
-                for ci in incident
-            )
-            if lab == 0 or thick:
-                self.U_ids.append(lab)
-            else:
-                self.V_ids.append(lab)
+        # cubes are unflagged with l >= 2^-(m-2); the base component is
+        # always thick
+        thin_cube = np.array([q.flagged or q.l < l_cap - 1e-12
+                              for q in dec.cubes])
+        cells = (self.comp_labels >= 0) & (dec.cell_cube >= 0)
+        thin = np.zeros(n_comp, dtype=bool)
+        thin[self.comp_labels[cells][thin_cube[dec.cell_cube[cells]]]] = True
+        thin[0] = False
+        self.U_ids: list[int] = np.flatnonzero(~thin).tolist()
+        self.V_ids: list[int] = np.flatnonzero(thin).tolist()
         self.U_cubes = [touch[lab] for lab in self.U_ids]
         self.V_cubes = [touch[lab] for lab in self.V_ids]
 
         self._group()
 
-    def _prune(self) -> list[int]:
+    def _halo_cut(self, cubes) -> tuple[np.ndarray, int, int]:
+        """Raw labels of the interior minus the union of the cubes' closed
+        halos, their number, and the base point's label (0 when the union
+        holds the base point)."""
         dom = self.domain
-        node_label_x0 = dom.x0
-        bq_nodes = {
-            i: self.bq[i] for i in self.P1
-        }
+        removed = _cells_mask(dom.shape, *(self.halo[q] for q in cubes))
+        raw, n = ndimage.label(dom.interior & ~removed, structure=_STRUCT8)
+        return raw, n, int(raw[dom.x0])
+
+    def _prune(self) -> list[int]:
         blocked: set[int] = set()
         for qp in self.P1:
-            forbidden = _cells_mask(dom.shape, self.halo[qp])
-            if forbidden[node_label_x0]:
-                continue  # halo swallows the base point: cannot separate
-            raw, n = ndimage.label(dom.interior & ~forbidden, structure=_STRUCT8)
-            if n <= 1:
-                continue  # removal does not disconnect: blocks nothing
-            lab0 = raw[node_label_x0]
+            raw, n, lab0 = self._halo_cut([qp])
+            if not lab0 or n <= 1:
+                continue  # swallows the base point, or disconnects nothing
             for q in self.P1:
-                if q == qp or q in blocked:
-                    continue
-                cells = bq_nodes[q]
-                labs = raw[cells[:, 0], cells[:, 1]]
-                outside = labs > 0
-                if not outside.any():
-                    continue  # degenerate: neighborhood inside the removal
-                if (labs[outside] != lab0).all():
+                if q != qp and q not in blocked \
+                        and _cut_off(raw, lab0, tuple(self.bq[q].T)):
                     blocked.add(q)
         return sorted(blocked)
 
     def _group(self) -> None:
-        # band enumeration: ascending cube index
-        enum = sorted(self.P)
-        pos = {q: j for j, q in enumerate(enum)}
-        vm: set[int] = set().union(*self.V_cubes) if self.V_cubes else set()
-        self.V_union_cubes = vm
-
-        raw: list[tuple[int, frozenset[int]]] = []
-        for j, qj in enumerate(enum):
+        # band enumeration: ascending cube index; the j-th cube generates
+        # the union of the thin families it bounds
+        seen: dict[frozenset[int], int] = {}
+        for j, qj in enumerate(sorted(self.P)):
             fams = [vc for vc in self.V_cubes if qj in vc]
-            if not fams:
-                continue
-            union = frozenset().union(*fams)
-            raw.append((j, union))
+            if fams:
+                seen.setdefault(frozenset().union(*fams), j)
         # maximal distinct subfamily covering every thin-bounding cube:
         # drop duplicates (keep the smallest generator), then iteratively
         # drop any family whose cube union is inside the union of the rest
-        seen: dict[frozenset[int], int] = {}
-        for j, cubes in raw:
-            if cubes not in seen:
-                seen[cubes] = j
         chosen = sorted((j, cubes) for cubes, j in seen.items())
         changed = True
         while changed:
             changed = False
             for t, (j, cubes) in enumerate(chosen):
-                rest: set[int] = set()
-                for tt, (_, cc) in enumerate(chosen):
-                    if tt != t:
-                        rest |= cc
-                if cubes <= rest:
+                rest = chosen[:t] + chosen[t + 1:]
+                if cubes <= set().union(*(cc for _, cc in rest)):
                     chosen.pop(t)
                     changed = True
                     break
-        assert set().union(*(c for _, c in chosen)) == vm if chosen else not vm
+        if set().union(*(c for _, c in chosen)) != set().union(*self.V_cubes):
+            raise DomainError("tentacle groups do not cover the thin-bounding "
+                              "band cubes")
 
         self.groups: list[TentacleGroup] = [
             TentacleGroup(j, cubes, assigned_cube=min(cubes))
             for j, cubes in chosen
         ]
 
-        # assign each thin component the smallest group that separates it
-        dom = self.domain
+        # assign each thin component the first group that separates it
+        cuts = [self._halo_cut(g.cubes) for g in self.groups]
         for vpos, lab in enumerate(self.V_ids):
             vmask = self.comp_labels == lab
-            placed = False
-            for g in self.groups:
-                forbidden = np.zeros(dom.shape, dtype=bool)
-                for q in g.cubes:
-                    cells = self.halo[q]
-                    forbidden[cells[:, 0], cells[:, 1]] = True
-                labels = components(dom, forbidden)
-                lab0 = labels[dom.x0]
-                labs = labels[vmask]
-                if (labs >= 0).any() and (labs[labs >= 0] != lab0).all():
+            for g, (raw, _, lab0) in zip(self.groups, cuts):
+                if _cut_off(raw, lab0, vmask):
                     g.members.append(vpos)
-                    placed = True
                     break
-            if not placed:
+            else:
                 raise DomainError(
                     f"thin component {lab} not separated by any group"
                 )
-        self.groups = [g for g in self.groups]
         used = set().union(*(g.cubes for g in self.groups)) if self.groups else set()
         self.Um = [q for q in self.P if q not in used]
-        self._enum = enum
-        self._pos = pos
 
     # -- derived sets -------------------------------------------------------
 
     def component_mask(self, lab: int) -> np.ndarray:
         return self.comp_labels == lab
 
-    def bui_mask(self, idx: int) -> np.ndarray:
-        """Neighborhood of a thick component: dilation by 2^-m/100 (sub-cell,
-        so cell-exactly the component itself; the analytic dilation lives in
-        the partition-of-unity ramps)."""
-        return self.component_mask(self.U_ids[idx])
-
     def tentacle_mask(self, g: TentacleGroup) -> np.ndarray:
-        out = np.zeros(self.domain.shape, dtype=bool)
+        out = _cells_mask(self.domain.shape, *(self.bq[q] for q in g.cubes))
         for vpos in g.members:
             out |= self.component_mask(self.V_ids[vpos])
-        for q in g.cubes:
-            cells = self.bq[q]
-            out[cells[:, 0], cells[:, 1]] = True
         return out
 
     def overlap_counts(self) -> np.ndarray:
@@ -354,8 +341,10 @@ class CoreTentacleDecomposition:
         for q in self.Um:
             cells = self.bq[q]
             counts[cells[:, 0], cells[:, 1]] += 1
-        for i in range(len(self.U_ids)):
-            counts += self.bui_mask(i)
+        # a thick component's 2^-m/100 neighborhood is sub-cell: cell-exactly
+        # the component itself (the analytic dilation lives in the ramps)
+        for lab in self.U_ids:
+            counts += self.component_mask(lab)
         for g in self.groups:
             counts += self.tentacle_mask(g)
         return counts
@@ -365,10 +354,7 @@ class CoreTentacleDecomposition:
 
     def omega_m_mask(self) -> np.ndarray:
         """Union of the thick components (the level-m trimmed domain)."""
-        out = np.zeros(self.domain.shape, dtype=bool)
-        for lab in self.U_ids:
-            out |= self.comp_labels == lab
-        return out
+        return np.isin(self.comp_labels, self.U_ids)
 
     def as_dict(self) -> dict:
         return {
@@ -404,16 +390,9 @@ class CoreTentacleDecomposition:
         blocked)."""
         if not len(cells):
             raise DomainError("blocking query against an empty cell set")
-        dom = self.domain
-        forbidden = _cells_mask(dom.shape, self.halo[qidx])
-        if forbidden[dom.x0]:
-            return False, True
-        labels = components(dom, forbidden)
-        labs = labels[cells[:, 0], cells[:, 1]]
-        outside = labs >= 0
-        if not outside.any():
-            return False, True
-        return bool((labs[outside] != labels[dom.x0]).all()), False
+        raw, _, lab0 = self._halo_cut([qidx])
+        cut = _cut_off(raw, lab0, tuple(cells.T)) if lab0 else None
+        return (False, True) if cut is None else (cut, False)
 
     # -- trails and covers --------------------------------------------------
 
@@ -456,15 +435,13 @@ class CoreTentacleDecomposition:
         cells = self.bq[qidx]
         cubes_here = self.dec.cell_cube[cells[:, 0], cells[:, 1]]
         direct = np.intersect1d(cubes_here, self._w1).tolist()
-        nodes = dom.cell_node[cells[:, 0], cells[:, 1]]
-        nodes = nodes[nodes >= 0]
+        nodes = self._nodes(cells)
         T, cols = self._trail_matrix()
         rows = T[nodes]
         # column t of the trail matrix is the t-th band cube in index order
-        hit = np.bitwise_or.reduce(rows, axis=0).astype("<u8")
-        bits = np.unpackbits(hit.view(np.uint8), bitorder="little")
+        hit = _unpack_trails(np.bitwise_or.reduce(rows, axis=0), len(cols))
         band = sorted(cols)
-        via = [band[t] for t in np.flatnonzero(bits[:len(band)])]
+        via = [band[t] for t in np.flatnonzero(hit)]
         cube_of = self.dec.cell_cube[tuple(dom.node_cells[nodes].T)]
         covered = np.isin(cube_of, self._w1) | (rows != 0).any(axis=1)
         uncovered = dom.node_cells[nodes[~covered]]
@@ -484,11 +461,7 @@ class CoreTentacleDecomposition:
         cb = self.dec.cubes[b].center_cell()
         _, geo = self.qh.distance(ca, cb, with_geodesic=True)
         raw = self.dec.cell_cube[tuple(geo.polyline.cells.T)]
-        seq: list[int] = []
-        for q in raw:
-            q = int(q)
-            if not seq or seq[-1] != q:
-                seq.append(q)
+        seq = raw[np.append(True, raw[1:] != raw[:-1])].tolist()
         # repair: 16-neighbor moves can hop over a face neighbor
         adj = self.dec.adjacency
         out = [seq[0]]
@@ -505,41 +478,56 @@ class CoreTentacleDecomposition:
 
     def _bridge(self, a: int, b: int) -> list[int] | None:
         """Shortest cube-adjacency path strictly between two cubes (BFS)."""
-        from collections import deque
-
         adj = self.dec.adjacency
         prev = {a: -1}
         dq = deque([a])
         while dq:
             u = dq.popleft()
             if b in adj[u]:
-                path = []
-                while u != a:
-                    path.append(u)
-                    u = prev[u]
-                return path[::-1]
+                return _walk(prev, a, u)[1:]
             for v in adj[u]:
                 if v not in prev:
                     prev[v] = u
                     dq.append(v)
         return None
 
+    # -- band neighborhood overlaps -----------------------------------------
+
+    def band_overlap_pairs(self) -> list[tuple[int, int]]:
+        """Pairs qa < qb of pruned band cubes with overlapping neighborhoods
+        bq: the off-diagonal nonzeros of B B^T for the sparse band x cell
+        incidence matrix B."""
+        band = sorted(self.P)
+        if not band:
+            return []
+        ny = self.domain.shape[1]
+        cells = np.concatenate([self.bq[q] for q in band])
+        rows = np.repeat(np.arange(len(band)), [len(self.bq[q]) for q in band])
+        B = sparse.csr_matrix(
+            (np.ones(len(rows), dtype=np.int32),
+             (rows, cells[:, 0] * ny + cells[:, 1])),
+            shape=(len(band), self.domain.interior.size))
+        a, b = sparse.triu(B @ B.T, k=1).nonzero()
+        return sorted((band[i], band[j]) for i, j in zip(a, b))
+
     # -- quasihyperbolic distances between cubes ----------------------------
+
+    def _nodes(self, cells: np.ndarray) -> np.ndarray:
+        """Graph nodes of the interior cells of a cell array."""
+        nodes = self.domain.cell_node[tuple(cells.T)]
+        return nodes[nodes >= 0]
 
     def cube_k_field(self, qidx: int) -> np.ndarray:
         if qidx not in self._k_fields:
-            cells = self.dec.cube_cells(qidx)
-            nodes = self.domain.cell_node[cells[:, 0], cells[:, 1]]
-            self._k_fields[qidx] = self.qh.min_field(nodes[nodes >= 0])
+            self._k_fields[qidx] = self.qh.min_field(
+                self._nodes(self.dec.cube_cells(qidx)))
             if len(self._k_fields) > 800:
                 self._k_fields.pop(next(iter(self._k_fields)))
         return self._k_fields[qidx]
 
     def cube_k_dist(self, q1: int, q2: int) -> float:
+        nodes = self._nodes(self.dec.cube_cells(q2))
         field = self.cube_k_field(q1)
-        cells = self.dec.cube_cells(q2)
-        nodes = self.domain.cell_node[cells[:, 0], cells[:, 1]]
-        nodes = nodes[nodes >= 0]
         return float(field[nodes].min()) if len(nodes) else float("inf")
 
 
@@ -567,11 +555,8 @@ def verify_bounded_overlap(ct: CoreTentacleDecomposition) -> PropertyReport:
 def verify_tiling(ct: CoreTentacleDecomposition) -> bool:
     """Domain minus the pruned-band halos equals the disjoint union of the
     thick and thin components, cell-exactly."""
-    removed = np.zeros(ct.domain.shape, dtype=bool)
-    for q in ct.P:
-        cells = ct.halo[q]
-        removed[cells[:, 0], cells[:, 1]] = True
-    rest = ct.domain.interior & ~removed
+    rest = ct.domain.interior & ~_cells_mask(
+        ct.domain.shape, *(ct.halo[q] for q in ct.P))
     labeled = ct.comp_labels >= 0
     return bool(np.array_equal(rest, labeled))
 
@@ -585,18 +570,9 @@ def verify_remark_inclusion(
     M = int(np.floor(-np.log2(target * (1 + 1e-9))))
     if M < 0:
         return None
-    # the coarse set is just the level-M core: component of the base point in
-    # the union of unflagged cubes with l >= 2^-M
-    dom = ct.domain
-    l_min = 2.0 ** (-M)
-    big = np.zeros(dom.shape, dtype=bool)
-    for q in dec.cubes:
-        if not q.flagged and q.l >= l_min - 1e-12:
-            big[q.cell_slices()] = True
-    if not big[dom.x0]:
+    coarse_core = core_mask_at_level(dec, M)
+    if not coarse_core[ct.domain.x0]:
         return None
-    labels, _ = ndimage.label(big, structure=_STRUCT8)
-    coarse_core = labels == labels[dom.x0]
     omega_m = ct.omega_m_mask()
     return bool((~coarse_core | omega_m).all())
 
@@ -606,7 +582,6 @@ def verify_distance_lemmas(ct: CoreTentacleDecomposition) -> PropertyReport:
     oscillation estimates: covering cubes with intersecting trails; band
     cubes with overlapping neighborhoods; group cubes against their assigned
     cube."""
-    shape = ct.domain.shape
     rep = PropertyReport("distance_lemmas", 0.0, resolution=ct.domain.h)
     T, cols = ct._trail_matrix()
 
@@ -614,34 +589,22 @@ def verify_distance_lemmas(ct: CoreTentacleDecomposition) -> PropertyReport:
     ncols = len(cols)
     co = np.zeros((ncols, ncols), dtype=bool)
     for row in np.unique(T, axis=0):
-        bits = []
-        for w, word in enumerate(row.tolist()):
-            while word:
-                low = word & -word
-                bits.append(w * 64 + low.bit_length() - 1)
-                word ^= low
-        if len(bits) > 1:
-            idx = np.asarray(bits)
+        idx = np.flatnonzero(_unpack_trails(row, ncols))
+        if len(idx) > 1:
             co[np.ix_(idx, idx)] = True
 
     # trail-linked covering pairs
     max_trail = 0.0
     for q in ct.P:
         _, via, _ = ct.cover(q)
-        for a in range(len(via)):
-            for b in range(a + 1, len(via)):
-                if not co[cols[via[a]], cols[via[b]]]:
-                    continue
-                max_trail = max(max_trail, ct.cube_k_dist(via[a], via[b]))
+        for qa, qb in combinations(via, 2):
+            if co[cols[qa], cols[qb]]:
+                max_trail = max(max_trail, ct.cube_k_dist(qa, qb))
 
     # overlapping band neighborhoods
     max_band = 0.0
-    bq_masks = {q: _cells_mask(shape, ct.bq[q]) for q in ct.P}
-    plist = sorted(ct.P)
-    for a in range(len(plist)):
-        for b in range(a + 1, len(plist)):
-            if (bq_masks[plist[a]] & bq_masks[plist[b]]).any():
-                max_band = max(max_band, ct.cube_k_dist(plist[a], plist[b]))
+    for qa, qb in ct.band_overlap_pairs():
+        max_band = max(max_band, ct.cube_k_dist(qa, qb))
 
     # group cubes to assigned cube
     max_group = 0.0
@@ -693,37 +656,20 @@ def chain_pair_classes(ct: CoreTentacleDecomposition):
     covering cube meeting its neighborhood), (band, band with overlapping
     neighborhoods), (assigned, assigned with overlapping tentacles),
     (band, assigned with neighborhood meeting the tentacle)."""
-    shape = ct.domain.shape
-    pairs: set[tuple[int, int]] = set()
-    bq_masks = {q: _cells_mask(shape, ct.bq[q]) for q in ct.P}
-
+    pairs: set[tuple[int, int]] = set(ct.band_overlap_pairs())
+    tmasks = [ct.tentacle_mask(g) for g in ct.groups]
     for q in ct.P:
         direct, via, _ = ct.cover(q)
-        for qp in set(direct) | set(via):
-            if qp == q:
-                continue
-            cube_mask = np.zeros(shape, dtype=bool)
-            cube_mask[ct.dec.cubes[qp].cell_slices()] = True
-            if (cube_mask & bq_masks[q]).any():
-                pairs.add((min(q, qp), max(q, qp)))
-
-    plist = sorted(ct.P)
-    for a in range(len(plist)):
-        for b in range(a + 1, len(plist)):
-            if (bq_masks[plist[a]] & bq_masks[plist[b]]).any():
-                pairs.add((plist[a], plist[b]))
-
-    tmasks = [ct.tentacle_mask(g) for g in ct.groups]
-    for a in range(len(ct.groups)):
-        for b in range(a + 1, len(ct.groups)):
-            if (tmasks[a] & tmasks[b]).any():
-                qa, qb = ct.groups[a].assigned_cube, ct.groups[b].assigned_cube
-                if qa != qb:
-                    pairs.add((min(qa, qb), max(qa, qb)))
-    for q in ct.P:
-        for g, tm in zip(ct.groups, tmasks):
-            if q != g.assigned_cube and (bq_masks[q] & tm).any():
-                pairs.add((min(q, g.assigned_cube), max(q, g.assigned_cube)))
+        cells = tuple(ct.bq[q].T)
+        meets = set(ct.dec.cell_cube[cells].tolist())
+        partners = (set(direct) | set(via)) & meets
+        partners |= {g.assigned_cube for g, tm in zip(ct.groups, tmasks)
+                     if tm[cells].any()}
+        pairs |= {(min(q, qp), max(q, qp)) for qp in partners - {q}}
+    for (ga, ta), (gb, tb) in combinations(zip(ct.groups, tmasks), 2):
+        qa, qb = ga.assigned_cube, gb.assigned_cube
+        if qa != qb and (ta & tb).any():
+            pairs.add((min(qa, qb), max(qa, qb)))
     return sorted(pairs)
 
 

@@ -9,8 +9,6 @@ regime the approximation machinery is meant to handle.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import sympy as sp
 

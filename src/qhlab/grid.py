@@ -45,6 +45,14 @@ _HALF_OFFSETS: list[tuple[Cell, list[Cell]]] = [
 _STRUCT8 = np.ones((3, 3), dtype=bool)
 
 
+def _component_at(mask: np.ndarray, cell) -> np.ndarray:
+    """The 8-connected component of ``mask`` holding ``cell`` (empty when
+    the cell is not in the mask)."""
+    labels, _ = ndimage.label(mask, structure=_STRUCT8)
+    lab = labels[tuple(cell)]
+    return labels == lab if lab else np.zeros(mask.shape, dtype=bool)
+
+
 def _euclid_diameter(points: np.ndarray) -> float:
     """Max pairwise distance of an (n, 2) float array."""
     if len(points) <= 1:
@@ -114,15 +122,25 @@ class _DijkstraCache:
             self.matrix, directed=False, indices=list(nodes), min_only=True
         )
 
-    def path(self, src: int, dst: int) -> list[int]:
-        dist, pred = self.from_source(src)
-        if not np.isfinite(dist[dst]):
+    def distance(self, src: int, dst: int) -> float:
+        value = float(self.from_source(src)[0][dst])
+        if not np.isfinite(value):
             raise UnreachableError(f"nodes {src} and {dst} are not connected")
-        out = [int(dst)]
-        while out[-1] != src:
-            out.append(int(pred[out[-1]]))
-        out.reverse()
-        return out
+        return value
+
+    def path(self, src: int, dst: int) -> list[int]:
+        self.distance(src, dst)
+        return _walk(self.from_source(src)[1], src, dst)
+
+
+def _walk(pred, src: int, dst: int) -> list[int]:
+    """Nodes from src to dst along a predecessor map (array or dict) of a
+    shortest-path tree rooted at src."""
+    out = [int(dst)]
+    while out[-1] != src:
+        out.append(int(pred[out[-1]]))
+    out.reverse()
+    return out
 
 
 class GridDomain:
@@ -155,8 +173,7 @@ class GridDomain:
         if border:  # keep an exterior ring so every facet is representable
             interior = np.pad(interior, 1)
             x0 = (x0[0] + 1, x0[1] + 1)
-        labels, _ = ndimage.label(interior, structure=_STRUCT8)
-        keep = labels == labels[x0]
+        keep = _component_at(interior, x0)
         if not trim and keep.sum() != interior.sum():
             raise DomainError(
                 "interior is not a single connected component containing x0 "
@@ -328,21 +345,16 @@ def components(domain: GridDomain, forbidden: np.ndarray | None = None) -> np.nd
     if forbidden is not None:
         mask &= ~forbidden
     raw, n = ndimage.label(mask, structure=_STRUCT8)
-    out = np.full(domain.shape, -1, dtype=np.int64)
-    if n == 0:
-        return out
-    order: list[int] = []
-    if mask[domain.x0]:
-        order.append(int(raw[domain.x0]))
     first = ndimage.minimum(
         np.arange(mask.size).reshape(domain.shape), raw, index=range(1, n + 1)
     )
-    for lab in np.argsort(first) + 1:
-        if lab not in order:
-            order.append(int(lab))
-    for new, lab in enumerate(order):
-        out[raw == lab] = new
-    return out
+    order = np.argsort(first) + 1
+    if mask[domain.x0]:
+        lab0 = raw[domain.x0]
+        order = np.concatenate([[lab0], order[order != lab0]])
+    lut = np.full(n + 1, -1, dtype=np.int64)  # raw label -> id; 0 -> -1
+    lut[order] = np.arange(n)
+    return lut[raw]
 
 
 def intrinsic_distance(
@@ -351,12 +363,10 @@ def intrinsic_distance(
     """Shortest euclidean path length inside the domain (lambda metric)."""
     nx, ny = domain.require_interior(x), domain.require_interior(y)
     eng = domain.length_engine()
-    dist, _ = eng.from_source(nx)
-    if not np.isfinite(dist[ny]):
-        raise UnreachableError(f"{x} and {y} lie in different components")
+    value = eng.distance(nx, ny)
     if not with_path:
-        return float(dist[ny])
-    return float(dist[ny]), domain.polyline(eng.path(nx, ny))
+        return value
+    return value, domain.polyline(eng.path(nx, ny))
 
 
 def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
@@ -372,11 +382,7 @@ def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
     )
     if not np.isfinite(dist[ny]):
         return None
-    nodes = [ny]
-    while nodes[-1] != nx:
-        nodes.append(int(pred[nodes[-1]]))
-    nodes.reverse()
-    return domain.polyline(nodes)
+    return domain.polyline(_walk(pred, nx, ny))
 
 
 def intrinsic_diameter_distance(

@@ -16,6 +16,7 @@ from math import factorial
 
 import numpy as np
 
+from .decomposition import chain_pair_classes
 from .fixtures import multi_indices
 from .grid import DomainError
 from .properties import PropertyReport
@@ -175,8 +176,6 @@ def chaining_check(ct, field, k: int, p: float, pairs=None,
     dec, dom = ct.dec, ct.domain
     rng = np.random.default_rng(seed)
     if pairs is None:
-        from .decomposition import chain_pair_classes
-
         all_pairs = chain_pair_classes(ct)
         if len(all_pairs) > max_pairs:
             sel = rng.choice(len(all_pairs), size=max_pairs, replace=False)

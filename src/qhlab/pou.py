@@ -300,8 +300,6 @@ class Hat:
     kind: str  # "psi" | "phi" | "xi"
     key: int  # cube index / group position / thick-component position
     bump: SetBump
-    plateau_rects: list[tuple[float, float, float, float]]
-    support_rects: list[tuple[float, float, float, float]]
     allowed_rects: list[tuple[float, float, float, float]]  # for (iv) checks
 
     def jet(self, x, y, alphas=ALPHAS) -> Jet:
@@ -311,20 +309,17 @@ class Hat:
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Points straddling every ramp band of every box (for sup-norm
         measurement of sub-grid ramps)."""
+        def axis(p: Profile) -> np.ndarray:
+            lo, hi = p.support
+            return np.concatenate([
+                np.linspace(lo, p.lo, samples_per_ramp + 2)[1:-1],
+                np.linspace(p.hi, hi, samples_per_ramp + 2)[1:-1],
+                np.linspace(p.lo, p.hi, 4),
+            ])
+
         xs, ys = [], []
         for box in self.bump.boxes:
-            sx, sy = box.px.support, box.py.support
-            gx = np.concatenate([
-                np.linspace(sx[0], box.px.lo, samples_per_ramp + 2)[1:-1],
-                np.linspace(box.px.hi, sx[1], samples_per_ramp + 2)[1:-1],
-                np.linspace(box.px.lo, box.px.hi, 4),
-            ])
-            gy = np.concatenate([
-                np.linspace(sy[0], box.py.lo, samples_per_ramp + 2)[1:-1],
-                np.linspace(box.py.hi, sy[1], samples_per_ramp + 2)[1:-1],
-                np.linspace(box.py.lo, box.py.hi, 4),
-            ])
-            mx, my = np.meshgrid(gx, gy, indexing="ij")
+            mx, my = np.meshgrid(axis(box.px), axis(box.py), indexing="ij")
             xs.append(mx.ravel())
             ys.append(my.ravel())
         return np.concatenate(xs), np.concatenate(ys)
@@ -391,45 +386,36 @@ class PartitionOfUnity:
             ramp = 0.05 * ct.c0 * cube.l
             allowed = cube.box(h, 1.1 * ct.c0)
             rects = _cells_rects(ct.halo[q], h)
-            bump = _clipped_bump(rects, ramp, allowed, h)
-            return Hat(kind, key, bump, rects,
-                       [b.support for b in bump.boxes], [allowed])
+            return Hat(kind, key, _clipped_bump(rects, ramp, allowed, h),
+                       [allowed])
+
+        def grown(rects):
+            d = self.delta
+            return [(x0 - d, x1 + d, y0 - d, y1 + d)
+                    for x0, x1, y0, y1 in rects]
 
         for q in ct.Um:
             self.hats.append(cube_hat("psi", q, q))
 
+        delta_box = self.delta / np.sqrt(2.0)
         for gi, g in enumerate(ct.groups):
             boxes: list[BoxBump] = []
-            plateau, support, allowed = [], [], []
+            allowed = []
             for q in sorted(g.cubes):
                 hat_q = cube_hat("phi", gi, q)
                 boxes.extend(hat_q.bump.boxes)
-                plateau += hat_q.plateau_rects
-                support += hat_q.support_rects
                 allowed += hat_q.allowed_rects
-            delta_box = self.delta / np.sqrt(2.0)
             for vpos in g.members:
                 rects = _rects_physical(
                     ct.component_mask(ct.V_ids[vpos]), h)
-                vb = _uniform_bump(rects, delta_box)
-                boxes.extend(vb.boxes)
-                plateau += rects
-                support += [b.support for b in vb.boxes]
-                allowed += [(x0 - self.delta, x1 + self.delta,
-                             y0 - self.delta, y1 + self.delta)
-                            for x0, x1, y0, y1 in rects]
-            self.hats.append(Hat("phi", gi, SetBump(boxes),
-                                 plateau, support, allowed))
+                boxes.extend(_uniform_bump(rects, delta_box).boxes)
+                allowed += grown(rects)
+            self.hats.append(Hat("phi", gi, SetBump(boxes), allowed))
 
         for ui, lab in enumerate(ct.U_ids):
             rects = _rects_physical(ct.component_mask(lab), h)
-            bump = _uniform_bump(rects, self.delta / np.sqrt(2.0))
-            allowed = [(x0 - self.delta, x1 + self.delta,
-                        y0 - self.delta, y1 + self.delta)
-                       for x0, x1, y0, y1 in rects]
-            self.hats.append(Hat("xi", ui, bump,
-                                 rects, [b.support for b in bump.boxes],
-                                 allowed))
+            self.hats.append(Hat("xi", ui, _uniform_bump(rects, delta_box),
+                                 grown(rects)))
 
         self._positions = {id(hat): i for i, hat in enumerate(self.hats)}
         # measured_sup memo: (hat position, normalized) -> {alpha: sup}

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .grid import GridDomain, components, intrinsic_diameter_distance
-from .qh import Geodesic, QhMetric, sample_nodes
+from .grid import (GridDomain, components, intrinsic_diameter_distance,
+                   intrinsic_distance)
+from .qh import Geodesic, QhMetric, capital_lambda_delta, sample_nodes
 
 LOG2 = float(np.log(2.0))
 
@@ -157,6 +158,25 @@ def check_ball_separation(
 # -- Gehring-Hayman ----------------------------------------------------------
 
 
+def _intrinsic(domain: GridDomain, x, y, mode: str) -> float:
+    """lambda (length mode) or delta (diameter mode) between two cells."""
+    if mode == "length":
+        return intrinsic_distance(domain, x, y)
+    return intrinsic_diameter_distance(domain, x, y)
+
+
+def _record_shortness(report: PropertyReport, qh: QhMetric, x, y, mode: str,
+                      denom: float) -> None:
+    """Sample the pair's geodesic length or diameter over ``denom``."""
+    _, geo = qh.distance(x, y, with_geodesic=True)
+    if denom <= 0:
+        return
+    ratio = (geo.length if mode == "length" else geo.diameter) / denom
+    report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
+                           "ratio": ratio})
+    report.constant = max(report.constant, ratio)
+
+
 def check_gehring_hayman(
     qh: QhMetric, pairs, mode: str = "length", seed: int = 0
 ) -> PropertyReport:
@@ -166,24 +186,10 @@ def check_gehring_hayman(
     domain = qh.domain
     report = PropertyReport(f"gehring_hayman_{mode}", 1.0, seed=seed,
                             resolution=domain.h)
-    from .grid import intrinsic_distance
-
     for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
-        _, geo = qh.distance(x, y, with_geodesic=True)
-        if mode == "length":
-            denom = intrinsic_distance(domain, x, y)
-            num = geo.length
-        else:
-            denom = intrinsic_diameter_distance(domain, x, y)
-            num = geo.diameter
-        if denom <= 0:
-            continue
-        ratio = num / denom
-        report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
-                               "ratio": ratio})
-        report.constant = max(report.constant, ratio)
+        if tuple(x) != tuple(y):
+            _record_shortness(report, qh, x, y, mode,
+                              _intrinsic(domain, x, y, mode))
     return report
 
 
@@ -197,13 +203,10 @@ def check_local_gehring_hayman(
     With ``alternate`` the reformulated filter is used instead: comparable
     boundary distances (1/R <= d(x)/d(y) <= R) and lambda-or-delta <= R (d^d).
     """
-    from .qh import capital_lambda_delta
-
     domain = qh.domain
     report = PropertyReport(
         f"local_gehring_hayman_{mode}" + ("_alt" if alternate else ""),
         1.0, bound=c, seed=seed, resolution=domain.h)
-    from .grid import intrinsic_distance
 
     qualifying = 0
     for x, y in pairs:
@@ -211,10 +214,7 @@ def check_local_gehring_hayman(
             continue
         dx, dy = domain.boundary_distance(x), domain.boundary_distance(y)
         lam_cap, dia_cap = capital_lambda_delta(domain, x, y)
-        if mode == "length":
-            denom = intrinsic_distance(domain, x, y)
-        else:
-            denom = intrinsic_diameter_distance(domain, x, y)
+        denom = _intrinsic(domain, x, y, mode)
         if alternate:
             ratio_d = max(dx / dy, dy / dx)
             ok = ratio_d <= R and denom <= R * min(dx, dy)
@@ -223,14 +223,7 @@ def check_local_gehring_hayman(
         if not ok:
             continue
         qualifying += 1
-        _, geo = qh.distance(x, y, with_geodesic=True)
-        num = geo.length if mode == "length" else geo.diameter
-        if denom <= 0:
-            continue
-        ratio = num / denom
-        report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
-                               "ratio": ratio})
-        report.constant = max(report.constant, ratio)
+        _record_shortness(report, qh, x, y, mode, denom)
     report.extra["qualifying_pairs"] = qualifying
     report.passed = report.constant <= c
     return report
@@ -304,7 +297,6 @@ def check_radially_hyperbolic(
             continue
         u = tuple(domain.node_cells[int(geo.nodes[i])])
         v = tuple(domain.node_cells[int(geo.nodes[j])])
-        from .qh import capital_lambda_delta
 
         _, dia_cap = capital_lambda_delta(domain, u, v)
         if dia_cap > R:
@@ -323,22 +315,18 @@ def check_radially_hyperbolic(
     # (ii) unions of two radial geodesics sharing a non-root node
     for a in range(0, len(geos) - 1, 2):
         gx, gy = geos[a], geos[a + 1]
-        shared = set(map(int, gx.nodes)) & set(map(int, gy.nodes)) - {tree.root}
-        if not shared:
+        in_y = np.isin(gx.nodes, gy.nodes)
+        if not (in_y & (gx.nodes != tree.root)).any():
             report.samples.append({"kind": "union", "vacuous": True})
             continue
         # union curve from x down to the divergence node and up to y
-        common = [int(v) for v in gx.nodes if int(v) in set(map(int, gy.nodes))]
-        meet = common[-1]
-        ix = int(np.nonzero(gx.nodes == meet)[0][0])
-        iy = int(np.nonzero(gy.nodes == meet)[0][0])
+        ix = int(np.flatnonzero(in_y)[-1])
+        iy = int(np.nonzero(gy.nodes == gx.nodes[ix])[0][0])
         union_nodes = np.concatenate([gx.nodes[ix:][::-1], gy.nodes[iy + 1 :]])
         x = tuple(domain.node_cells[int(union_nodes[0])])
         y = tuple(domain.node_cells[int(union_nodes[-1])])
         if x == y:
             continue
-        from .qh import capital_lambda_delta
-        from .grid import intrinsic_distance
 
         lam_cap, dia_cap = capital_lambda_delta(domain, x, y)
         curve = qh.geodesic_from_nodes(union_nodes)
@@ -392,18 +380,10 @@ def check_geodesic_tail_diameter(
         ok = True
         worst = 0.0
         for geo, delta, radii in data:
-            outside = radii > M * delta
-            if not outside.any():
-                continue
             # consecutive runs of nodes outside the ball are the components
-            edges = np.flatnonzero(np.diff(outside.astype(int)))
-            starts = [0] if outside[0] else []
-            starts += [int(e) + 1 for e in edges if outside[int(e) + 1]]
-            for s in starts:
-                e = s
-                while e + 1 < len(outside) and outside[e + 1]:
-                    e += 1
-                kdiam = qh.k_length_of(geo.nodes[s : e + 1])
+            step = np.diff(np.concatenate([[0], radii > M * delta, [0]]))
+            for s, e in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1)):
+                kdiam = qh.k_length_of(geo.nodes[s:e])
                 worst = max(worst, kdiam)
                 if kdiam > threshold:
                     ok = False

@@ -20,6 +20,7 @@ from .grid import (
     Polyline,
     UnreachableError,
     _DijkstraCache,
+    _walk,
     intrinsic_diameter_distance,
     intrinsic_distance,
 )
@@ -59,11 +60,7 @@ class GeodesicTree:
     pred: np.ndarray  # parent node per node (-9999 at root)
 
     def path_nodes(self, node: int) -> np.ndarray:
-        out = [int(node)]
-        while out[-1] != self.root:
-            out.append(int(self.pred[out[-1]]))
-        out.reverse()
-        return np.asarray(out)
+        return np.asarray(_walk(self.pred, self.root, node))
 
 
 class QhMetric:
@@ -111,10 +108,7 @@ class QhMetric:
 
     def distance(self, x: Cell, y: Cell, with_geodesic: bool = False):
         nx, ny = self.node(x), self.node(y)
-        dist, _ = self.engine.from_source(nx)
-        value = float(dist[ny])
-        if not np.isfinite(value):
-            raise UnreachableError(f"{x} and {y} are not k-connected")
+        value = self.engine.distance(nx, ny)
         if not with_geodesic:
             return value
         return value, self.geodesic_from_nodes(self.engine.path(nx, ny))
@@ -125,16 +119,6 @@ class QhMetric:
             dist, pred = self.engine.from_source(root)
             self._tree = GeodesicTree(root, dist, pred)
         return self._tree
-
-    def cube_distance(self, cells_a: np.ndarray, cells_b: np.ndarray) -> float:
-        """dist_k between two cell sets (multi-source Dijkstra from the first)."""
-        nodes_a = self.domain.cell_node[tuple(np.asarray(cells_a).T)]
-        nodes_b = self.domain.cell_node[tuple(np.asarray(cells_b).T)]
-        nodes_a = nodes_a[nodes_a >= 0]
-        nodes_b = nodes_b[nodes_b >= 0]
-        if not len(nodes_a) or not len(nodes_b):
-            return float("inf")
-        return float(self.min_field(nodes_a)[nodes_b].min())
 
 
 def capital_lambda_delta(
@@ -204,15 +188,10 @@ def estimate_delta(
         if len({a, b, c}) < 3:
             per.append(0.0)
             continue
-        sides = []
-        ok = True
-        for u, v in ((a, b), (a, c), (b, c)):
-            du, _ = qh.engine.from_source(u)
-            if not np.isfinite(du[v]):
-                ok = False
-                break
-            sides.append(np.asarray(qh.engine.path(u, v)))
-        if not ok:
+        try:
+            sides = [np.asarray(qh.engine.path(u, v))
+                     for u, v in ((a, b), (a, c), (b, c))]
+        except UnreachableError:
             per.append(0.0)
             continue
         thin = 0.0

@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field as dfield, fields as dfields
+from dataclasses import dataclass, fields as dfields
 from importlib import metadata
 from pathlib import Path
 

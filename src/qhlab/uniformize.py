@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .grid import DomainError, UnreachableError, _DijkstraCache
+from .grid import DomainError, _DijkstraCache
 from .properties import PropertyReport
 from .qh import QhMetric
 
@@ -41,9 +41,7 @@ class DeformedMetric:
         ia, ib, _ = self.domain.edges(qh.connectivity)
         self.edge_weights = qh.edge_weights * 0.5 * (self.rho[ia] + self.rho[ib])
         n = self.domain.n_nodes
-        self.matrix = sparse.csr_matrix(
-            (self.edge_weights, (ia, ib)), shape=(n, n)
-        )
+        self.matrix = self.domain.graph(self.edge_weights, qh.connectivity)
         self.engine = _DijkstraCache(self.matrix, maxsize=64)
 
         # deformed boundary distance: one Dijkstra from a virtual boundary
@@ -68,25 +66,10 @@ class DeformedMetric:
 
     def distance(self, x, y, with_path: bool = False):
         nx, ny = self.node(x), self.node(y)
-        dist, _ = self.engine.from_source(nx)
-        value = float(dist[ny])
-        if not np.isfinite(value):
-            raise UnreachableError(f"{x} and {y} are not connected")
+        value = self.engine.distance(nx, ny)
         if not with_path:
             return value
         return value, np.asarray(self.engine.path(nx, ny))
-
-    def path_length(self, nodes) -> float:
-        """Deformed length of a node path (same quadrature as the edges)."""
-        nodes = np.asarray(nodes, dtype=int)
-        if len(nodes) < 2:
-            return 0.0
-        klen = np.empty(len(nodes) - 1)
-        pts = (self.domain.node_cells[nodes] + 0.5) * self.domain.h
-        seg = np.sqrt((np.diff(pts, axis=0) ** 2).sum(1))
-        d = self.domain.node_dist()[nodes]
-        klen = seg * 0.5 * (1.0 / d[:-1] + 1.0 / d[1:])
-        return float((klen * 0.5 * (self.rho[nodes[:-1]] + self.rho[nodes[1:]])).sum())
 
     def diameter_from(self, x) -> float:
         """Max deformed distance from x (the space is bounded)."""
@@ -100,18 +83,12 @@ class DeformedMetric:
             ia, ib, _ = self.domain.edges(self.qh.connectivity)
             # harmonic mean of the density 1/d_rho at the edge endpoints
             w = self.edge_weights * 2.0 / (self.d_rho[ia] + self.d_rho[ib])
-            n = self.domain.n_nodes
             self._k_rho_engine = _DijkstraCache(
-                sparse.csr_matrix((w, (ia, ib)), shape=(n, n)), maxsize=64
-            )
+                self.domain.graph(w, self.qh.connectivity), maxsize=64)
         return self._k_rho_engine
 
     def k_rho(self, x, y) -> float:
-        nx, ny = self.node(x), self.node(y)
-        value = float(self.k_rho_engine().from_source(nx)[0][ny])
-        if not np.isfinite(value):
-            raise UnreachableError(f"{x} and {y} are not connected")
-        return value
+        return self.k_rho_engine().distance(self.node(x), self.node(y))
 
     def stats(self) -> dict:
         return {
@@ -148,12 +125,11 @@ def check_deformed_uniformity(
         value, nodes = metric.distance(x, y, with_path=True)
         if value <= 0:
             continue
-        # cumulative deformed length along the path
-        sub = np.array([0.0] + [
-            metric.matrix[nodes[i], nodes[i + 1]]
-            or metric.matrix[nodes[i + 1], nodes[i]]
-            for i in range(len(nodes) - 1)
-        ]).cumsum()
+        # cumulative deformed length along the path; each edge is stored in
+        # one orientation, so the sum of both lookups is its weight
+        a, b = nodes[:-1], nodes[1:]
+        steps = np.asarray(metric.matrix[a, b] + metric.matrix[b, a]).ravel()
+        sub = np.concatenate([[0.0], steps]).cumsum()
         r1 = float(sub[-1]) / value
         cone = np.minimum(sub, sub[-1] - sub)
         r2 = float((cone / metric.d_rho[nodes]).max())

@@ -97,16 +97,7 @@ class WhitneyDecomposition:
     def cube_cells(self, index: int) -> np.ndarray:
         """(n, 2) array of cell coordinates of a cube."""
         q = self.cubes[index]
-        si, sj = q.cell_slices()
-        ii, jj = np.meshgrid(
-            np.arange(si.start, si.stop), np.arange(sj.start, sj.stop), indexing="ij"
-        )
-        return np.column_stack([ii.ravel(), jj.ravel()])
-
-    def sizes_at_least(self, min_size_cells: int) -> list[int]:
-        return [
-            i for s, idxs in self.by_size.items() if s >= min_size_cells for i in idxs
-        ]
+        return np.argwhere(np.ones((q.size, q.size), dtype=bool)) + q.corner
 
     def rects(self):
         """(x0, y0, side, level, flagged) tuples in physical units, for SVG."""

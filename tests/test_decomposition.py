@@ -9,11 +9,14 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from qhlab import gallery
-from qhlab.grid import DomainError, _STRUCT8
+from qhlab.grid import DomainError, _STRUCT8, components
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import (
     Rect,
+    _cells_mask,
+    _cut_off,
+    _unpack_trails,
     build_core_tentacle,
     chain_pair_classes,
     mask_rectangles,
@@ -340,3 +343,73 @@ def test_cover_matches_per_column_reference(ct6):
         assert via == ref_via
         assert all(type(v) is int for v in direct + via)
         assert np.array_equal(uncovered, ref_uncovered)
+
+
+def _cut_by_components(labels, x0, cells_where):
+    """Reference cut-off test on components() labels: None when every cell
+    is removed, else whether all remaining cells lie off the base point's
+    component."""
+    labs = labels[cells_where]
+    outside = labs >= 0
+    if not outside.any():
+        return None
+    return bool((labs[outside] != labels[x0]).all())
+
+
+@pytest.mark.parametrize("name", ["dumbbell", "slit_disk"])
+def test_halo_cut_equals_components_formulation(name):
+    dom = gallery.make(name, h=1 / 128)
+    ct = build_core_tentacle(whitney_decompose(dom), QhMetric(dom), 7)
+    # query sets: the cutter's own halo (always degenerate), and the
+    # neighborhoods of about 16 band and 8 blocked cubes spread over the band
+    sample = ct.P1[::max(1, len(ct.P1) // 16)] \
+        + ct.P_minus[::max(1, len(ct.P_minus) // 8)]
+    seen = set()
+    for qp in ct.P1:  # every band cube as the cutter
+        removed = _cells_mask(dom.shape, ct.halo[qp])
+        labels = components(dom, removed)
+        raw, _, lab0 = ct._halo_cut([qp])
+        assert (lab0 == 0) == bool(removed[dom.x0])
+        for cells in [ct.halo[qp]] + [ct.bq[q] for q in sample]:
+            where = tuple(cells.T)
+            got = _cut_off(raw, lab0, where)
+            assert got == _cut_by_components(labels, dom.x0, where)
+            seen.add(got)
+    assert seen == {None, False, True}
+    for g in ct.groups:
+        removed = _cells_mask(dom.shape, np.concatenate(
+            [ct.halo[q] for q in g.cubes]))
+        labels = components(dom, removed)
+        raw, _, lab0 = ct._halo_cut(g.cubes)
+        for lab in ct.V_ids:
+            vmask = ct.comp_labels == lab
+            assert _cut_off(raw, lab0, vmask) \
+                == _cut_by_components(labels, dom.x0, vmask)
+
+
+def _band_pairs_dense(ct):
+    """Reference: pairwise AND of full-domain neighborhood masks."""
+    masks = {q: _cells_mask(ct.domain.shape, ct.bq[q]) for q in ct.P}
+    band = sorted(ct.P)
+    return [(a, b) for i, a in enumerate(band) for b in band[i + 1:]
+            if (masks[a] & masks[b]).any()]
+
+
+def test_band_overlap_pairs_equal_dense_and(ct6, ct7, dumbbell_ctx):
+    for ct in (ct6, ct7, dumbbell_ctx[3]):
+        ref = _band_pairs_dense(ct)
+        assert ref
+        assert ct.band_overlap_pairs() == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=arrays(np.uint64, st.tuples(st.integers(1, 6), st.integers(1, 3))),
+       data=st.data())
+def test_unpack_trails_equals_bit_loop(rows, data):
+    ncols = data.draw(st.integers(1, 64 * rows.shape[1]))
+    ref = np.zeros((len(rows), ncols), dtype=bool)
+    for r, row in enumerate(rows.tolist()):
+        for t in range(ncols):
+            ref[r, t] = (row[t >> 6] >> (t & 63)) & 1
+    assert np.array_equal(_unpack_trails(rows, ncols), ref)
+    assert np.array_equal(_unpack_trails(rows[0], ncols), ref[0])

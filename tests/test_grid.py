@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from qhlab import gallery
 from qhlab.grid import (
     DomainError,
     GridDomain,
     UnreachableError,
+    _STRUCT8,
+    _walk,
     components,
     intrinsic_diameter_distance,
     intrinsic_distance,
@@ -235,6 +240,64 @@ def test_components_all_forbidden_empty():
     dom = gallery.disk(1 / 64)
     labels = components(dom, dom.interior.copy())
     assert set(np.unique(labels)) == {-1}
+
+
+def _components_per_label(domain, forbidden):
+    """Reference relabelling: one full-array pass per label."""
+    mask = domain.interior & ~forbidden
+    raw, n = ndimage.label(mask, structure=_STRUCT8)
+    out = np.full(domain.shape, -1, dtype=np.int64)
+    if n == 0:
+        return out
+    order: list[int] = []
+    if mask[domain.x0]:
+        order.append(int(raw[domain.x0]))
+    first = ndimage.minimum(
+        np.arange(mask.size).reshape(domain.shape), raw, index=range(1, n + 1)
+    )
+    for lab in np.argsort(first) + 1:
+        if lab not in order:
+            order.append(int(lab))
+    for new, lab in enumerate(order):
+        out[raw == lab] = new
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(forbidden=arrays(bool, st.tuples(st.integers(1, 20), st.integers(1, 20))),
+       data=st.data())
+def test_components_lookup_equals_per_label_loop(forbidden, data):
+    ni, nj = forbidden.shape
+    x0 = (data.draw(st.integers(0, ni - 1)), data.draw(st.integers(0, nj - 1)))
+    dom = GridDomain(np.ones((ni, nj), dtype=bool), 0.1, x0)  # padded
+    forbidden = np.pad(forbidden, 1)
+    labels = components(dom, forbidden)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, _components_per_label(dom, forbidden))
+
+
+# -- path reconstruction -----------------------------------------------------
+
+
+def test_walk_equals_engine_path_and_realizes_distance():
+    dom = gallery.slit_disk(1 / 64)
+    eng = dom.length_engine()
+    weights = (eng.matrix + eng.matrix.T).tocsr()
+    rng = np.random.default_rng(11)
+    for src, dst in rng.integers(0, dom.n_nodes, size=(12, 2)):
+        dist, pred = eng.from_source(src)
+        nodes = _walk(pred, src, dst)
+        ref = [int(dst)]  # predecessor loop, written out
+        while ref[-1] != src:
+            ref.append(int(pred[ref[-1]]))
+        assert nodes == ref[::-1] == eng.path(src, dst)
+        assert nodes[0] == src and nodes[-1] == dst
+        steps = np.asarray(weights[nodes[:-1], nodes[1:]]).ravel()
+        assert (steps > 0).all()  # consecutive nodes are graph edges
+        assert np.isclose(steps.sum(), dist[dst], rtol=1e-12)
+    # a dict of predecessors (breadth-first search) walks the same way
+    assert _walk({4: -1, 7: 4, 9: 7}, 4, 9) == [4, 7, 9]
+    assert _walk({4: -1}, 4, 4) == [4]
 
 
 # -- serialization -----------------------------------------------------------
