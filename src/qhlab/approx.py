@@ -239,8 +239,10 @@ def error_localization(u: SampledFunction, approx: Approximant) -> float:
 def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
                 m_list, alpha_tail: float = 0.6, refine: int = 2,
                 qh: QhMetric | None = None,
-                dec: WhitneyDecomposition | None = None) -> PropertyReport:
-    """Per-level error, tail seminorm, and sup-norms of the approximant.
+                dec: WhitneyDecomposition | None = None,
+                c0: float = 10.0) -> PropertyReport:
+    """Per-level error, tail seminorm, and sup-norms of the approximant
+    built on the level-m decompositions with dilation constant ``c0``.
 
     Levels whose decomposition degenerates (base point swallowed at coarse
     m) are recorded as skipped.  The caller asserts decay/boundedness.
@@ -254,7 +256,7 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
     rows = []
     for m in m_list:
         try:
-            ct = build_core_tentacle(dec, qh, m)
+            ct = build_core_tentacle(dec, qh, m, c0=c0)
         except DomainError as exc:
             rows.append({"m": int(m), "skipped": str(exc)})
             continue

@@ -102,6 +102,39 @@ def _cut_off(raw: np.ndarray, lab0: int, where) -> bool | None:
     return bool((labs != lab0).all())
 
 
+def _window_cut(domain: GridDomain, halo: np.ndarray
+                ) -> tuple[np.ndarray, int, int, np.ndarray] | None:
+    """Raw labels of the interior minus a halo on the halo's bounding box
+    grown by one cell: the window's labels, their number, the base point's
+    label and the window's origin cell.  None when the window labels do not
+    decide which cells lie off the base point's component.
+
+    The halo is interior and the bitmap keeps an exterior ring, so the
+    window stays in bounds.  Every cell outside the window reaches the
+    window's one-cell border ring inside the connected domain, and the halo
+    lies strictly inside that ring.  So when the ring's cells lie in one
+    window component, the window components are the global ones; when the
+    base point also lies outside the window, in that component or in the
+    halo, only cells inside the window can lie off the base point's
+    component.
+    """
+    lo = halo.min(axis=0) - 1
+    hi = halo.max(axis=0) + 2
+    removed = _cells_mask(tuple(hi - lo), halo - lo)
+    raw, n = ndimage.label(domain.interior[lo[0]:hi[0], lo[1]:hi[1]]
+                           & ~removed, structure=_STRUCT8)
+    ring = np.unique(np.concatenate([raw[0], raw[-1], raw[:, 0], raw[:, -1]]))
+    ring = ring[ring > 0]
+    x0 = np.subtract(domain.x0, lo)
+    if ((x0 >= 0) & (x0 < raw.shape)).all():
+        lab0 = int(raw[tuple(x0)])
+    else:
+        lab0 = int(ring[0]) if len(ring) else 0
+    if len(ring) > 1 or (lab0 and (ring != lab0).any()):
+        return None  # the ring split, or the base point in a pocket
+    return raw, n, lab0, lo
+
+
 def _unpack_trails(rows: np.ndarray, ncols: int) -> np.ndarray:
     """Column bits of packed trail rows (last axis: 64-bit words, column t
     is bit t & 63 of word t >> 6) as booleans over the columns."""
@@ -219,7 +252,8 @@ class CoreTentacleDecomposition:
 
         # pruning: drop band cubes whose neighborhood is blocked by another
         self.P_minus = self._prune()
-        self.P = [i for i in self.P1 if i not in set(self.P_minus)]
+        pruned = set(self.P_minus)
+        self.P = [i for i in self.P1 if i not in pruned]
 
         # components of the domain minus the closed halos of the pruned band
         removed = _cells_mask(dom.shape, *(self.halo[i] for i in self.P))
@@ -231,15 +265,23 @@ class CoreTentacleDecomposition:
         self.comp_labels = components(dom, removed)
         n_comp = int(self.comp_labels.max()) + 1
 
-        # bounding band cubes per component: labels on the halo's one-cell
-        # ring (halos are interior, so the ring stays inside the bitmap)
+        # bounding band cubes per component: the labels next to each halo
+        # (halos are interior, so the neighbours stay inside the bitmap), in
+        # one pass over the (label, cube) pairs; only the halo cells next to
+        # a labelled cell can contribute, which keeps the pass small
+        near = ndimage.binary_dilation(self.comp_labels >= 0,
+                                       structure=_STRUCT8)
+        cells = [self.halo[i][near[tuple(self.halo[i].T)]] for i in self.P]
+        owner = np.repeat(np.array(self.P, dtype=np.int64),
+                          [len(c) for c in cells])
+        cells = np.concatenate(cells) if cells else np.empty((0, 2), int)
+        pairs = np.concatenate([
+            np.column_stack([self.comp_labels[cells[:, 0] + di,
+                                              cells[:, 1] + dj], owner])
+            for di, dj in _RING8])
         touch: list[set[int]] = [set() for _ in range(n_comp)]
-        for i in self.P:
-            hi, hj = self.halo[i].T
-            for di, dj in _RING8:
-                labs = self.comp_labels[hi + di, hj + dj]
-                for lab in np.unique(labs[labs >= 0]).tolist():
-                    touch[lab].add(i)
+        for lab, i in np.unique(pairs[pairs[:, 0] >= 0], axis=0).tolist():
+            touch[lab].add(i)
 
         # relabel: thick components are those all of whose incident Whitney
         # cubes are unflagged with l >= 2^-(m-2); the base component is
@@ -267,16 +309,29 @@ class CoreTentacleDecomposition:
         return raw, n, int(raw[dom.x0])
 
     def _prune(self) -> list[int]:
-        blocked: set[int] = set()
-        for qp in self.P1:
-            raw, n, lab0 = self._halo_cut([qp])
+        band = self.P1
+        centre = np.array([self.dec.cubes[q].center_cell() for q in band])
+        lo = np.array([self.bq[q].min(axis=0) for q in band])
+        hi = np.array([self.bq[q].max(axis=0) for q in band])
+        blocked = np.zeros(len(band), dtype=bool)
+        for k, qp in enumerate(band):
+            raw, n, lab0, origin = (_window_cut(self.domain, self.halo[qp])
+                                    or (*self._halo_cut([qp]), (0, 0)))
             if not lab0 or n <= 1:
                 continue  # swallows the base point, or disconnects nothing
-            for q in self.P1:
-                if q != qp and q not in blocked \
-                        and _cut_off(raw, lab0, tuple(self.bq[q].T)):
-                    blocked.add(q)
-        return sorted(blocked)
+            # only a neighbourhood inside the labelled extent can lie off
+            # the base label, and not when its centre cell (bq is the
+            # component through it) carries that label
+            inside = ((lo >= origin) & (hi < np.add(origin, raw.shape))).all(1)
+            inside &= ~blocked
+            inside[k] = False
+            idx = np.flatnonzero(inside)
+            ci, cj = (centre[idx] - origin).T
+            for t in idx[raw[ci, cj] != lab0]:
+                cells = self.bq[band[t]] - origin
+                if _cut_off(raw, lab0, tuple(cells.T)):
+                    blocked[t] = True
+        return [q for q, b in zip(band, blocked) if b]
 
     def _group(self) -> None:
         # band enumeration: ascending cube index; the j-th cube generates
@@ -517,16 +572,20 @@ class CoreTentacleDecomposition:
         nodes = self.domain.cell_node[tuple(cells.T)]
         return nodes[nodes >= 0]
 
+    def _cube_nodes(self, qidx: int) -> np.ndarray:
+        """Graph nodes of a Whitney cube's interior cells, row-major."""
+        nodes = self.domain.cell_node[self.dec.cubes[qidx].cell_slices()]
+        return nodes[nodes >= 0]
+
     def cube_k_field(self, qidx: int) -> np.ndarray:
         if qidx not in self._k_fields:
-            self._k_fields[qidx] = self.qh.min_field(
-                self._nodes(self.dec.cube_cells(qidx)))
+            self._k_fields[qidx] = self.qh.min_field(self._cube_nodes(qidx))
             if len(self._k_fields) > 800:
                 self._k_fields.pop(next(iter(self._k_fields)))
         return self._k_fields[qidx]
 
     def cube_k_dist(self, q1: int, q2: int) -> float:
-        nodes = self._nodes(self.dec.cube_cells(q2))
+        nodes = self._cube_nodes(q2)
         field = self.cube_k_field(q1)
         return float(field[nodes].min()) if len(nodes) else float("inf")
 

@@ -312,7 +312,7 @@ def stage_approx(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
                  qh: QhMetric, dec) -> None:
     field = singular_fixture(dom, cfg.k, cfg.p, order=cfg.k)
     rep = error_decay(field, dom, cfg.k, cfg.p, list(cfg.m_list),
-                      qh=qh, dec=dec)
+                      qh=qh, dec=dec, c0=cfg.c0)
     em.note_report(rep)
     em.write_json("error_decay.json", rep.as_dict())
     rows = []

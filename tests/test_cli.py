@@ -112,3 +112,16 @@ def test_config_file_plus_flag_override(tmp_path):
 def test_run_rejects_unknown_stage():
     with pytest.raises(UsageError, match="stage"):
         run(ExperimentConfig(h=1 / 64), stages="everything")
+
+
+def test_approx_stage_builds_with_configured_c0(tmp_path):
+    # on the disk at h=1/64, c0=20 swallows the base point at m=6 but not at
+    # m=7, while the default c0=10 builds both levels
+    out = tmp_path / "a"
+    code = main(["approx", "--fixture", "disk", "--h", str(1 / 64),
+                 "--m-list", "6,7", "--c0", "20", "--outdir", str(out)])
+    assert code == 0
+    rows = json.loads((out / "error_decay.json").read_text())["samples"]
+    assert [r["m"] for r in rows] == [6, 7]
+    assert "swallowed" in rows[0]["skipped"]
+    assert "error" in rows[1]

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from qhlab import gallery
-from qhlab.grid import DomainError, _STRUCT8, components
+from qhlab.grid import DomainError, GridDomain, _STRUCT8, components
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import (
@@ -17,6 +17,7 @@ from qhlab.decomposition import (
     _cells_mask,
     _cut_off,
     _unpack_trails,
+    _window_cut,
     build_core_tentacle,
     chain_pair_classes,
     mask_rectangles,
@@ -413,3 +414,108 @@ def test_unpack_trails_equals_bit_loop(rows, data):
             ref[r, t] = (row[t >> 6] >> (t & 63)) & 1
     assert np.array_equal(_unpack_trails(rows, ncols), ref)
     assert np.array_equal(_unpack_trails(rows[0], ncols), ref[0])
+
+
+def _prune_reference(ct):
+    """The whole-domain loop: one label of the domain per band cube as the
+    cutter, every other band cube's neighbourhood tested on it."""
+    blocked = set()
+    for qp in ct.P1:
+        raw, n, lab0 = ct._halo_cut([qp])
+        if not lab0 or n <= 1:
+            continue
+        for q in ct.P1:
+            if q != qp and q not in blocked \
+                    and _cut_off(raw, lab0, tuple(ct.bq[q].T)):
+                blocked.add(q)
+    return sorted(blocked)
+
+
+def _prune_paths(ct):
+    """Per cutter: None for the whole-domain label, else whether the base
+    point lies inside the cutter's window (and off its halo)."""
+    out = []
+    for qp in ct.P1:
+        cut = _window_cut(ct.domain, ct.halo[qp])
+        if cut is None:
+            out.append(None)
+        else:
+            raw, _, lab0, origin = cut
+            x0 = np.subtract(ct.domain.x0, origin)
+            out.append(bool(lab0) and bool(((x0 >= 0) & (x0 < raw.shape)).all()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_prune_equals_whole_domain_loop(name):
+    dom = gallery.make(name, h=1 / 128)
+    qh, dec = QhMetric(dom), whitney_decompose(dom)
+    paths = []
+    for m in range(5, 10):
+        try:
+            ct = build_core_tentacle(dec, qh, m)
+        except DomainError:
+            continue  # not constructible at this level
+        assert ct.P_minus == _prune_reference(ct)
+        paths += _prune_paths(ct)
+    if name in ("spiral", "dumbbell", "slit_disk"):
+        assert None in paths  # split windows: the whole-domain label
+    if name != "punctured_square":  # its only level has an empty band
+        assert False in paths  # decided on the window
+
+
+@pytest.mark.parametrize("name, h, m, c0", [("dumbbell", 1 / 256, 7, 10.0),
+                                            ("slit_disk", 1 / 128, 7, 20.0)])
+def test_prune_equals_whole_domain_loop_finer(name, h, m, c0):
+    dom = gallery.make(name, h=h)
+    ct = build_core_tentacle(whitney_decompose(dom), QhMetric(dom), m, c0)
+    assert ct.P_minus and ct.P_minus == _prune_reference(ct)
+    paths = _prune_paths(ct)
+    assert None in paths and False in paths
+    if name == "slit_disk":
+        assert True in paths  # the base point inside a decided window
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(8, 24), st.integers(8, 24)),
+       seed=st.integers(0, 2**32 - 1), density=st.floats(0.5, 0.95),
+       data=st.data())
+def test_window_cut_equals_whole_domain_label(shape, seed, density, data):
+    # generated domains: random cells kept with the given density, the
+    # component of a random interior cell as the domain
+    bitmap = np.random.default_rng(seed).random(shape) < density
+    bitmap[[0, -1], :] = bitmap[:, [0, -1]] = False
+    cells = np.argwhere(bitmap)
+    if len(cells) < 2:
+        return
+    pick = data.draw(st.integers(0, len(cells) - 1))
+    dom = GridDomain(bitmap, 1 / 16, tuple(cells[pick]), trim=True)
+    inner = np.argwhere(dom.interior)
+    # a halo: the interior cells of a box frame around an interior cell (a
+    # full box when the frame is thick), so that it may enclose pockets
+    ci, cj = inner[data.draw(st.integers(0, len(inner) - 1))]
+    r = data.draw(st.integers(0, 8))
+    t = data.draw(st.integers(1, r + 1))
+    box = np.zeros(dom.shape, dtype=bool)
+    box[max(ci - r, 0):ci + r + 1, max(cj - r, 0):cj + r + 1] = True
+    box[max(ci - r + t, 0):max(ci + r - t + 1, 0),
+        max(cj - r + t, 0):max(cj + r - t + 1, 0)] = False
+    halo = np.argwhere(box & dom.interior)
+    if not len(halo):
+        return
+    ref, n = ndimage.label(dom.interior & ~_cells_mask(dom.shape, halo),
+                           structure=_STRUCT8)
+    lab0 = ref[dom.x0]
+    cut = _window_cut(dom, halo)
+    if cut is None:
+        return
+    raw, n_w, lab0_w, origin = cut
+    assert n_w == n and bool(lab0_w) == bool(lab0)
+    # the window labels the interior cells off the base component exactly
+    off = (ref > 0) & (ref != lab0)
+    win = np.zeros(dom.shape, dtype=bool)
+    i0, j0 = origin
+    win[i0:i0 + raw.shape[0], j0:j0 + raw.shape[1]] = \
+        (raw > 0) & (raw != lab0_w)
+    if lab0:
+        assert np.array_equal(win, off)
