@@ -27,9 +27,9 @@ from .decomposition import (CoreTentacleDecomposition, _cells_mask,
                             build_core_tentacle, core_mask_at_level)
 from .fixtures import AnalyticField, multi_indices
 from .grid import DomainError, GridDomain
-from .pou import PartitionOfUnity, Jet, build_partition, jet_product, \
-    jet_quotient, jet_zero
-from .poly import PolyApprox, fit_polynomial
+from .pou import PartitionOfUnity, Jet, add_jet, build_partition, \
+    jet_product, jet_quotient, jet_zero
+from .poly import PolyApprox, PolyStack, _points_of_cells, fit_polynomial
 from .properties import PropertyReport
 from .qh import QhMetric
 from .whitney import WhitneyDecomposition, whitney_decompose
@@ -73,6 +73,10 @@ class SampledFunction:
     k: int
     p: float
     jets: Jet = dfield(default_factory=dict, repr=False)
+    # donor fits by Whitney cube (corner, size), made once and shared by
+    # every level assembled from this function
+    _fits: dict = dfield(default_factory=dict, repr=False, init=False)
+    _cell_jets: Jet | None = dfield(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if not 1 <= self.p < np.inf:
@@ -83,6 +87,30 @@ class SampledFunction:
         for alpha in multi_indices(self.k):
             self.jets[alpha] = self.field.derivative(
                 alpha, self.grid.x, self.grid.y)
+
+    def cube_polynomial(self, dec: WhitneyDecomposition, q: int
+                        ) -> PolyApprox:
+        """The field's degree-(k-1) fit on Whitney cube q.  Its derivative
+        averages read one sample of the field at the domain's interior
+        cell centres, through the cube's cell slices raveled in
+        ``cube_cells`` order, so every fit is bitwise the one the field's
+        own evaluation at the cube's cells gives."""
+        cube = dec.cubes[q]
+        key = (cube.corner, cube.size)
+        if key not in self._fits:
+            dom = self.grid.domain
+            if self._cell_jets is None:
+                cx, cy = _points_of_cells(np.argwhere(dom.interior), dom.h)
+                self._cell_jets = {}
+                for a in multi_indices(self.k):
+                    self._cell_jets[a] = np.zeros(dom.shape)
+                    self._cell_jets[a][dom.interior] = self.field.derivative(
+                        a, cx, cy)
+            cells = cube.cell_slices()
+            self._fits[key] = fit_polynomial(
+                self.field, dec.cube_cells(q), self.k, dom.h,
+                {a: v[cells].ravel() for a, v in self._cell_jets.items()})
+        return self._fits[key]
 
     def self_check(self, n_probe: int = 200, seed: int = 0) -> float:
         """Central-difference consistency of the derivative fields."""
@@ -129,36 +157,51 @@ def _donor_cube(hat, ct: CoreTentacleDecomposition) -> int:
     return hat.key if hat.kind == "psi" else ct.groups[hat.key].assigned_cube
 
 
+def _donors(polys: dict, pou: PartitionOfUnity,
+            ct: CoreTentacleDecomposition) -> tuple[np.ndarray, PolyStack]:
+    """Per hat, the position of its donor polynomial in ``polys`` (-1 for
+    xi hats), and the stacked polynomials."""
+    at = {q: i for i, q in enumerate(polys)}
+    which = np.array([-1 if hat.kind == "xi" else at[_donor_cube(hat, ct)]
+                      for hat in pou.hats])
+    return which, PolyStack(list(polys.values()))
+
+
+def _donor_jets(jets: Jet, which: np.ndarray, polys: PolyStack,
+                x: np.ndarray, y: np.ndarray) -> Jet:
+    """``jets`` with each (hat, point) pair of a psi or phi hat (which >= 0)
+    replaced by the jet of the hat's donor polynomial."""
+    carried = which >= 0
+    if carried.any():
+        pj = polys.jets(which[carried], x[carried], y[carried], list(jets))
+        for a, v in jets.items():
+            v[carried] = pj[a]
+    return jets
+
+
 def assemble(u: SampledFunction, pou: PartitionOfUnity,
              ct: CoreTentacleDecomposition) -> Approximant:
-    """Evaluate u_m and its derivatives up to order k on the grid."""
+    """Evaluate u_m and its derivatives up to order k on the grid: each
+    chunk of (hat, point) pairs from ``pou.hat_jets`` is multiplied by the
+    hats' donor jets (u itself for xi hats) and added into S and N."""
     k = u.k
     alphas = multi_indices(k)
     grid = u.grid
-    dom = ct.domain
     x, y = grid.x, grid.y
 
-    polys: dict = {}
-
-    def poly_of_cube(q: int) -> PolyApprox:
-        if q not in polys:
-            polys[q] = fit_polynomial(u.field, ct.dec.cube_cells(q), k, dom.h)
-        return polys[q]
+    cubes = [_donor_cube(hat, ct) for hat in pou.hats if hat.kind != "xi"]
+    polys = {q: u.cube_polynomial(ct.dec, q) for q in dict.fromkeys(cubes)}
+    which, stack = _donors(polys, pou, ct)
 
     S = jet_zero(x.shape, alphas)  # accumulated in hat order, as sum_jet
     N = jet_zero(x.shape, alphas)
     err_sel = np.zeros(len(x), dtype=bool)  # union of psi/phi supports
-    for hat, idx, hj in pou.local_jets(x, y, alphas):
-        if hat.kind == "xi":  # reproduce u itself
-            fj = {a: u.jets[a][idx] for a in alphas}
-        else:
-            coeff = poly_of_cube(_donor_cube(hat, ct))
-            fj = {a: coeff.derivative(a, x[idx], y[idx]) for a in alphas}
-            err_sel[idx[hj[(0, 0)] > 0]] = True
-        term = jet_product(hj, fj, alphas)
-        for a in alphas:
-            S[a][idx] += hj[a]
-            N[a][idx] += term[a]
+    for hats, pts, hj in pou.hat_jets(x, y, alphas):
+        fj = _donor_jets({a: u.jets[a][pts] for a in alphas}, which[hats],
+                         stack, x[pts], y[pts])
+        add_jet(S, pts, hj)
+        add_jet(N, pts, jet_product(hj, fj, alphas))
+        err_sel[pts[(which[hats] >= 0) & (hj[(0, 0)] > 0)]] = True
     um = jet_quotient(N, S, alphas)
 
     out = Approximant(ct.m, k, u.p, grid, um, S, polys, {}, err_sel)
@@ -194,6 +237,7 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
                       replace=False)
     worst = 0.0
     top = [a for a in alphas if sum(a) == k]
+    which, stack = _donors(approx.polynomials, pou, ct)
     for q in pick:
         ref = approx.polynomials[q]
         sel = u.grid.region(_cells_mask(ct.domain.shape, ct.bq[q]))
@@ -201,21 +245,24 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
         if len(idx) > 400:
             idx = idx[rng.choice(len(idx), size=400, replace=False)]
         x, y = u.grid.x[idx], u.grid.y[idx]
-        S = pou.sum_jet(x, y, alphas)
+        chunks = list(pou.hat_jets(x, y, alphas))  # every hat once
+        S = jet_zero(len(x), alphas)
+        for _, pts, hj in chunks:
+            add_jet(S, pts, hj)
         xi_sum = np.zeros(len(x))
         rebuilt = {a: np.zeros(len(x)) for a in top}
-        for hat, at, hj in pou.local_jets(x, y, alphas):
-            nj = jet_quotient(hj, {a: S[a][at] for a in alphas}, alphas)
-            if hat.kind == "xi":
-                src = u.field
-                xi_sum[at] += nj[(0, 0)]
-            else:
-                src = approx.polynomials[_donor_cube(hat, ct)]
-            fj = {a: src.derivative(a, x[at], y[at])
-                  - ref.derivative(a, x[at], y[at]) for a in alphas}
+        for hats, pts, hj in chunks:
+            nj = jet_quotient(hj, {a: S[a][pts] for a in alphas}, alphas)
+            px, py = x[pts], y[pts]
+            src = _donor_jets({a: u.field.derivative(a, px, py)
+                               for a in alphas}, which[hats], stack, px, py)
+            fj = {a: src[a] - ref.derivative(a, px, py) for a in alphas}
             prod = jet_product(fj, nj, top)
-            for a in top:  # beta < alpha terms only
-                rebuilt[a][at] += prod[a] - fj[a] * nj[(0, 0)]
+            # beta < alpha terms only
+            add_jet(rebuilt, pts, {a: prod[a] - fj[a] * nj[(0, 0)]
+                                   for a in top})
+            xi = which[hats] < 0
+            np.add.at(xi_sum, pts[xi], nj[(0, 0)][xi])
         for a in top:
             direct = approx.jets[a][idx]
             full = rebuilt[a] + u.field.derivative(a, x, y) * xi_sum
@@ -274,6 +321,7 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
             "sup_norms": {str(a): v for a, v in approx.sup_norms.items()},
             "localization_leak": error_localization(u, approx),
         })
+        del ct, pou, approx, diff  # free this level before the next build
     done = [r for r in rows if "error" in r]
     rep.samples = rows
     rep.extra = {

@@ -46,11 +46,6 @@ class AnalyticField:
     def __call__(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         return self.derivative((0, 0), px, py)
 
-    def __add__(self, other: "AnalyticField") -> "AnalyticField":
-        order = min(self.order, other.order)
-        return AnalyticField(self.expr + other.expr, order,
-                             f"{self.name}+{other.name}")
-
 
 def polynomial(coeffs: dict[tuple[int, int], float], order: int = 3
                ) -> AnalyticField:
@@ -78,20 +73,16 @@ def smooth_background(order: int = 3) -> AnalyticField:
 
 
 def singular_fixture(domain, k: int, p: float, s: float | None = None,
-                     smooth: bool = False, order: int | None = None
-                     ) -> AnalyticField:
-    """|x - b|^s (optionally plus a smooth background) with b on the domain
-    boundary nearest a fixed probe point, and s inside (k - 2/p, k)."""
+                     order: int | None = None) -> AnalyticField:
+    """|x - b|^s with b on the domain boundary nearest a fixed probe point,
+    and s inside (k - 2/p, k)."""
     lo, hi = k - 2.0 / p, float(k)
     if s is None:
         s = 0.5 * (lo + hi)
     if not lo < s < hi:
         raise ValueError(f"s={s} outside ({lo}, {hi}) for k={k}, p={p}")
     b = boundary_point(domain)
-    f = radial_power(b, s, order if order is not None else max(k, 2))
-    if smooth:
-        f = f + smooth_background(f.order)
-    return f
+    return radial_power(b, s, order if order is not None else max(k, 2))
 
 
 def boundary_point(domain) -> tuple[float, float]:

@@ -40,18 +40,50 @@ class PolyApprox:
         """grad^alpha P at physical points (closed form)."""
         tx = (np.asarray(px, dtype=float) - self.center[0]) / self.scale
         ty = (np.asarray(py, dtype=float) - self.center[1]) / self.scale
-        out = np.zeros(np.shape(tx), dtype=float)
-        a1, a2 = alpha
-        for (b1, b2), c in self.coeffs.items():
-            if b1 < a1 or b2 < a2:
-                continue
-            f = (factorial(b1) // factorial(b1 - a1)) * \
-                (factorial(b2) // factorial(b2 - a2))
-            out += c * f * tx ** (b1 - a1) * ty ** (b2 - a2)
-        return out / self.scale ** (a1 + a2)
+        return _derivative(self.coeffs, tx, ty, alpha,
+                           self.scale ** (alpha[0] + alpha[1]))
 
     def __call__(self, px, py):
         return self.derivative((0, 0), px, py)
+
+
+def _derivative(coeffs, tx, ty, alpha, scale_power) -> np.ndarray:
+    """grad^alpha of sum c_beta t^beta at normalized points, divided by
+    ``scale_power`` (the scale to the power |alpha|); the coefficients and
+    scale power are numbers or per-point arrays."""
+    out = np.zeros(np.shape(tx), dtype=float)
+    a1, a2 = alpha
+    for (b1, b2), c in coeffs.items():
+        if b1 < a1 or b2 < a2:
+            continue
+        f = (factorial(b1) // factorial(b1 - a1)) * \
+            (factorial(b2) // factorial(b2 - a2))
+        out += c * f * tx ** (b1 - a1) * ty ** (b2 - a2)
+    return out / scale_power
+
+
+class PolyStack:
+    """Polynomials of one degree evaluated together, each point with the
+    polynomial its index names; bitwise ``PolyApprox.derivative``."""
+
+    def __init__(self, polys: list[PolyApprox]):
+        self.coeffs = {b: np.array([p.coeffs[b] for p in polys])
+                       for b in (polys[0].coeffs if polys else ())}
+        self.center = np.array([p.center for p in polys]).reshape(-1, 2)
+        self.scale = np.array([p.scale for p in polys])
+        self.scale_power = [np.array([p.scale ** n for p in polys])
+                            for n in range(polys[0].k + 1 if polys else 0)]
+
+    def jets(self, which: np.ndarray, px: np.ndarray, py: np.ndarray,
+             alphas) -> dict:
+        """grad^alpha of polynomial which[i] at (px[i], py[i])."""
+        scale = self.scale[which]
+        tx = (px - self.center[which, 0]) / scale
+        ty = (py - self.center[which, 1]) / scale
+        coeffs = {b: c[which] for b, c in self.coeffs.items()}
+        return {a: _derivative(coeffs, tx, ty, a,
+                               self.scale_power[a[0] + a[1]][which])
+                for a in alphas}
 
 
 def _points_of_cells(cells: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -59,27 +91,31 @@ def _points_of_cells(cells: np.ndarray, spacing: float) -> tuple[np.ndarray, np.
     return (cells[:, 0] + 0.5) * spacing, (cells[:, 1] + 0.5) * spacing
 
 
-def fit_polynomial(field, cells: np.ndarray, k: int, spacing: float
-                   ) -> PolyApprox:
+def fit_polynomial(field, cells: np.ndarray, k: int, spacing: float,
+                   samples: dict | None = None) -> PolyApprox:
     """Fit the degree-(k-1) polynomial matching all averaged derivatives of
     the field over the cell set (cells at the given grid spacing).
 
-    ``field`` provides ``derivative(alpha, px, py)``.  Solved top-down:
-    coefficients of degree k-1 come directly from the top-order derivative
-    averages; each lower order then subtracts the known higher terms.
+    ``field`` provides ``derivative(alpha, px, py)``; ``samples``, if given,
+    holds those derivatives at the cell centres (alpha -> values in cell
+    order) and is read instead.  Solved top-down: coefficients of degree k-1
+    come directly from the top-order derivative averages; each lower order
+    then subtracts the known higher terms.
     """
     cells = np.asarray(cells)
     if len(cells) == 0:
         raise DomainError("cannot fit a polynomial on an empty cell set")
     px, py = _points_of_cells(cells, spacing)
+    if samples is None:
+        samples = {alpha: field.derivative(alpha, px, py)
+                   for alpha in multi_indices(min(k, field.order))}
     cx, cy = float(px.mean()), float(py.mean())
     scale = float(max(px.max() - px.min(), py.max() - py.min(), spacing))
     tx, ty = (px - cx) / scale, (py - cy) / scale
 
     # averaged field derivatives, expressed in normalized coordinates
     avg_u = {
-        alpha: float(field.derivative(alpha, px, py).mean())
-        * scale ** (alpha[0] + alpha[1])
+        alpha: float(samples[alpha].mean()) * scale ** (alpha[0] + alpha[1])
         for alpha in multi_indices(k - 1)
     }
     # normalized monomial moments avg of t^beta, needed up to degree k-1
@@ -105,8 +141,7 @@ def fit_polynomial(field, cells: np.ndarray, k: int, spacing: float
     poly = PolyApprox(coeffs, (cx, cy), scale, k, cells)
     # residuals: |alpha| <= k-1 asserted, |alpha| = k reported only
     for alpha in multi_indices(min(k, field.order)):
-        res = float((field.derivative(alpha, px, py)
-                     - poly.derivative(alpha, px, py)).mean())
+        res = float((samples[alpha] - poly.derivative(alpha, px, py)).mean())
         den = abs(avg_u.get(alpha, 0.0)) / scale ** sum(alpha) + 1.0
         poly.moment_residuals[alpha] = res / den
         if sum(alpha) <= k - 1 and abs(res / den) > MOMENT_TOL:

@@ -22,13 +22,19 @@ Three bump families mirror the cover:
   xi   - per thick component U: 1 on U, supported in B(U, 2^-m/100).
 The normalized partition divides each raw bump by the total sum.
 
-Evaluation engine: a set bump evaluates its boxes only at the points inside
-its bounding box.  In fixed-size point blocks it finds the (point, box)
-pairs, evaluates the profile ramps of all pairs with one ``_ramp`` call per
-derivative order, and folds the product rank by rank (the r-th box acting on
-each point, in box order), so its jets are bitwise those of a box-by-box
-loop.  ``PartitionOfUnity.local_jets`` evaluates each hat once per point
-set; ``sum_jet`` and the approximant's assembly both accumulate from it.
+Evaluation engine (``_hat_jets``): all hats of a partition are evaluated
+at once over a table of (hat, point, box) pairs, the point strictly inside
+the box support.  The points are bucketed by domain cell, so finding the
+pairs costs what the pairs found cost.  Each distinct profile is evaluated
+once on the points' distinct coordinates inside its support, with one
+``_plateau`` call per derivative order for all profiles, and every pair
+gathers its box factors from these profile tables.  The table is folded a
+fixed pair budget (``_POINT_BLOCK`` entries) at a time, rank by rank (the
+r-th box acting on each (hat, point) pair, in box order), with a pair cut
+by a block's end carried into the next block, so every jet is bitwise that
+of a box-by-box loop.  ``sum_jet``, the approximant's assembly and a single
+set bump all take the engine's chunks, and sums over hats are accumulated
+with ``np.add.at`` in hat order.
 ``measured_sup`` probes a hat once for every alpha and keeps the sups in a
 memo owned by the partition, keyed by hat position and normalization, which
 a new partition starts empty.
@@ -149,14 +155,28 @@ class BoxBump:
         return (sx[0], sx[1], sy[0], sy[1])
 
 
+@lru_cache(maxsize=None)
+def _leibniz(alphas: tuple) -> tuple:
+    """Per alpha, the terms (c, beta, alpha - beta) of the Leibniz rule."""
+    return tuple((a, tuple((comb(a[0], b1) * comb(a[1], b2), (b1, b2),
+                            (a[0] - b1, a[1] - b2))
+                           for b1 in range(a[0] + 1)
+                           for b2 in range(a[1] + 1)))
+                 for a in alphas)
+
+
 def jet_product(j1: Jet, j2: Jet, alphas=ALPHAS) -> Jet:
+    """Jet of the product, each alpha summed term by term from 0.0 in the
+    order of ``_leibniz`` (a factor c = 1 is exact, so it is skipped)."""
     out = {}
-    for a in alphas:
+    for a, terms in _leibniz(tuple(alphas)):
         acc = 0.0
-        for b1 in range(a[0] + 1):
-            for b2 in range(a[1] + 1):
-                c = comb(a[0], b1) * comb(a[1], b2)
-                acc = acc + c * j1[(b1, b2)] * j2[(a[0] - b1, a[1] - b2)]
+        for c, b, rest in terms:
+            term = j1[b] * j2[rest] if c == 1 else c * j1[b] * j2[rest]
+            if isinstance(acc, float):
+                acc = acc + term
+            else:
+                acc += term
         out[a] = acc
     return out
 
@@ -180,28 +200,275 @@ def jet_zero(shape, alphas=ALPHAS) -> Jet:
     return {a: np.zeros(shape) for a in alphas}
 
 
-# Points per block of the pair search in ``SetBump``: bounds the
-# (point, box) temporaries whatever the number of points evaluated.
-_POINT_BLOCK = 512
+def jet_one(shape, alphas=ALPHAS) -> Jet:
+    """Jet of the constant 1."""
+    out = jet_zero(shape, alphas)
+    out[(0, 0)] = np.ones(shape)
+    return out
+
+
+def add_jet(total: Jet, points: np.ndarray, jet: Jet) -> None:
+    """total[a][points] += jet[a] one entry after another (``np.add.at``),
+    so a sum accumulated over hats in hat order is bitwise the per-hat
+    ``+=`` of the same jets."""
+    for a, acc in total.items():
+        np.add.at(acc, points, jet[a])
 
 
 def _one_minus(acc: Jet) -> Jet:
-    """Jet of 1 - f from the jet of f."""
-    out = {a: -v for a, v in acc.items()}
-    out[(0, 0)] = 1.0 - acc[(0, 0)]
-    return out
+    """Jet of 1 - f from the jet of f, in place."""
+    for a, v in acc.items():
+        if a == (0, 0):
+            np.subtract(1.0, v, out=v)
+        else:
+            np.negative(v, out=v)
+    return acc
+
+
+# Entries of the (hat, point, box) pair table folded at once: bounds the
+# engine's temporaries whatever the number of hats and points.
+_POINT_BLOCK = 1 << 13
+
+# Most buckets per axis of the pair search.
+_MAX_BUCKETS = 1024
+
+
+class _Profiles:
+    """The distinct profiles of one axis of a box list: parameters, supports
+    and ramp scales as arrays, and each box's profile index.  The ramp
+    scales are the Python powers ``Profile.eval`` takes, so that every value
+    is bitwise the one a box-by-box evaluation computes."""
+
+    def __init__(self, profiles: list[Profile]):
+        ids: dict[Profile, int] = {}
+        self.of_box = np.array([ids.setdefault(p, len(ids))
+                                for p in profiles], dtype=np.int64)
+        distinct = list(ids)
+        self.params = tuple(np.array([getattr(p, f) for p in distinct])
+                            for f in ("lo", "hi", "w_lo", "w_hi"))
+        self.support = np.array([p.support for p in distinct])
+        self.scales = [(np.array([p.w_lo**d for p in distinct]),
+                        np.array([(-1.0 / p.w_hi) ** d for p in distinct]))
+                       for d in range(KMAX + 1)]
+
+    def table(self, t: np.ndarray, used: np.ndarray, orders, most: int):
+        """Every used profile on the distinct coordinates of the points t
+        strictly inside its support, with one ``_plateau`` call per order:
+        the value of profile p at t[i] is values[d][start[p] + at[i]].
+        None if that is more than ``most`` values, as for scattered points
+        whose coordinates seldom repeat."""
+        coords = np.unique(t)
+        lo = np.searchsorted(coords, self.support[used, 0], side="right")
+        hi = np.searchsorted(coords, self.support[used, 1], side="left")
+        n = np.maximum(hi - lo, 0)
+        if n.sum() > most:
+            return None
+        offset = np.cumsum(n) - n
+        start = np.zeros(len(self.support), dtype=np.int64)
+        start[used] = offset - lo
+        values = self._values(coords[np.repeat(lo - offset, n)
+                                     + np.arange(n.sum())],
+                              np.repeat(used, n), orders)
+        return np.searchsorted(coords, t).astype(np.int32), start, values
+
+    def factors(self, table, box: np.ndarray, point: np.ndarray,
+                t: np.ndarray, orders) -> dict:
+        """Each box's profile at its point's coordinate t[point], per order:
+        gathered from the table, or evaluated pair by pair without one."""
+        if table is None:
+            return self._values(t[point], self.of_box[box], orders)
+        at, start, values = table
+        i = start[self.of_box[box]] + at[point]
+        return {d: v[i] for d, v in values.items()}
+
+    def _values(self, t: np.ndarray, prof: np.ndarray, orders) -> dict:
+        """Profiles prof at t, one ``_plateau`` call per order and per
+        ``_POINT_BLOCK`` values."""
+        out = {d: np.empty(len(t)) for d in orders}
+        for lo in range(0, len(t), _POINT_BLOCK):
+            at = slice(lo, lo + _POINT_BLOCK)
+            p = prof[at]
+            params = [v[p] for v in self.params]
+            for d in orders:
+                out[d][at] = _plateau(t[at], *params, self.scales[d][0][p],
+                                      self.scales[d][1][p], d)
+        return out
+
+
+class _HatBoxes:
+    """The boxes of a sequence of hats, hat after hat and each hat's boxes
+    in list order: each box's hat, support and per-axis profile index."""
+
+    def __init__(self, hats: list[list[BoxBump]]):
+        boxes = [b for hat in hats for b in hat]
+        self.hat = np.repeat(np.arange(len(hats)), [len(h) for h in hats])
+        self.support = np.array([b.support for b in boxes])
+        self.axes = (_Profiles([b.px for b in boxes]),
+                     _Profiles([b.py for b in boxes]))
+
+
+def _bucket_runs(support: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 cell: float):
+    """Pair search: bucket the points by square cells of side ``cell`` (at
+    most ``_MAX_BUCKETS`` per axis) and cover each box support by one run of
+    bucket-sorted points per bucket row.  Returns the points' bucket order
+    and, per run, its box, first point (in bucket order) and length; every
+    point strictly inside a support lies in one of its box's runs, because
+    the bucket index is monotone in the coordinate."""
+    ox, oy = x.min(), y.min()
+    cell = max(cell, (x.max() - ox) / _MAX_BUCKETS,
+               (y.max() - oy) / _MAX_BUCKETS)
+    bucket = ((x - ox) / cell).astype(np.int64)
+    bj = ((y - oy) / cell).astype(np.int64)
+    ni, nj = int(bucket.max()) + 1, int(bj.max()) + 1
+    bucket *= nj
+    bucket += bj
+    del bj
+    order = np.argsort(bucket, kind="stable")
+    start = np.zeros(ni * nj + 1, dtype=np.int64)
+    np.cumsum(np.bincount(bucket, minlength=ni * nj), out=start[1:])
+    i0, i1 = (np.floor((support[:, c] - ox) / cell) for c in (0, 1))
+    j0, j1 = (np.floor((support[:, c] - oy) / cell) for c in (2, 3))
+    live = np.flatnonzero((i1 >= 0) & (i0 < ni) & (j1 >= 0) & (j0 < nj))
+    i0, i1, j0, j1 = (np.clip(v[live], 0, top).astype(np.int64)
+                      for v, top in ((i0, ni - 1), (i1, ni - 1),
+                                     (j0, nj - 1), (j1, nj - 1)))
+    rows = i1 - i0 + 1
+    row = np.repeat(i0, rows) + np.arange(rows.sum()) - np.repeat(
+        np.cumsum(rows) - rows, rows)
+    first = start[row * nj + np.repeat(j0, rows)]
+    length = start[row * nj + np.repeat(j1, rows) + 1] - first
+    return order, np.repeat(live, rows), first, length
+
+
+def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
+              cell: float):
+    """Raw jets 1 - prod(1 - b) of the hats at the 1-D points x, y, as
+    chunks (hats, points, jets) over the (hat, point) pairs where some box
+    of the hat acts (the point is strictly inside its support); the chunks
+    come in hat order and each is sorted by hat.
+
+    The (hat, point, box) table is built from the runs of
+    ``_bucket_runs`` one range of (hat, point) keys at a time, each range
+    holding about ``_POINT_BLOCK`` candidate pairs, sorted by hat, then
+    point, then box, and folded by ``_fold``.  Each profile is evaluated
+    once on the distinct coordinates inside its support, and the pairs
+    gather their box factors from these profile tables; on an axis where
+    such a table would outgrow the candidate pairs (scattered points, such
+    as probe points), each pair's factor is evaluated directly.
+    """
+    if not len(x):
+        return
+    orders = sorted({c for a in alphas for c in a})
+    order, rbox, first, length = _bucket_runs(boxes.support, x, y, cell)
+    some = length > 0
+    rbox, first, length = rbox[some], first[some], length[some]
+    used = np.unique(rbox)
+    tables = [axis.table(t, np.unique(axis.of_box[used]), orders,
+                         length.sum()) for axis, t in zip(boxes.axes, (x, y))]
+    # a run covers the keys hat * n + (position in bucket order) of [lo, hi)
+    n = len(x)
+    rhat = boxes.hat[rbox]
+    lo = rhat * n + first
+    hi = lo + length
+    bounds = _chunk_bounds(lo, hi, _POINT_BLOCK)
+    s = boxes.support
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        r0, r1 = np.searchsorted(rhat, (k0 // n, (k1 - 1) // n + 1))
+        k_lo, k_hi = np.maximum(lo[r0:r1], k0), np.minimum(hi[r0:r1], k1)
+        m = np.maximum(k_hi - k_lo, 0)
+        key = np.repeat(k_lo - (np.cumsum(m) - m), m) + np.arange(m.sum())
+        box = np.repeat(rbox[r0:r1], m)
+        point = order[key % n]
+        px, py = x[point], y[point]
+        keep = ((px > s[box, 0]) & (px < s[box, 1])
+                & (py > s[box, 2]) & (py < s[box, 3]))
+        by = np.argsort(key[keep], kind="stable")
+        point, box = point[keep][by], box[keep][by]
+        del key, keep, by, px, py
+        hat = boxes.hat[box]
+
+        def one_minus_box(sel):
+            """Jet of 1 - b at the pairs sel, b the pair's box."""
+            fx, fy = (axis.factors(table, box[sel], point[sel], t, orders)
+                      for axis, table, t in zip(boxes.axes, tables, (x, y)))
+            comp = {a: -(fx[a[0]] * fy[a[1]]) for a in alphas}
+            comp[(0, 0)] = 1.0 - fx[0] * fy[0]
+            return comp
+
+        for heads, jets in _fold(hat, point, one_minus_box, alphas):
+            yield hat[heads], point[heads], jets
+
+
+def _chunk_bounds(lo: np.ndarray, hi: np.ndarray, budget: int
+                  ) -> np.ndarray:
+    """Cuts of the keys into ranges holding about ``budget`` (run, key)
+    pairs of the runs [lo, hi) each (at most one key's runs more), from the
+    number of runs covering each stretch between sorted run ends."""
+    if not len(lo):
+        return np.zeros(1, dtype=np.int64)
+    ends = np.concatenate([lo, hi])
+    by = np.argsort(ends, kind="stable")
+    ends = ends[by]
+    cover = np.cumsum(np.where(by < len(lo), 1, -1))
+    before = np.concatenate([[0], np.cumsum(cover[:-1] * np.diff(ends))])
+    targets = np.arange(budget, before[-1], budget)
+    i = np.searchsorted(before, targets, side="right") - 1
+    cuts = ends[i] + (targets - before[i]) // cover[i]
+    return np.unique(np.concatenate([ends[:1], cuts, ends[-1:]]))
+
+
+def _fold(hat, point, one_minus_box, alphas):
+    """1 - prod(1 - b) of every (hat, point) group of the sorted pairs,
+    ``_POINT_BLOCK`` pairs at a time, with ``one_minus_box(pairs)`` the jets
+    of 1 - b: yields each block's completed groups (the index of their
+    first pair, their jets).  Within a block 1 - b is multiplied in rank by
+    rank, the r-th box acting on each group in box order, and a group cut
+    by the block's end carries its product into the next block, so every
+    group sees the operations of a box-by-box loop in the same order."""
+    carry = None
+    for b0 in range(0, len(point), _POINT_BLOCK):
+        b1 = min(b0 + _POINT_BLOCK, len(point))
+        new = np.ones(b1 - b0, dtype=bool)
+        new[1:] = (hat[b0 + 1:b1] != hat[b0:b1 - 1]) | (
+            point[b0 + 1:b1] != point[b0:b1 - 1])
+        heads = np.flatnonzero(new)
+        gid = np.cumsum(new) - 1
+        rank = np.arange(b1 - b0) - heads[gid]
+        # the pairs by rank: rank 0 is every group's first pair, in order
+        by = np.argsort(rank, kind="stable")
+        ends = np.cumsum(np.bincount(rank))
+        gid = gid[by]
+        comp = one_minus_box(b0 + by)
+        acc = jet_one(len(heads), alphas)
+        if carry is not None:
+            for a in alphas:
+                acc[a][0] = carry[a]
+        acc = jet_product(acc, {a: c[:ends[0]] for a, c in comp.items()},
+                          alphas)
+        for r0, r1 in zip(ends[:-1], ends[1:]):
+            dst = gid[r0:r1]
+            prod = jet_product({a: acc[a][dst] for a in alphas},
+                               {a: c[r0:r1] for a, c in comp.items()},
+                               alphas)
+            for a in alphas:
+                acc[a][dst] = prod[a]
+        carry = None
+        if b1 < len(point) and hat[b1] == hat[b1 - 1] \
+                and point[b1] == point[b1 - 1]:
+            carry = {a: acc[a][-1] for a in alphas}  # its pairs go on
+            heads = heads[:-1]
+            acc = {a: v[:-1] for a, v in acc.items()}
+        del new, gid, rank, by, comp  # while the caller takes the block
+        if len(heads):
+            yield heads + b0, _one_minus(acc)
 
 
 class SetBump:
     """Smooth bump equal to 1 on a cell set, supported in its dilation:
-    1 - prod(1 - b) over its boxes.
-
-    Evaluation finds the (point, box) pairs with the point strictly inside
-    the box support, evaluates the profiles of all pairs at once, and folds
-    the product rank by rank: the r-th box acting on each point, boxes in
-    list order.  Every point sees the same operations in the same order as
-    a box-by-box loop, so the jets are bitwise those of that loop.
-    """
+    1 - prod(1 - b) over its boxes, evaluated by the partition's engine
+    (``_hat_jets``) as a partition of one hat, whose jets are bitwise
+    those of a box-by-box loop."""
 
     def __init__(self, boxes: list[BoxBump]):
         if not boxes:
@@ -210,87 +477,33 @@ class SetBump:
         sups = np.array([b.support for b in boxes])
         self.bbox = (sups[:, 0].min(), sups[:, 1].max(),
                      sups[:, 2].min(), sups[:, 3].max())
+        self._table: _HatBoxes | None = None
 
     def jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS) -> Jet:
-        """1 - prod(1 - b) over the boxes, accumulated only where boxes act."""
+        """1 - prod(1 - b) over the boxes at every point."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        acc = jet_zero(x.size, alphas)
-        acc[(0, 0)] = np.ones(x.size)
-        idx, local = self._local_product(x.ravel(), y.ravel(), alphas)
+        idx, local = self.local_jet(x.ravel(), y.ravel(), alphas)
+        out = _one_minus(jet_one(x.size, alphas))
         for a in alphas:
-            acc[a][idx] = local[a]
-        return {a: v.reshape(x.shape) for a, v in _one_minus(acc).items()}
+            out[a][idx] = local[a]
+        return {a: v.reshape(x.shape) for a, v in out.items()}
 
     def local_jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS
                   ) -> tuple[np.ndarray, Jet]:
         """Indices of the 1-D points inside the bbox and the jet there."""
-        idx, local = self._local_product(x, y, alphas)
-        return idx, _one_minus(local)
-
-    def _local_product(self, x, y, alphas) -> tuple[np.ndarray, Jet]:
-        """Jet of prod(1 - b) at the 1-D points inside the bbox."""
         x0, x1, y0, y1 = self.bbox
         idx = np.flatnonzero((x > x0) & (x < x1) & (y > y0) & (y < y1))
-        acc = jet_zero(len(idx), alphas)
-        acc[(0, 0)] = np.ones(len(idx))
-        if len(idx):
-            boxes = _BoxTable(self.boxes, {c for a in alphas for c in a})
-            for lo in range(0, len(idx), _POINT_BLOCK):
-                block = idx[lo:lo + _POINT_BLOCK]
-                boxes.fold(acc, x[block], y[block], lo, alphas)
-        return idx, acc
-
-
-class _BoxTable:
-    """Supports and profile parameters of a box list as arrays, the x
-    profiles of all boxes first, then their y profiles.  The ramp scales
-    are the Python powers ``Profile.eval`` takes, so that every value is
-    bitwise the one a box-by-box evaluation computes."""
-
-    def __init__(self, boxes: list[BoxBump], orders):
-        self.supports = np.array([b.support for b in boxes])
-        profs = [b.px for b in boxes] + [b.py for b in boxes]
-        self.n_boxes = len(boxes)
-        self.params = tuple(np.array([getattr(p, f) for p in profs])
-                            for f in ("lo", "hi", "w_lo", "w_hi"))
-        self.scales = {d: (np.array([p.w_lo**d for p in profs]),
-                           np.array([(-1.0 / p.w_hi) ** d for p in profs]))
-                       for d in orders}
-
-    def fold(self, acc: Jet, x, y, start: int, alphas) -> None:
-        """Multiply acc at start, start+1, ... by (1 - b) for every box b
-        acting on the corresponding points x, y."""
-        s = self.supports
-        near = np.flatnonzero((s[:, 0] < x.max()) & (s[:, 1] > x.min())
-                              & (s[:, 2] < y.max()) & (s[:, 3] > y.min()))
-        s = s[near]
-        xc, yc = x[:, None], y[:, None]
-        pt, k = np.nonzero((xc > s[:, 0]) & (xc < s[:, 1])
-                           & (yc > s[:, 2]) & (yc < s[:, 3]))
-        if not len(pt):
-            return
-        box = near[k]  # pairs sorted by point, then by box
-        first = np.ones(len(pt), dtype=bool)
-        first[1:] = pt[1:] != pt[:-1]
-        starts = np.flatnonzero(first)
-        rank = np.arange(len(pt)) - np.repeat(starts, np.diff(
-            np.append(starts, len(pt))))
-        n = len(pt)
-        t = np.concatenate([x[pt], y[pt]])
-        prof = np.concatenate([box, box + self.n_boxes])
-        lo, hi, w_lo, w_hi = (a[prof] for a in self.params)
-        vals = {d: _plateau(t, lo, hi, w_lo, w_hi, up[prof], down[prof], d)
-                for d, (up, down) in self.scales.items()}
-        comp = {a: -(vals[a[0]][:n] * vals[a[1]][n:]) for a in alphas}
-        comp[(0, 0)] = 1.0 - vals[0][:n] * vals[0][n:]
-        for r in range(int(rank.max()) + 1):
-            at = rank == r
-            dst = start + pt[at]
-            prod = jet_product({a: acc[a][dst] for a in alphas},
-                               {a: c[at] for a, c in comp.items()}, alphas)
+        out = _one_minus(jet_one(len(idx), alphas))
+        if self._table is None:
+            self._table = _HatBoxes([self.boxes])
+        s = self._table.support  # buckets of the narrowest support side
+        cell = min((s[:, 1] - s[:, 0]).min(), (s[:, 3] - s[:, 2]).min())
+        for _, pts, hj in _hat_jets(self._table, x[idx], y[idx], alphas,
+                                    cell):
             for a in alphas:
-                acc[a][dst] = prod[a]
+                out[a][pts] = hj[a]
+        return idx, out
 
 
 @dataclass
@@ -418,6 +631,7 @@ class PartitionOfUnity:
                                  grown(rects)))
 
         self._positions = {id(hat): i for i, hat in enumerate(self.hats)}
+        self._boxes: _HatBoxes | None = None  # built at the first evaluation
         # measured_sup memo: (hat position, normalized) -> {alpha: sup}
         self._sups: dict[tuple[int, bool], dict] = {}
 
@@ -429,19 +643,18 @@ class PartitionOfUnity:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         total = jet_zero(x.size, alphas)
-        for _, idx, hj in self.local_jets(x.ravel(), y.ravel(), alphas):
-            for a in alphas:
-                total[a][idx] += hj[a]
+        for _, pts, hj in self.hat_jets(x.ravel(), y.ravel(), alphas):
+            add_jet(total, pts, hj)
         return {a: v.reshape(x.shape) for a, v in total.items()}
 
-    def local_jets(self, x: np.ndarray, y: np.ndarray, alphas):
-        """(hat, indices, raw jet) for each hat acting on some of the 1-D
-        points, in hat order: every hat is evaluated once, only inside its
-        bbox."""
-        for hat in self.hats:
-            idx, hj = hat.bump.local_jet(x, y, alphas)
-            if len(idx):
-                yield hat, idx, hj
+    def hat_jets(self, x: np.ndarray, y: np.ndarray, alphas):
+        """Raw jets of all hats at the 1-D points, every hat evaluated once:
+        chunks (hat positions, point indices, jets) in hat order, over the
+        (hat, point) pairs where some box of the hat acts (elsewhere the
+        jet is 0).  See ``_hat_jets``."""
+        if self._boxes is None:
+            self._boxes = _HatBoxes([hat.bump.boxes for hat in self.hats])
+        return _hat_jets(self._boxes, x, y, alphas, self.domain.h)
 
     def check_coverage(self, x: np.ndarray, y: np.ndarray) -> None:
         s = self.sum_jet(x, y, alphas=[(0, 0)])[(0, 0)]

@@ -8,7 +8,9 @@ from qhlab.grid import DomainError, GridDomain
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import build_core_tentacle
-from qhlab.pou import build_partition
+from qhlab.fixtures import multi_indices
+from qhlab.poly import fit_polynomial
+from qhlab.pou import build_partition, jet_product, jet_quotient, jet_zero
 from qhlab.approx import (
     EvalGrid,
     SampledFunction,
@@ -170,3 +172,64 @@ def test_error_decay_zero_for_low_degree():
     rep = error_decay(f, dom, 1, 2.0, [6])
     done = [r for r in rep.samples if "error" in r]
     assert done and done[0]["error"] < 1e-10
+
+
+# -- assembly against a per-hat reference -------------------------------------
+
+def _reference_assemble(u, part, ct):
+    """The per-hat assembly: each hat's jet evaluated alone at the points of
+    its bbox (the hats themselves are checked against the box-by-box loop
+    in tests/test_pou.py), each donor cube fitted from the field at its
+    cells, and S and N accumulated hat after hat."""
+    alphas = multi_indices(u.k)
+    x, y = u.grid.x, u.grid.y
+    S, N = jet_zero(len(x), alphas), jet_zero(len(x), alphas)
+    sel = np.zeros(len(x), dtype=bool)
+    polys = {}
+    for hat in part.hats:
+        idx, hj = hat.bump.local_jet(x, y, alphas)
+        if not len(idx):
+            continue
+        if hat.kind == "xi":
+            fj = {a: u.jets[a][idx] for a in alphas}
+        else:
+            q = hat.key if hat.kind == "psi" \
+                else ct.groups[hat.key].assigned_cube
+            if q not in polys:
+                polys[q] = fit_polynomial(u.field, ct.dec.cube_cells(q), u.k,
+                                          ct.domain.h)
+            fj = {a: polys[q].derivative(a, x[idx], y[idx]) for a in alphas}
+            sel[idx[hj[(0, 0)] > 0]] = True
+        term = jet_product(hj, fj, alphas)
+        for a in alphas:
+            S[a][idx] += hj[a]
+            N[a][idx] += term[a]
+    return jet_quotient(N, S, alphas), S, sel, polys
+
+
+@pytest.mark.parametrize("name, levels", [("disk", (6, 7)),
+                                          ("dumbbell", (7,))])
+def test_assemble_bitwise_equals_per_hat_assembly(name, levels):
+    dom = gallery.make(name, 1 / 128)
+    qh, dec = QhMetric(dom), whitney_decompose(dom)
+    field = fixtures.radial_power(fixtures.boundary_point(dom), 1.6, order=2)
+    u = SampledFunction(EvalGrid(dom, 2), field, 2, 1.5)
+    for m in levels:  # one u: its donor fits are shared across the levels
+        ct = build_core_tentacle(dec, qh, m)
+        part = build_partition(ct, kmax=2)
+        ap = assemble(u, part, ct)
+        jets, S, sel, polys = _reference_assemble(u, part, ct)
+        for a in jets:
+            assert ap.jets[a].tobytes() == jets[a].tobytes(), (m, a)
+            assert ap.sum_jet[a].tobytes() == S[a].tobytes(), (m, a)
+        assert np.array_equal(ap.error_selector, sel)
+        assert list(ap.polynomials) == list(polys)
+        for q, want in polys.items():
+            got = ap.polynomials[q]
+            assert got.coeffs == want.coeffs and got.center == want.center
+            assert got.scale == want.scale and got.k == want.k
+            assert got.moment_residuals == want.moment_residuals
+            assert np.array_equal(got.cells, want.cells)
+        got_S = part.sum_jet(u.grid.x, u.grid.y, multi_indices(2))
+        for a in S:
+            assert got_S[a].tobytes() == S[a].tobytes()

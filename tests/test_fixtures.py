@@ -37,16 +37,6 @@ def test_smooth_background_jets():
     assert fixtures.verify_jets(f, px, py, 1e-5) < 1e-5
 
 
-def test_field_addition():
-    f = fixtures.radial_power((0.0, 0.0), 1.5, order=2) \
-        + fixtures.smooth_background(order=3)
-    assert f.order == 2
-    x, y = np.array([0.4]), np.array([0.6])
-    a = fixtures.radial_power((0.0, 0.0), 1.5, order=2)
-    b = fixtures.smooth_background(order=2)
-    assert f(x, y) == pytest.approx(a(x, y) + b(x, y))
-
-
 def test_singular_fixture_exponent_window():
     dom = gallery.disk(1 / 64)
     with pytest.raises(ValueError):

@@ -17,7 +17,9 @@ from qhlab.pou import (
     BoxBump,
     Profile,
     SetBump,
+    _HatBoxes,
     _cells_rects,
+    _hat_jets,
     _ramp,
     _rects_physical,
     build_partition,
@@ -364,3 +366,117 @@ def test_measured_sup_rejects_a_foreign_hat(small_ct):
     first, second = build_partition(small_ct), build_partition(small_ct)
     with pytest.raises(DomainError):
         first.measured_sup(second.hats[0], (1, 0))
+
+
+# -- the multi-hat engine, hat by hat, against the box-by-box reference -------
+
+def _untouched(n, alphas):
+    """A hat's jet where none of its boxes acts: 1 - 1 and its derivatives."""
+    out = {a: np.full(n, -0.0) for a in alphas}
+    out[(0, 0)] = np.zeros(n)
+    return out
+
+
+def _jets_by_hat(chunks, alphas):
+    """hat -> (points, jets there) from the engine's chunks, checking that
+    the chunks come in hat order and name each (hat, point) pair once."""
+    parts, last = {}, 0
+    for hats, pts, hj in chunks:
+        assert len(hats) and (np.diff(hats) >= 0).all() and hats[0] >= last
+        last = hats[-1]
+        for h in np.unique(hats):
+            at = hats == h
+            parts.setdefault(h, []).append((pts[at], {a: hj[a][at]
+                                                      for a in alphas}))
+    out = {}
+    for h, got in parts.items():
+        pts = np.concatenate([p for p, _ in got])
+        assert len(np.unique(pts)) == len(pts)
+        out[h] = pts, {a: np.concatenate([j[a] for _, j in got])
+                       for a in alphas}
+    return out
+
+
+def _hat_jet_at(jets_by_hat, h, idx, alphas):
+    """Hat h's jet at the sorted points idx, which must hold every point
+    the engine named for it."""
+    out = _untouched(len(idx), alphas)
+    if h in jets_by_hat:
+        pts, jets = jets_by_hat[h]
+        at = np.searchsorted(idx, pts)
+        assert (at < len(idx)).all() and (idx[np.minimum(at, len(idx) - 1)]
+                                          == pts).all()
+        for a in alphas:
+            out[a][at] = jets[a]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(hats=st.lists(_boxes, min_size=1, max_size=4),
+       fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=6),
+       alphas=st.sampled_from([ALPHAS, multi_indices(2), [(0, 0)]]),
+       block=st.sampled_from([1, 2, 5, pou_module._POINT_BLOCK]),
+       cell=st.sampled_from([0.003, 0.05, 0.4]))
+def test_hat_jets_bitwise_equal_box_loop_hat_by_hat(hats, fractions, alphas,
+                                                    block, cell):
+    boxes = [b for hat in hats for b in hat]
+    ex, ey = _edge_points(boxes)  # support and plateau edges, shared rows
+    ix, iy = _points_inside(boxes, fractions)
+    # repeated points and coordinates, and two points outside every box
+    x = np.concatenate([ex, ix, ex[::2], ix, [-1.0, 3.0]])
+    y = np.concatenate([ey, iy, ey[::2], iy[::-1], [0.5, 0.5]])
+    with mock.patch.object(pou_module, "_POINT_BLOCK", block):
+        chunks = list(_hat_jets(_HatBoxes(hats), x, y, alphas, cell))
+    got = _jets_by_hat(chunks, alphas)
+    everywhere = np.arange(len(x))
+    for h, hat in enumerate(hats):
+        jet = _hat_jet_at(got, h, everywhere, alphas)
+        want = _reference_jet(hat, x, y, alphas)
+        for a in alphas:
+            assert jet[a].tobytes() == want[a].tobytes(), a
+
+
+def _in_bbox(hat, x, y):
+    x0, x1, y0, y1 = hat.bump.bbox
+    return np.flatnonzero((x > x0) & (x < x1) & (y > y0) & (y < y1))
+
+
+def _check_every_hat(part, x, y, hats=None):
+    """Every hat of the partition from one ``hat_jets`` pass, bitwise the box
+    loop at the points of its bbox and untouched elsewhere."""
+    got = _jets_by_hat(part.hat_jets(x, y, part.alphas), part.alphas)
+    for i in range(len(part.hats)) if hats is None else hats:
+        hat = part.hats[i]
+        idx = _in_bbox(hat, x, y)
+        jet = _hat_jet_at(got, i, idx, part.alphas)
+        want = _reference_jet(hat.bump.boxes, x[idx], y[idx], part.alphas)
+        for a in part.alphas:
+            assert jet[a].tobytes() == want[a].tobytes(), (i, a)
+
+
+@pytest.mark.parametrize("name, m", [("disk", 6), ("disk", 7),
+                                     ("dumbbell", 7)])
+def test_every_hat_at_grid_and_probe_points(name, m):
+    from qhlab.approx import EvalGrid
+
+    dom = gallery.make(name, 1 / 128)
+    ct = build_core_tentacle(whitney_decompose(dom), QhMetric(dom), m)
+    part = build_partition(ct, kmax=2)
+    kinds = {h.kind for h in part.hats}
+    assert kinds == ({"psi", "phi", "xi"} if name == "dumbbell"
+                     else {"psi", "xi"})
+    grid = EvalGrid(dom, 2)
+    _check_every_hat(part, grid.x, grid.y)
+    # each hat alone at its own probe points, and all hats at once at the
+    # probe points of every 25th hat
+    for hat in part.hats:
+        px, py = hat.probe_points()
+        want = _reference_jet(hat.bump.boxes, px, py, part.alphas)
+        got = hat.jet(px, py, part.alphas)
+        for a in part.alphas:
+            assert got[a].tobytes() == want[a].tobytes()
+    probes = [h.probe_points() for h in part.hats[::25]]
+    px, py = (np.concatenate(c) for c in zip(*probes))
+    hats = [i for i, h in enumerate(part.hats) if len(_in_bbox(h, px, py))]
+    _check_every_hat(part, px, py, hats)
