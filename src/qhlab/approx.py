@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .decomposition import (CoreTentacleDecomposition, _cells_mask,
-                            build_core_tentacle, core_mask_at_level)
+                            build_levels, core_mask_at_level)
 from .fixtures import AnalyticField, multi_indices
 from .grid import DomainError, GridDomain
 from .pou import PartitionOfUnity, Jet, add_jet, build_partition, \
@@ -287,25 +287,22 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
                 m_list, alpha_tail: float = 0.6, refine: int = 2,
                 qh: QhMetric | None = None,
                 dec: WhitneyDecomposition | None = None,
-                c0: float = 10.0) -> PropertyReport:
-    """Per-level error, tail seminorm, and sup-norms of the approximant
-    built on the level-m decompositions with dilation constant ``c0``.
-
-    Levels whose decomposition degenerates (base point swallowed at coarse
-    m) are recorded as skipped.  The caller asserts decay/boundedness.
-    """
-    qh = qh or QhMetric(domain)
+                levels=None) -> PropertyReport:
+    """Per-level error, tail seminorm, and sup-norms of the approximant on
+    the (m, decomposition or skip reason) pairs of ``build_levels``: the
+    ``levels`` given, else ``m_list``'s built here with the default c0.
+    The caller asserts decay/boundedness."""
     dec = dec or whitney_decompose(domain)
+    if levels is None:
+        levels = build_levels(dec, qh or QhMetric(domain), m_list)
     grid = EvalGrid(domain, refine)
     u = SampledFunction(grid, field, k, p)
     total = seminorm(u.jets, None, k, p, grid.cell_area)
     rep = PropertyReport("error_decay", 0.0, resolution=domain.h)
     rows = []
-    for m in m_list:
-        try:
-            ct = build_core_tentacle(dec, qh, m, c0=c0)
-        except DomainError as exc:
-            rows.append({"m": int(m), "skipped": str(exc)})
+    for m, ct in levels:
+        if isinstance(ct, str):
+            rows.append({"m": int(m), "skipped": ct})
             continue
         pou = build_partition(ct, kmax=k)
         approx = assemble(u, pou, ct)

@@ -14,7 +14,7 @@ sizes assume the gallery's unit bounding box.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field as dfield
 from itertools import combinations
 from typing import NamedTuple
@@ -216,7 +216,6 @@ class CoreTentacleDecomposition:
         self._trails: np.ndarray | None = None
         self._trail_cols: dict[int, int] | None = None
         self._chain_cache: dict[tuple[int, int], list[int]] = {}
-        self._k_fields: dict[int, np.ndarray] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -577,23 +576,22 @@ class CoreTentacleDecomposition:
         nodes = self.domain.cell_node[self.dec.cubes[qidx].cell_slices()]
         return nodes[nodes >= 0]
 
-    def cube_k_field(self, qidx: int) -> np.ndarray:
-        if qidx not in self._k_fields:
-            self._k_fields[qidx] = self.qh.min_field(self._cube_nodes(qidx))
-            if len(self._k_fields) > 800:
-                self._k_fields.pop(next(iter(self._k_fields)))
-        return self._k_fields[qidx]
-
-    def cube_k_dist(self, q1: int, q2: int) -> float:
-        nodes = self._cube_nodes(q2)
-        field = self.cube_k_field(q1)
-        return float(field[nodes].min()) if len(nodes) else float("inf")
-
 
 def build_core_tentacle(
     dec: WhitneyDecomposition, qh: QhMetric, m: int, c0: float = 10.0
 ) -> CoreTentacleDecomposition:
     return CoreTentacleDecomposition(dec, qh, m, c0)
+
+
+def build_levels(dec: WhitneyDecomposition, qh: QhMetric, m_list,
+                 c0: float = 10.0):
+    """Yield (m, decomposition, or why it degenerates) per level of
+    ``m_list``, each built when reached; none is held while the next is."""
+    for m in m_list:
+        try:
+            yield m, build_core_tentacle(dec, qh, m, c0)
+        except DomainError as exc:
+            yield m, str(exc)
 
 
 # -- verification passes ----------------------------------------------------
@@ -652,25 +650,31 @@ def verify_distance_lemmas(ct: CoreTentacleDecomposition) -> PropertyReport:
         if len(idx) > 1:
             co[np.ix_(idx, idx)] = True
 
-    # trail-linked covering pairs
-    max_trail = 0.0
+    # (class, second cube) queries by first cube: trail-linked covering
+    # pairs, overlapping band neighborhoods, group cubes to assigned cube
+    queries = defaultdict(list)
     for q in ct.P:
         _, via, _ = ct.cover(q)
         for qa, qb in combinations(via, 2):
             if co[cols[qa], cols[qb]]:
-                max_trail = max(max_trail, ct.cube_k_dist(qa, qb))
-
-    # overlapping band neighborhoods
-    max_band = 0.0
+                queries[qa].append((0, qb))
     for qa, qb in ct.band_overlap_pairs():
-        max_band = max(max_band, ct.cube_k_dist(qa, qb))
-
-    # group cubes to assigned cube
-    max_group = 0.0
+        queries[qa].append((1, qb))
     for g in ct.groups:
         for q in g.cubes:
             if q != g.assigned_cube:
-                max_group = max(max_group, ct.cube_k_dist(q, g.assigned_cube))
+                queries[q].append((2, g.assigned_cube))
+
+    # one k-field per first cube, read at all its targets, then dropped
+    # (the field comes from the first cube: the sums are not symmetric)
+    maxima = [0.0, 0.0, 0.0]
+    for qa, targets in queries.items():
+        field = ct.qh.min_field(ct._cube_nodes(qa))
+        for cls, qb in targets:
+            nodes = ct._cube_nodes(qb)
+            dist = float(field[nodes].min()) if len(nodes) else float("inf")
+            maxima[cls] = max(maxima[cls], dist)
+    max_trail, max_band, max_group = maxima
 
     rep.extra = {
         "trail_pairs_max": max_trail,

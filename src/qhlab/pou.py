@@ -64,6 +64,7 @@ def _ramp_inside(t: np.ndarray, d: int) -> np.ndarray:
     g(t) = sigma(z(t)) with z = 1/t - 1/(1-t) and sigma(z) = 1/(1+e^z):
     the exponential is only ever taken of a non-positive argument, so large
     |z| underflows to 0/1 instead of overflowing."""
+    t = np.maximum(t, 1e-50)  # sigma is 0 below: no 0 * inf from 1/t**4
     z = 1.0 / t - 1.0 / (1.0 - t)
     ez = np.exp(-np.abs(z))
     sig = np.where(z > 0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
@@ -477,7 +478,6 @@ class SetBump:
         sups = np.array([b.support for b in boxes])
         self.bbox = (sups[:, 0].min(), sups[:, 1].max(),
                      sups[:, 2].min(), sups[:, 3].max())
-        self._table: _HatBoxes | None = None
 
     def jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS) -> Jet:
         """1 - prod(1 - b) over the boxes at every point."""
@@ -495,12 +495,10 @@ class SetBump:
         x0, x1, y0, y1 = self.bbox
         idx = np.flatnonzero((x > x0) & (x < x1) & (y > y0) & (y < y1))
         out = _one_minus(jet_one(len(idx), alphas))
-        if self._table is None:
-            self._table = _HatBoxes([self.boxes])
-        s = self._table.support  # buckets of the narrowest support side
+        table = _HatBoxes([self.boxes])
+        s = table.support  # buckets of the narrowest support side
         cell = min((s[:, 1] - s[:, 0]).min(), (s[:, 3] - s[:, 2]).min())
-        for _, pts, hj in _hat_jets(self._table, x[idx], y[idx], alphas,
-                                    cell):
+        for _, pts, hj in _hat_jets(table, x[idx], y[idx], alphas, cell):
             for a in alphas:
                 out[a][pts] = hj[a]
         return idx, out

@@ -26,14 +26,14 @@ import numpy as np
 from . import gallery, svg
 from .approx import error_decay
 from .decomposition import (
-    build_core_tentacle,
+    build_levels,
     verify_bounded_overlap,
     verify_cover,
     verify_remark_inclusion,
     verify_tiling,
 )
 from .fixtures import singular_fixture
-from .grid import DomainError, GridDomain
+from .grid import GridDomain
 from .poly import norm_equivalence_check
 from .properties import (
     check_ball_separation,
@@ -275,15 +275,13 @@ def stage_properties(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
 
 
 def stage_decompose(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
-                    qh: QhMetric, dec) -> None:
+                    qh: QhMetric, dec, levels) -> None:
     extent = (dom.shape[0] * dom.h, dom.shape[1] * dom.h)
     em.write_svg("whitney.svg", svg.whitney_layers(dec), extent)
     rows = []
-    for m in cfg.m_list:
-        try:
-            ct = build_core_tentacle(dec, qh, m, c0=cfg.c0)
-        except DomainError as exc:
-            rows.append([m, "skipped", str(exc), "", ""])
+    for m, ct in levels:
+        if isinstance(ct, str):
+            rows.append([m, "skipped", ct, "", ""])
             continue
         overlap = verify_bounded_overlap(ct)
         cover = verify_cover(ct)
@@ -309,10 +307,10 @@ def stage_decompose(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
 
 
 def stage_approx(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
-                 qh: QhMetric, dec) -> None:
+                 dec, levels) -> None:
     field = singular_fixture(dom, cfg.k, cfg.p, order=cfg.k)
-    rep = error_decay(field, dom, cfg.k, cfg.p, list(cfg.m_list),
-                      qh=qh, dec=dec, c0=cfg.c0)
+    rep = error_decay(field, dom, cfg.k, cfg.p, list(cfg.m_list), dec=dec,
+                      levels=levels)
     em.note_report(rep)
     em.write_json("error_decay.json", rep.as_dict())
     rows = []
@@ -358,20 +356,21 @@ def run(cfg: ExperimentConfig, stages: str = "report") -> int:
     em = Emitter(cfg.outdir, cfg)
     t0 = time.monotonic()
     dom = gallery.make(cfg.fixture, h=cfg.h)
-    qh = dec = None
+    qh = dec = levels = None
     if set(wanted) - {"gallery"}:
         qh = QhMetric(dom)
     if "decompose" in wanted or "approx" in wanted:
         dec = whitney_decompose(dom)
+        levels = list(build_levels(dec, qh, cfg.m_list, cfg.c0))
     stage_gallery(cfg, em, dom)
     if "metrics" in wanted:
         stage_metrics(cfg, em, dom, qh)
     if "properties" in wanted:
         stage_properties(cfg, em, dom, qh)
     if "decompose" in wanted:
-        stage_decompose(cfg, em, dom, qh, dec)
+        stage_decompose(cfg, em, dom, qh, dec, levels)
     if "approx" in wanted:
-        stage_approx(cfg, em, dom, qh, dec)
+        stage_approx(cfg, em, dom, dec, levels)
     status = em.finish()
     elapsed = time.monotonic() - t0
     print(f"{cfg.fixture}: {len(em.files)} artifacts in {cfg.outdir} "

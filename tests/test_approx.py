@@ -1,5 +1,8 @@
 """Tests for the assembled approximant, seminorms, and error decay."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from qhlab import fixtures, gallery
 from qhlab.grid import DomainError, GridDomain
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
-from qhlab.decomposition import build_core_tentacle
+from qhlab.decomposition import CoreTentacleDecomposition, build_core_tentacle
 from qhlab.fixtures import multi_indices
 from qhlab.poly import fit_polynomial
 from qhlab.pou import build_partition, jet_product, jet_quotient, jet_zero
@@ -163,6 +166,25 @@ def test_error_decay_reports():
         assert abs(r["localization_leak"]) < 1e-12
     skipped = [r for r in rep.samples if "skipped" in r]
     assert len(done) + len(skipped) == 3
+
+
+def test_error_decay_holds_one_level_at_a_time(monkeypatch):
+    live = weakref.WeakSet()
+    alive_at_build = []
+    init = CoreTentacleDecomposition.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        gc.collect()
+        alive_at_build.append(len(live))
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    monkeypatch.setattr(CoreTentacleDecomposition, "__init__", tracking_init)
+    dom = gallery.disk(1 / 64)
+    f = fixtures.singular_fixture(dom, 1, 2.0, s=0.6, order=1)
+    rep = error_decay(f, dom, 1, 2.0, [5, 6, 7])
+    assert len([r for r in rep.samples if "error" in r]) >= 2
+    assert alive_at_build == [0, 0, 0]
 
 
 def test_error_decay_zero_for_low_degree():

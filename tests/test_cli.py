@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qhlab.cli import main
+from qhlab.decomposition import CoreTentacleDecomposition
 from qhlab.report import ExperimentConfig, UsageError, run
 from qhlab.svg import SvgLayer, emit_svg
 
@@ -117,11 +118,29 @@ def test_run_rejects_unknown_stage():
 def test_approx_stage_builds_with_configured_c0(tmp_path):
     # on the disk at h=1/64, c0=20 swallows the base point at m=6 but not at
     # m=7, while the default c0=10 builds both levels
-    out = tmp_path / "a"
-    code = main(["approx", "--fixture", "disk", "--h", str(1 / 64),
-                 "--m-list", "6,7", "--c0", "20", "--outdir", str(out)])
-    assert code == 0
-    rows = json.loads((out / "error_decay.json").read_text())["samples"]
-    assert [r["m"] for r in rows] == [6, 7]
-    assert "swallowed" in rows[0]["skipped"]
-    assert "error" in rows[1]
+    for command in ("approx", "report"):
+        out = tmp_path / command
+        code = main([command, "--fixture", "disk", "--h", str(1 / 64),
+                     "--m-list", "6,7", "--c0", "20", "--outdir", str(out)])
+        assert code == 0
+        rows = json.loads((out / "error_decay.json").read_text())["samples"]
+        assert [r["m"] for r in rows] == [6, 7]
+        assert "swallowed" in rows[0]["skipped"]
+        assert "error" in rows[1]
+    rows = (out / "decomposition.csv").read_text().splitlines()
+    assert rows[1].startswith("6,skipped,") and "swallowed" in rows[1]
+    assert rows[2].startswith("7,ok,")
+
+
+def test_report_builds_each_level_once(tmp_path, monkeypatch):
+    built = []
+    init = CoreTentacleDecomposition.__init__
+
+    def counting_init(self, dec, qh, m, *args, **kwargs):
+        built.append(m)
+        init(self, dec, qh, m, *args, **kwargs)
+
+    monkeypatch.setattr(CoreTentacleDecomposition, "__init__", counting_init)
+    assert main(["report", "--fixture", "dumbbell", "--h", str(1 / 64),
+                 "--m-list", "7,8", "--outdir", str(tmp_path / "r")]) == 0
+    assert built == [7, 8]

@@ -40,6 +40,13 @@ def test_ramp_endpoints_and_monotonicity():
     assert (_ramp(t, 1) >= -1e-12).all()
 
 
+def test_ramp_derivatives_vanish_below_overflow_of_inverse_powers():
+    # sigma underflows to 0 while 1/t**(d+1) overflows: 0, not 0 * inf
+    t = np.array([5e-324, 1e-300, 1e-160, 1e-80, 1e-52])
+    for d in range(4):
+        assert (_ramp(t, d) == 0).all(), d
+
+
 def test_ramp_derivative_maxima_finite():
     maxima = ramp_derivative_maxima()
     assert len(maxima) == 4
@@ -289,6 +296,7 @@ def test_set_bump_jet_bitwise_equals_box_loop(boxes, points, fractions,
         got = SetBump(boxes).jet(x, y, alphas)
     want = _reference_jet(boxes, x, y, alphas)
     for a in alphas:
+        assert np.isfinite(got[a]).all(), a
         assert got[a].tobytes() == want[a].tobytes(), a
 
 
@@ -434,6 +442,7 @@ def test_hat_jets_bitwise_equal_box_loop_hat_by_hat(hats, fractions, alphas,
         jet = _hat_jet_at(got, h, everywhere, alphas)
         want = _reference_jet(hat, x, y, alphas)
         for a in alphas:
+            assert np.isfinite(jet[a]).all(), a
             assert jet[a].tobytes() == want[a].tobytes(), a
 
 
