@@ -618,16 +618,14 @@ def verify_tiling(ct: CoreTentacleDecomposition) -> bool:
     return bool(np.array_equal(rest, labeled))
 
 
-def verify_remark_inclusion(
-    ct: CoreTentacleDecomposition, dec, qh
-) -> bool | None:
+def verify_remark_inclusion(ct: CoreTentacleDecomposition) -> bool | None:
     """Core at a coarse level M with 2^-M > 10 c0 2^-m is inside the union
     of thick components.  None when no such level hosts the base point."""
     target = 10.0 * ct.c0 * 2.0 ** (-ct.m)
     M = int(np.floor(-np.log2(target * (1 + 1e-9))))
     if M < 0:
         return None
-    coarse_core = core_mask_at_level(dec, M)
+    coarse_core = core_mask_at_level(ct.dec, M)
     if not coarse_core[ct.domain.x0]:
         return None
     omega_m = ct.omega_m_mask()

@@ -5,14 +5,25 @@ up to a requested order, generated symbolically once at construction.  The
 singular family |x - b|^s with b on the boundary and s in (k - 2/p, k) has
 p-integrable k-th derivatives but unbounded ones, which is exactly the
 regime the approximation machinery is meant to handle.
+
+sympy is imported when the first field is built, not with this module, so
+runs that build no field (gallery, metrics, properties, decompose) never
+load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import sympy as sp
+from functools import cache
 
-_X, _Y = sp.symbols("x y", real=True)
+import numpy as np
+
+
+@cache
+def _sympy():
+    """The sympy module and the real symbols x, y of every field."""
+    import sympy as sp
+
+    return sp, *sp.symbols("x y", real=True)
 
 
 def multi_indices(order: int) -> list[tuple[int, int]]:
@@ -25,16 +36,18 @@ def multi_indices(order: int) -> list[tuple[int, int]]:
 
 
 class AnalyticField:
-    """A scalar field on the plane with lambdified derivatives."""
+    """A scalar field on the plane with lambdified derivatives; ``expr`` is
+    a sympy expression in the real symbols x and y."""
 
-    def __init__(self, expr: sp.Expr, order: int, name: str = "field"):
+    def __init__(self, expr, order: int, name: str = "field"):
+        sp, x, y = _sympy()
         self.expr = expr
         self.order = int(order)
         self.name = name
         self._fns: dict[tuple[int, int], object] = {}
         for alpha in multi_indices(order):
-            d = sp.diff(expr, _X, alpha[0], _Y, alpha[1])
-            self._fns[alpha] = sp.lambdify((_X, _Y), d, modules="numpy")
+            d = sp.diff(expr, x, alpha[0], y, alpha[1])
+            self._fns[alpha] = sp.lambdify((x, y), d, modules="numpy")
 
     def derivative(self, alpha: tuple[int, int], px: np.ndarray, py: np.ndarray
                    ) -> np.ndarray:
@@ -50,25 +63,29 @@ class AnalyticField:
 def polynomial(coeffs: dict[tuple[int, int], float], order: int = 3
                ) -> AnalyticField:
     """Polynomial sum of c * x^a y^b over the coefficient dictionary."""
-    expr = sum(c * _X**a * _Y**b for (a, b), c in coeffs.items())
+    sp, x, y = _sympy()
+    expr = sum(c * x**a * y**b for (a, b), c in coeffs.items())
     return AnalyticField(sp.sympify(expr), order, "poly")
 
 
 def constant(value: float, order: int = 3) -> AnalyticField:
+    sp, _, _ = _sympy()
     return AnalyticField(sp.sympify(value), order, "const")
 
 
 def radial_power(b: tuple[float, float], s: float, order: int = 3
                  ) -> AnalyticField:
     """u(x) = |x - b|^s; singular at b when s is below the derivative order."""
-    r2 = (_X - b[0]) ** 2 + (_Y - b[1]) ** 2
+    sp, x, y = _sympy()
+    r2 = (x - b[0]) ** 2 + (y - b[1]) ** 2
     return AnalyticField(r2 ** (sp.Rational(1, 2) * s), order,
                          f"radial_{s:g}")
 
 
 def smooth_background(order: int = 3) -> AnalyticField:
     """A generic bounded smooth field with nonvanishing mixed derivatives."""
-    expr = sp.sin(3 * _X) * sp.cos(2 * _Y) + sp.Rational(1, 2) * _X * _Y
+    sp, x, y = _sympy()
+    expr = sp.sin(3 * x) * sp.cos(2 * y) + sp.Rational(1, 2) * x * y
     return AnalyticField(expr, order, "smooth")
 
 

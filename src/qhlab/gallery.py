@@ -73,13 +73,16 @@ def spiral(
     rr = r0 + (r1 - r0) * theta / theta[-1]
     wx, wy = 0.5 + rr * np.cos(theta), 0.5 + rr * np.sin(theta)
     pts = np.column_stack([px.ravel(), py.ravel()])
-    wall = np.zeros(pts.shape[0], dtype=bool)
-    # mark cells within wall_width/2 of the sampled spiral curve
+    # mark cells within wall_width/2 of the sampled spiral curve; the query
+    # searches only below a bound just above that radius (the bound is
+    # strict), and farther cells read inf
     from scipy.spatial import cKDTree
 
     tree = cKDTree(np.column_stack([wx, wy]))
-    dist, _ = tree.query(pts, k=1)
-    wall = dist <= wall_width / 2
+    half = wall_width / 2
+    dist, _ = tree.query(pts, k=1,
+                         distance_upper_bound=np.nextafter(half, np.inf))
+    wall = dist <= half
     mask &= ~wall.reshape(px.shape)
     return _build(mask, h, (0.5, 0.5), "spiral")
 

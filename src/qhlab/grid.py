@@ -59,13 +59,16 @@ def _euclid_diameter(points: np.ndarray) -> float:
         return 0.0
     pts = points
     if len(pts) > 400:
-        try:
-            from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
-            hull = ConvexHull(pts)
-            pts = pts[hull.vertices]
-        except Exception:
-            pass  # degenerate (collinear) input: fall through to O(n^2)
+        try:
+            pts = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            # all points on one line (a straight lattice path): the two
+            # lexicographic extremes are the ends, and each of their
+            # coordinate differences is the largest of any pair
+            order = np.lexsort((pts[:, 1], pts[:, 0]))
+            pts = pts[order[[0, -1]]]
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff**2).sum(-1)).max())
 
@@ -117,9 +120,11 @@ class _DijkstraCache:
             self._cache.popitem(last=False)
         return dist, pred
 
-    def min_from_set(self, nodes) -> np.ndarray:
+    def min_from_set(self, nodes, limit: float = np.inf) -> np.ndarray:
+        """Distance to the nearest of ``nodes``; inf beyond ``limit``."""
         return csgraph.dijkstra(
-            self.matrix, directed=False, indices=list(nodes), min_only=True
+            self.matrix, directed=False, indices=list(nodes), min_only=True,
+            limit=limit,
         )
 
     def distance(self, src: int, dst: int) -> float:

@@ -86,9 +86,10 @@ class QhMetric:
         """k(x, .) for every node (cached single-source Dijkstra)."""
         return self.engine.from_source(self.node(x))[0]
 
-    def min_field(self, nodes) -> np.ndarray:
-        """k(S, .) = min over sources; one multi-source Dijkstra."""
-        return self.engine.min_from_set(nodes)
+    def min_field(self, nodes, limit: float = np.inf) -> np.ndarray:
+        """k(S, .) = min over sources; one multi-source Dijkstra, inf where
+        it exceeds ``limit`` (every finite value is exact)."""
+        return self.engine.min_from_set(nodes, limit)
 
     def k_length_of(self, nodes: np.ndarray) -> float:
         """Quasihyperbolic length of a node path (same quadrature as edges)."""
@@ -188,17 +189,22 @@ def estimate_delta(
         if len({a, b, c}) < 3:
             per.append(0.0)
             continue
+        ends = ((a, b), (a, c), (b, c))
         try:
-            sides = [np.asarray(qh.engine.path(u, v))
-                     for u, v in ((a, b), (a, c), (b, c))]
+            sides = [np.asarray(qh.engine.path(u, v)) for u, v in ends]
         except UnreachableError:
             per.append(0.0)
             continue
         thin = 0.0
-        for i in range(3):
+        for i, (u, v) in enumerate(ends):
             others = np.unique(np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]]))
-            dmin = qh.min_field(others)
-            thin = max(thin, float(dmin[sides[i]].max()))
+            # the other sides hold u and v, and each node of this geodesic
+            # lies within half its k-length of one of them
+            limit = 0.5 * qh.engine.distance(u, v) * (1 + 1e-9)
+            near = qh.min_field(others, limit)[sides[i]]
+            if not np.isfinite(near).all():
+                near = qh.min_field(others)[sides[i]]
+            thin = max(thin, float(near.max()))
         per.append(thin)
         if thin > best:
             best = thin

@@ -275,7 +275,7 @@ def stage_properties(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
 
 
 def stage_decompose(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
-                    qh: QhMetric, dec, levels) -> None:
+                    dec, levels) -> None:
     extent = (dom.shape[0] * dom.h, dom.shape[1] * dom.h)
     em.write_svg("whitney.svg", svg.whitney_layers(dec), extent)
     rows = []
@@ -286,7 +286,7 @@ def stage_decompose(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
         overlap = verify_bounded_overlap(ct)
         cover = verify_cover(ct)
         tiling = verify_tiling(ct)
-        remark = verify_remark_inclusion(ct, dec, qh)
+        remark = verify_remark_inclusion(ct)
         em.note_report(overlap)
         if not tiling:
             em.failures.append({"name": f"tiling_m{m}", "seed": cfg.seed})
@@ -368,7 +368,7 @@ def run(cfg: ExperimentConfig, stages: str = "report") -> int:
     if "properties" in wanted:
         stage_properties(cfg, em, dom, qh)
     if "decompose" in wanted:
-        stage_decompose(cfg, em, dom, qh, dec, levels)
+        stage_decompose(cfg, em, dom, dec, levels)
     if "approx" in wanted:
         stage_approx(cfg, em, dom, dec, levels)
     status = em.finish()

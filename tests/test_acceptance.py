@@ -211,7 +211,7 @@ def test_criterion_5_decomposition_invariants(disk256):
             max_overlap = max(max_overlap, ov.extra["max"])
             for g in ct.groups:
                 max_members = max(max_members, len(g.members))
-            remark_results.append(verify_remark_inclusion(ct, dec, qh))
+            remark_results.append(verify_remark_inclusion(ct))
 
     remark_ok = all(r in (None, True) for r in remark_results)
     vacuous = sum(1 for r in remark_results if r is None)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -144,3 +147,27 @@ def test_report_builds_each_level_once(tmp_path, monkeypatch):
     assert main(["report", "--fixture", "dumbbell", "--h", str(1 / 64),
                  "--m-list", "7,8", "--outdir", str(tmp_path / "r")]) == 0
     assert built == [7, 8]
+
+
+def test_runs_without_fields_never_load_sympy(tmp_path):
+    """sympy is imported when the first analytic field is built, not with
+    the package, so gallery and metrics runs never load it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = f"""
+import sys
+from qhlab import (approx, cli, decomposition, fixtures, properties, qh,
+                   report, uniformize)
+out = {str(tmp_path)!r}
+assert cli.main(["gallery", "--fixture", "spiral", "--outdir", out + "/g"]) == 0
+assert cli.main(["metrics", "--h", "0.015625", "--n-pairs", "4",
+                 "--n-triangles", "3", "--outdir", out + "/m"]) == 0
+assert "sympy" not in sys.modules
+fixtures.radial_power((0.5, 0.0), 1.5, order=1)
+assert "sympy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "g" / "domain.json").is_file()
+    assert (tmp_path / "m" / "geodesics.json").is_file()

@@ -245,10 +245,9 @@ def test_chain_overlap_bounded(ct6):
     assert rep.extra["longest_chain"] >= 2
 
 
-def test_remark_inclusion_vacuous_when_unqualified(ct6, disk_ctx):
+def test_remark_inclusion_vacuous_when_unqualified(ct6):
     # with c0=10 a qualifying coarse level needs m >= 10
-    dom, qh, dec = disk_ctx
-    assert verify_remark_inclusion(ct6, dec, qh) is None
+    assert verify_remark_inclusion(ct6) is None
 
 
 def test_as_dict_roundtrip(ct6, dumbbell_ctx):

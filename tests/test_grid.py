@@ -12,6 +12,7 @@ from qhlab.grid import (
     GridDomain,
     UnreachableError,
     _STRUCT8,
+    _euclid_diameter,
     _walk,
     components,
     intrinsic_diameter_distance,
@@ -25,6 +26,11 @@ def sample_cells(dom, n, seed=0):
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, dom.n_nodes, size=n)
     return [tuple(dom.node_cells[p]) for p in picks]
+
+
+def _diameter_table(pts):
+    """Max over the full table of pairwise distances, row by row."""
+    return max(float(np.sqrt(((p - pts) ** 2).sum(-1)).max()) for p in pts)
 
 
 # -- construction and boundary distance -------------------------------------
@@ -320,3 +326,23 @@ def test_refinement_lambda_drift_small():
         dom = gallery.disk(h)
         vals.append(intrinsic_distance(dom, dom.cell_at(pair[0]), dom.cell_at(pair[1])))
     assert abs(vals[0] - vals[1]) / vals[1] < 0.03
+
+
+@pytest.mark.parametrize("step", [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1),
+                                  (-1, 2)])
+@pytest.mark.parametrize("n", [2, 400, 401, 2000])
+def test_euclid_diameter_of_straight_lattice_paths(step, n):
+    start = np.array([3000, 3000])
+    cells = start + np.arange(n)[:, None] * np.array(step)
+    for h in (1 / 128, 1 / 1024):
+        pts = (cells + 0.5) * h
+        want = _diameter_table(pts)
+        assert _euclid_diameter(pts) == want
+        shuffled = pts[np.random.default_rng(n).permutation(n)]
+        assert _euclid_diameter(shuffled) == want
+
+
+def test_euclid_diameter_of_bent_path_uses_hull():
+    t = np.arange(1000)
+    pts = np.column_stack([t, np.where(t < 700, 0, t - 700)]) / 256.0
+    assert _euclid_diameter(pts) == _diameter_table(pts)

@@ -153,6 +153,35 @@ def test_estimate_delta_deterministic_and_fourpoint_below():
     assert 0 <= fp < 10 * max(e1.value, 1.0)
 
 
+def test_min_field_limit_keeps_exact_values_within_it():
+    qh = QhMetric(gallery.spiral(1 / 128))
+    sources = sample_nodes(qh.domain, 5, seed=3)
+    full = qh.min_field(sources)
+    limit = float(np.median(full))
+    near = qh.min_field(sources, limit)
+    inside = full <= limit
+    assert inside.any() and not inside.all()
+    assert np.array_equal(near[inside], full[inside])
+    assert np.isinf(near[full > limit * (1 + 1e-12)]).all()
+
+
+@pytest.mark.parametrize("name", ["spiral", "slit_disk"])
+def test_estimate_delta_equals_unbounded_fields(name, monkeypatch):
+    """The bounded thinness fields change no value, and a side that comes
+    back unreached is recomputed without the bound."""
+    qh = QhMetric(gallery.make(name, 1 / 128))
+    got = estimate_delta(qh, 12, seed=5)
+    unbounded = QhMetric.min_field
+    for bounded in (lambda self, nodes, limit=np.inf: unbounded(self, nodes),
+                    lambda self, nodes, limit=np.inf: (
+                        unbounded(self, nodes) if limit == np.inf
+                        else np.full(self.domain.n_nodes, np.inf))):
+        monkeypatch.setattr(QhMetric, "min_field", bounded)
+        want = estimate_delta(qh, 12, seed=5)
+        assert (got.value, got.argmax) == (want.value, want.argmax)
+        assert got.per_triangle == want.per_triangle
+
+
 def test_punctured_lattice_delta_grows():
     vals = []
     for spacing in (0.25, 0.125, 0.0625):
