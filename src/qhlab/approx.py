@@ -328,6 +328,12 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
         "ratios": [r["ratio"] for r in done],
         "levels": [r["m"] for r in done],
     }
-    rep.constant = done[-1]["error"] / done[0]["error"] if len(done) > 1 else 0.0
+    # last error over first; a zero first error gives 0 when the last is 0
+    # too and inf otherwise, as ``ratio`` does for a zero tail
+    rep.constant = 0.0
+    if len(done) > 1:
+        first, last = done[0]["error"], done[-1]["error"]
+        rep.constant = last / first if first > 0 else (
+            float("inf") if last > 0 else 0.0)
     rep.passed = bool(done) and all(np.isfinite(r["error"]) for r in done)
     return rep

@@ -11,7 +11,9 @@ Sub-commands run slices of the experiment pipeline on one gallery fixture:
 
 Flags mirror the config-file fields; ``--config`` loads a file first and
 flags override it.  The output root defaults to $QHLAB_OUT (or ./out).
-Exit codes: 0 ok, 1 invariant failure, 2 usage error.
+Exit codes: 0 ok, 1 invariant failure, 2 usage error.  Config-file errors
+are usage errors: an unreadable file, a missing section header, an unknown
+section or key, or a value of the wrong type exits 2 with the file named.
 """
 
 from __future__ import annotations

@@ -100,10 +100,11 @@ class Polyline:
 
 
 class _DijkstraCache:
-    """Single-source shortest paths on a fixed sparse graph, LRU-cached."""
+    """Single-source shortest paths, LRU-cached, on the undirected graph of
+    ``n`` nodes with edge (ia[i], ib[i]) of weight w[i] (stored once)."""
 
-    def __init__(self, matrix: sparse.csr_matrix, maxsize: int = 128):
-        self.matrix = matrix
+    def __init__(self, ia, ib, w, n: int, maxsize: int = 128):
+        self.matrix = sparse.csr_matrix((w, (ia, ib)), shape=(n, n))
         self.maxsize = maxsize
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
@@ -202,8 +203,8 @@ class GridDomain:
         self.node_cells = np.column_stack(np.unravel_index(idx, interior.shape))
         self.cell_node = np.full(interior.shape, -1, dtype=np.int64)
         self.cell_node[tuple(self.node_cells.T)] = np.arange(len(idx))
-        self._edge_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._length_engine: dict[int, _DijkstraCache] = {}
+        self._edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._length_engine: _DijkstraCache | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -248,16 +249,14 @@ class GridDomain:
 
     # -- cell graph ---------------------------------------------------------
 
-    def edges(self, connectivity: int = 16):
-        """Undirected edge arrays (ia, ib, length) for the cell graph."""
-        if connectivity not in (4, 8, 16):
-            raise DomainError("connectivity must be 4, 8 or 16")
-        if connectivity in self._edge_cache:
-            return self._edge_cache[connectivity]
-        n_off = {4: 2, 8: 4, 16: 8}[connectivity]
+    def edges(self):
+        """Undirected edge arrays (ia, ib, length) of the 16-neighbor cell
+        graph, each edge once."""
+        if self._edges is not None:
+            return self._edges
         inter = self.interior
         ia_all, ib_all, w_all = [], [], []
-        for (di, dj), clearance in _HALF_OFFSETS[:n_off]:
+        for (di, dj), clearance in _HALF_OFFSETS:
             ok = np.zeros(inter.shape, dtype=bool)
             i_hi = inter.shape[0] - max(di, 0)
             j_lo, j_hi = max(-dj, 0), inter.shape[1] - max(dj, 0)
@@ -268,30 +267,32 @@ class GridDomain:
                 mid = np.s_[max(-di, 0) + ci : i_hi + ci, j_lo + cj : j_hi + cj]
                 ok[src] &= inter[mid]
             cells = np.argwhere(ok)
-            if len(cells):
-                ia_all.append(self.cell_node[tuple(cells.T)])
-                ib_all.append(self.cell_node[cells[:, 0] + di, cells[:, 1] + dj])
-                w_all.append(
-                    np.full(len(cells), self.h * float(np.hypot(di, dj)))
-                )
-        ia = np.concatenate(ia_all) if ia_all else np.empty(0, dtype=np.int64)
-        ib = np.concatenate(ib_all) if ib_all else np.empty(0, dtype=np.int64)
-        w = np.concatenate(w_all) if w_all else np.empty(0)
-        self._edge_cache[connectivity] = (ia, ib, w)
-        return ia, ib, w
+            ia_all.append(self.cell_node[tuple(cells.T)])
+            ib_all.append(self.cell_node[cells[:, 0] + di, cells[:, 1] + dj])
+            w_all.append(np.full(len(cells), self.h * float(np.hypot(di, dj))))
+        self._edges = tuple(np.concatenate(v) for v in (ia_all, ib_all, w_all))
+        return self._edges
 
-    def graph(self, weights: np.ndarray, connectivity: int = 16) -> sparse.csr_matrix:
-        ia, ib, _ = self.edges(connectivity)
+    def graph(self, weights: np.ndarray, maxsize: int = 128,
+              exits=None) -> _DijkstraCache:
+        """Shortest-path engine on the cell graph, edge i of ``edges()``
+        weighing ``weights[i]``.  ``exits = (nodes, costs)`` joins those
+        nodes to one extra node, numbered ``n_nodes``, at those costs."""
+        ia, ib, _ = self.edges()
         n = self.n_nodes
-        return sparse.csr_matrix((weights, (ia, ib)), shape=(n, n))
+        if exits is not None:
+            nodes, costs = exits
+            ia = np.concatenate([ia, nodes])
+            ib = np.concatenate([ib, np.full(len(nodes), n)])
+            weights = np.concatenate([weights, costs])
+            n += 1
+        return _DijkstraCache(ia, ib, weights, n, maxsize)
 
-    def length_engine(self, connectivity: int = 16) -> _DijkstraCache:
-        if connectivity not in self._length_engine:
-            _, _, w = self.edges(connectivity)
-            self._length_engine[connectivity] = _DijkstraCache(
-                self.graph(w, connectivity)
-            )
-        return self._length_engine[connectivity]
+    def length_engine(self) -> _DijkstraCache:
+        """Euclidean path length (lambda) engine."""
+        if self._length_engine is None:
+            self._length_engine = self.graph(self.edges()[2])
+        return self._length_engine
 
     def polyline(self, nodes) -> Polyline:
         return Polyline(self.node_cells[np.asarray(nodes, dtype=int)], self.h)
@@ -375,19 +376,17 @@ def intrinsic_distance(
 
 
 def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
-    """Shortest-length path between x and y restricted to a cell mask."""
-    ia, ib, w = domain.edges(16)
+    """Shortest-length path between x and y restricted to a cell mask (None
+    when the mask separates them)."""
+    ia, ib, w = domain.edges()
     node_ok = mask[tuple(domain.node_cells.T)]
     keep = node_ok[ia] & node_ok[ib]
-    n = domain.n_nodes
-    sub = sparse.csr_matrix((w[keep], (ia[keep], ib[keep])), shape=(n, n))
-    nx, ny = domain.require_interior(x), domain.require_interior(y)
-    dist, pred = csgraph.dijkstra(
-        sub, directed=False, indices=nx, return_predecessors=True
-    )
-    if not np.isfinite(dist[ny]):
+    sub = _DijkstraCache(ia[keep], ib[keep], w[keep], domain.n_nodes, maxsize=1)
+    try:
+        return domain.polyline(
+            sub.path(domain.require_interior(x), domain.require_interior(y)))
+    except UnreachableError:
         return None
-    return domain.polyline(_walk(pred, nx, ny))
 
 
 def intrinsic_diameter_distance(

@@ -28,11 +28,11 @@ the box support.  The points are bucketed by domain cell, so finding the
 pairs costs what the pairs found cost.  Each distinct profile is evaluated
 once on the points' distinct coordinates inside its support, with one
 ``_plateau`` call per derivative order for all profiles, and every pair
-gathers its box factors from these profile tables.  The table is folded a
-fixed pair budget (``_POINT_BLOCK`` entries) at a time, rank by rank (the
-r-th box acting on each (hat, point) pair, in box order), with a pair cut
-by a block's end carried into the next block, so every jet is bitwise that
-of a box-by-box loop.  ``sum_jet``, the approximant's assembly and a single
+gathers its box factors from these profile tables.  The table is built in
+chunks of whole (hat, point) groups, about ``_POINT_BLOCK`` pairs each, and
+each chunk is folded in one pass, rank by rank (the r-th box acting on each
+(hat, point) pair, in box order), so every jet is bitwise that of a
+box-by-box loop.  ``sum_jet``, the approximant's assembly and a single
 set bump all take the engine's chunks, and sums over hats are accumulated
 with ``np.add.at`` in hat order.
 ``measured_sup`` probes a hat once for every alpha and keeps the sups in a
@@ -226,8 +226,9 @@ def _one_minus(acc: Jet) -> Jet:
     return acc
 
 
-# Entries of the (hat, point, box) pair table folded at once: bounds the
-# engine's temporaries whatever the number of hats and points.
+# Candidate (hat, point, box) pairs per chunk of the pair table, and
+# profile values per ``_plateau`` call: bounds the engine's temporaries
+# whatever the number of hats and points.
 _POINT_BLOCK = 1 << 13
 
 # Most buckets per axis of the pair search.
@@ -352,7 +353,7 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
     The (hat, point, box) table is built from the runs of
     ``_bucket_runs`` one range of (hat, point) keys at a time, each range
     holding about ``_POINT_BLOCK`` candidate pairs, sorted by hat, then
-    point, then box, and folded by ``_fold``.  Each profile is evaluated
+    point, then box, and folded whole by ``_fold``.  Each profile is evaluated
     once on the distinct coordinates inside its support, and the pairs
     gather their box factors from these profile tables; on an axis where
     such a table would outgrow the candidate pairs (scattered points, such
@@ -397,7 +398,8 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
             comp[(0, 0)] = 1.0 - fx[0] * fy[0]
             return comp
 
-        for heads, jets in _fold(hat, point, one_minus_box, alphas):
+        if len(point):
+            heads, jets = _fold(hat, point, one_minus_box, alphas)
             yield hat[heads], point[heads], jets
 
 
@@ -420,49 +422,30 @@ def _chunk_bounds(lo: np.ndarray, hi: np.ndarray, budget: int
 
 
 def _fold(hat, point, one_minus_box, alphas):
-    """1 - prod(1 - b) of every (hat, point) group of the sorted pairs,
-    ``_POINT_BLOCK`` pairs at a time, with ``one_minus_box(pairs)`` the jets
-    of 1 - b: yields each block's completed groups (the index of their
-    first pair, their jets).  Within a block 1 - b is multiplied in rank by
-    rank, the r-th box acting on each group in box order, and a group cut
-    by the block's end carries its product into the next block, so every
-    group sees the operations of a box-by-box loop in the same order."""
-    carry = None
-    for b0 in range(0, len(point), _POINT_BLOCK):
-        b1 = min(b0 + _POINT_BLOCK, len(point))
-        new = np.ones(b1 - b0, dtype=bool)
-        new[1:] = (hat[b0 + 1:b1] != hat[b0:b1 - 1]) | (
-            point[b0 + 1:b1] != point[b0:b1 - 1])
-        heads = np.flatnonzero(new)
-        gid = np.cumsum(new) - 1
-        rank = np.arange(b1 - b0) - heads[gid]
-        # the pairs by rank: rank 0 is every group's first pair, in order
-        by = np.argsort(rank, kind="stable")
-        ends = np.cumsum(np.bincount(rank))
-        gid = gid[by]
-        comp = one_minus_box(b0 + by)
-        acc = jet_one(len(heads), alphas)
-        if carry is not None:
-            for a in alphas:
-                acc[a][0] = carry[a]
-        acc = jet_product(acc, {a: c[:ends[0]] for a, c in comp.items()},
-                          alphas)
-        for r0, r1 in zip(ends[:-1], ends[1:]):
-            dst = gid[r0:r1]
-            prod = jet_product({a: acc[a][dst] for a in alphas},
-                               {a: c[r0:r1] for a, c in comp.items()},
-                               alphas)
-            for a in alphas:
-                acc[a][dst] = prod[a]
-        carry = None
-        if b1 < len(point) and hat[b1] == hat[b1 - 1] \
-                and point[b1] == point[b1 - 1]:
-            carry = {a: acc[a][-1] for a in alphas}  # its pairs go on
-            heads = heads[:-1]
-            acc = {a: v[:-1] for a, v in acc.items()}
-        del new, gid, rank, by, comp  # while the caller takes the block
-        if len(heads):
-            yield heads + b0, _one_minus(acc)
+    """1 - prod(1 - b) of every (hat, point) group of the sorted pairs, with
+    ``one_minus_box(pairs)`` the jets of 1 - b: returns the index of each
+    group's first pair and the groups' jets.  1 - b is multiplied in rank by
+    rank, the r-th box acting on each group in box order, so every group sees
+    the operations of a box-by-box loop in the same order."""
+    new = np.ones(len(point), dtype=bool)
+    new[1:] = (hat[1:] != hat[:-1]) | (point[1:] != point[:-1])
+    heads = np.flatnonzero(new)
+    gid = np.cumsum(new) - 1
+    rank = np.arange(len(point)) - heads[gid]
+    # the pairs by rank: rank 0 is every group's first pair, in order
+    by = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank))
+    gid = gid[by]
+    comp = one_minus_box(by)
+    acc = jet_product(jet_one(len(heads), alphas),
+                      {a: c[:ends[0]] for a, c in comp.items()}, alphas)
+    for r0, r1 in zip(ends[:-1], ends[1:]):
+        dst = gid[r0:r1]
+        prod = jet_product({a: acc[a][dst] for a in alphas},
+                           {a: c[r0:r1] for a, c in comp.items()}, alphas)
+        for a in alphas:
+            acc[a][dst] = prod[a]
+    return heads, _one_minus(acc)
 
 
 class SetBump:

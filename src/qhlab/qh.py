@@ -19,7 +19,6 @@ from .grid import (
     GridDomain,
     Polyline,
     UnreachableError,
-    _DijkstraCache,
     _walk,
     intrinsic_diameter_distance,
     intrinsic_distance,
@@ -66,14 +65,12 @@ class GeodesicTree:
 class QhMetric:
     """Quasihyperbolic distance oracle for one grid domain."""
 
-    def __init__(self, domain: GridDomain, connectivity: int = 16):
+    def __init__(self, domain: GridDomain):
         self.domain = domain
-        self.connectivity = connectivity
-        ia, ib, w = domain.edges(connectivity)
+        ia, ib, w = domain.edges()
         d = domain.node_dist()
         self.edge_weights = w * 0.5 * (1.0 / d[ia] + 1.0 / d[ib])
-        self.matrix = domain.graph(self.edge_weights, connectivity)
-        self.engine = _DijkstraCache(self.matrix, maxsize=256)
+        self.engine = domain.graph(self.edge_weights, maxsize=256)
         self._node_d = d
         self._tree: GeodesicTree | None = None
 
@@ -81,10 +78,6 @@ class QhMetric:
 
     def node(self, x: Cell) -> int:
         return self.domain.require_interior(x)
-
-    def field(self, x: Cell) -> np.ndarray:
-        """k(x, .) for every node (cached single-source Dijkstra)."""
-        return self.engine.from_source(self.node(x))[0]
 
     def min_field(self, nodes, limit: float = np.inf) -> np.ndarray:
         """k(S, .) = min over sources; one multi-source Dijkstra, inf where

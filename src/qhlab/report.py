@@ -125,31 +125,47 @@ class ExperimentConfig:
         return buf.getvalue()
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
+    def from_text(cls, text: str, source: str = "<config>") -> "ExperimentConfig":
+        """Parse ``to_text`` output; a malformed text, an unknown section or
+        key, or a value of the wrong type is a ``UsageError`` naming
+        ``source`` and the section and key."""
         cp = configparser.ConfigParser()
-        cp.read_string(text)
+        try:
+            cp.read_string(text, source)
+        except configparser.Error as exc:
+            raise UsageError(f"{source}: {exc}") from exc
         kwargs = {}
         types = {f.name: f.type for f in dfields(cls)}
-        for section, keys in _SECTIONS.items():
-            if section not in cp:
-                continue
-            for key in keys:
-                if key not in cp[section]:
-                    continue
-                raw = cp[section][key]
-                if key == "m_list":
-                    kwargs[key] = tuple(int(t) for t in raw.split(",") if t)
-                elif types[key] == "int":
-                    kwargs[key] = int(raw)
-                elif types[key] == "float":
-                    kwargs[key] = float(raw)
-                else:
-                    kwargs[key] = raw
+        for section in cp.sections():
+            if section not in _SECTIONS:
+                raise UsageError(f"{source}: unknown section [{section}] "
+                                 f"(choose from {list(_SECTIONS)})")
+            names = {key.lower(): key for key in _SECTIONS[section]}
+            for name, raw in cp[section].items():
+                if name not in names:
+                    raise UsageError(
+                        f"{source}: [{section}] unknown key {name!r} "
+                        f"(choose from {list(_SECTIONS[section])})")
+                key = names[name]
+                try:
+                    if key == "m_list":
+                        kwargs[key] = tuple(int(t) for t in raw.split(",") if t)
+                    else:
+                        kwargs[key] = {"int": int, "float": float}.get(
+                            types[key], str)(raw)
+                except ValueError as exc:
+                    raise UsageError(f"{source}: [{section}] {key}: {exc}") \
+                        from exc
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_text(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise UsageError(f"{path}: cannot read config file "
+                             f"({exc.strerror or exc})") from exc
+        return cls.from_text(text, str(path))
 
     def as_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v)

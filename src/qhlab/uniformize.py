@@ -11,8 +11,6 @@ the deformed boundary distance d_rho is bilipschitz to k.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .grid import DomainError, _DijkstraCache
 from .properties import PropertyReport
@@ -38,24 +36,17 @@ class DeformedMetric:
         tree = qh.radial_tree()
         self.rho = np.exp(-self.epsilon * tree.dist)
 
-        ia, ib, _ = self.domain.edges(qh.connectivity)
+        ia, ib, _ = self.domain.edges()
         self.edge_weights = qh.edge_weights * 0.5 * (self.rho[ia] + self.rho[ib])
-        n = self.domain.n_nodes
-        self.matrix = self.domain.graph(self.edge_weights, qh.connectivity)
-        self.engine = _DijkstraCache(self.matrix, maxsize=64)
+        self.engine = self.domain.graph(self.edge_weights, maxsize=64)
 
         # deformed boundary distance: one Dijkstra from a virtual boundary
         # node attached to every boundary-adjacent cell with the tail weight
-        dvals = self.domain.node_dist()
-        near = np.flatnonzero(dvals <= self.domain.h)
-        tails = self.rho[near] / self.epsilon
-        rows = np.concatenate([ia, near])
-        cols = np.concatenate([ib, np.full(len(near), n)])
-        data = np.concatenate([self.edge_weights, tails])
-        aug = sparse.csr_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
-        self.d_rho = csgraph.dijkstra(
-            aug, directed=False, indices=n, min_only=True
-        )[:n]
+        n = self.domain.n_nodes
+        near = np.flatnonzero(self.domain.node_dist() <= self.domain.h)
+        aug = self.domain.graph(self.edge_weights,
+                                exits=(near, self.rho[near] / self.epsilon))
+        self.d_rho = aug.min_from_set([n])[:n]
 
         self._k_rho_engine: _DijkstraCache | None = None
 
@@ -80,11 +71,10 @@ class DeformedMetric:
 
     def k_rho_engine(self) -> _DijkstraCache:
         if self._k_rho_engine is None:
-            ia, ib, _ = self.domain.edges(self.qh.connectivity)
+            ia, ib, _ = self.domain.edges()
             # harmonic mean of the density 1/d_rho at the edge endpoints
             w = self.edge_weights * 2.0 / (self.d_rho[ia] + self.d_rho[ib])
-            self._k_rho_engine = _DijkstraCache(
-                self.domain.graph(w, self.qh.connectivity), maxsize=64)
+            self._k_rho_engine = self.domain.graph(w, maxsize=64)
         return self._k_rho_engine
 
     def k_rho(self, x, y) -> float:
@@ -125,11 +115,9 @@ def check_deformed_uniformity(
         value, nodes = metric.distance(x, y, with_path=True)
         if value <= 0:
             continue
-        # cumulative deformed length along the path; each edge is stored in
-        # one orientation, so the sum of both lookups is its weight
-        a, b = nodes[:-1], nodes[1:]
-        steps = np.asarray(metric.matrix[a, b] + metric.matrix[b, a]).ravel()
-        sub = np.concatenate([[0.0], steps]).cumsum()
+        # cumulative deformed length along the path: the path runs down the
+        # shortest-path tree of x, whose distance field is cached
+        sub = metric.engine.from_source(nodes[0])[0][nodes]
         r1 = float(sub[-1]) / value
         cone = np.minimum(sub, sub[-1] - sub)
         r2 = float((cone / metric.d_rho[nodes]).max())

@@ -196,6 +196,17 @@ def test_error_decay_zero_for_low_degree():
     assert done and done[0]["error"] < 1e-10
 
 
+@pytest.mark.parametrize("field", [
+    fixtures.constant(0.0, order=1),
+    fixtures.polynomial({(0, 0): 1.0}, order=1),
+])
+def test_error_decay_constant_is_zero_when_every_level_is_exact(field):
+    rep = error_decay(field, gallery.disk(1 / 64), 1, 2.0, [5, 6, 7])
+    done = [r for r in rep.samples if "error" in r]
+    assert len(done) > 1 and all(r["error"] == 0.0 for r in done)
+    assert rep.constant == 0.0
+
+
 # -- assembly against a per-hat reference -------------------------------------
 
 def _reference_assemble(u, part, ct):

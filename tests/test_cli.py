@@ -113,6 +113,32 @@ def test_config_file_plus_flag_override(tmp_path):
     assert manifest["config"]["fixture"] == "square"
 
 
+@pytest.mark.parametrize("body, name", [
+    ("[sampling]\nn_pairs = ten\n", "n_pairs"),
+    ("n_pairs = 3\n", "section"),
+    ("[sampling]\nn_pair = 3\n", "n_pair"),
+    ("[approximation]\nm_lst = 9\n", "m_lst"),
+    ("[domain]\nfixture = disk\n[tuning]\nsteps = 2\n", "tuning"),
+])
+def test_config_file_errors_are_usage_errors(tmp_path, capsys, body, name):
+    path = tmp_path / "exp.cfg"
+    path.write_text(body)
+    code = main(["gallery", "--config", str(path),
+                 "--outdir", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and name in err
+    assert "Traceback" not in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "absent.cfg"
+    code = main(["gallery", "--config", str(path),
+                 "--outdir", str(tmp_path / "o")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_stage():
     with pytest.raises(UsageError, match="stage"):
         run(ExperimentConfig(h=1 / 64), stages="everything")

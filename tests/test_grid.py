@@ -13,6 +13,7 @@ from qhlab.grid import (
     UnreachableError,
     _STRUCT8,
     _euclid_diameter,
+    _masked_geodesic,
     _walk,
     components,
     intrinsic_diameter_distance,
@@ -94,7 +95,7 @@ def test_distance_field_analytic_agreement_on_fixtures():
 
 def test_distance_field_lipschitz_across_edges():
     dom = gallery.slit_disk(1 / 128)
-    ia, ib, w = dom.edges(16)
+    ia, ib, w = dom.edges()
     dvals = dom.node_dist()
     assert np.all(np.abs(dvals[ia] - dvals[ib]) <= w + 1e-12)
 
@@ -146,6 +147,25 @@ def test_intrinsic_distance_slit_refinement_oracle():
     # forced around the slit tip at x=0.5: roughly 2*0.3; refinement agrees
     assert vals[1] > 0.55
     assert abs(vals[0] - vals[1]) / vals[1] < 0.05
+
+
+def test_masked_geodesic_none_when_the_mask_separates():
+    dom = gallery.disk(1 / 64)
+    a, b = dom.cell_at((0.2, 0.5)), dom.cell_at((0.8, 0.5))
+    wall = np.zeros(dom.shape, dtype=bool)
+    i = dom.cell_at((0.5, 0.5))[0]
+    wall[i : i + 2, :] = True  # two columns: a knight move jumps over one
+    assert _masked_geodesic(dom, dom.interior & ~wall, a, b) is None
+    assert _masked_geodesic(dom, dom.interior, a, b) is not None
+
+
+def test_masked_geodesic_full_mask_is_the_length_geodesic():
+    dom = gallery.slit_disk(1 / 64)
+    for seed in range(6):
+        a, b = sample_cells(dom, 2, seed=seed)
+        path = _masked_geodesic(dom, dom.interior, a, b)
+        _, want = intrinsic_distance(dom, a, b, with_path=True)
+        assert np.array_equal(path.cells, want.cells)
 
 
 # -- intrinsic diameter metric ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qhlab import gallery
 from qhlab.grid import DomainError
@@ -38,7 +39,7 @@ def test_density_invariants(disk_qh, disk_def):
     assert rho[dom.require_interior(dom.x0)] == pytest.approx(1.0)
     assert 0 < rho.min() and rho.max() <= 1.0 + 1e-12
     # multiplicative Lipschitz along edges: |log rho(a)-log rho(b)| <= eps*w
-    ia, ib, _ = dom.edges(16)
+    ia, ib, _ = dom.edges()
     gap = np.abs(np.log(rho[ia]) - np.log(rho[ib]))
     assert (gap <= 0.2 * disk_qh.edge_weights + 1e-9).all()
 
@@ -136,3 +137,24 @@ def test_epsilon_sweep_reports(disk_qh):
     # larger eps shrinks the space: max deformed boundary distance decreases
     drho = [r[2] for r in rows]
     assert drho == sorted(drho, reverse=True)
+
+
+@pytest.mark.parametrize("fixture, h", [("disk", 1 / 128), ("spiral", 1 / 256)])
+def test_deformed_uniformity_samples_equal_summed_edge_weights(fixture, h):
+    """A1 and A2 bitwise equal to the cumulative sum of the path's edge
+    weights, each edge looked up in both orientations of the edge table."""
+    dom = gallery.make(fixture, h)
+    metric = build_deformation(QhMetric(dom), 0.2)
+    ia, ib, _ = dom.edges()
+    table = sparse.csr_matrix((metric.edge_weights, (ia, ib)),
+                              shape=(dom.n_nodes, dom.n_nodes))
+    rep = check_deformed_uniformity(metric, sample_pairs(dom, 10, 4))
+    assert len(rep.samples) >= 8
+    for s in rep.samples:
+        value, nodes = metric.distance(s["x"], s["y"], with_path=True)
+        a, b = nodes[:-1], nodes[1:]
+        steps = np.asarray(table[a, b] + table[b, a]).ravel()
+        sub = np.concatenate([[0.0], steps]).cumsum()
+        cone = np.minimum(sub, sub[-1] - sub)
+        assert s["A1"] == float(sub[-1]) / value
+        assert s["A2"] == float((cone / metric.d_rho[nodes]).max())
