@@ -112,17 +112,6 @@ class SampledFunction:
                 {a: v[cells].ravel() for a, v in self._cell_jets.items()})
         return self._fits[key]
 
-    def self_check(self, n_probe: int = 200, seed: int = 0) -> float:
-        """Central-difference consistency of the derivative fields."""
-        from .fixtures import verify_jets
-
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(self.grid.x), size=min(n_probe, len(self.grid.x)),
-                         replace=False)
-        step = self.grid.spacing / 64.0
-        return verify_jets(self.field, self.grid.x[idx], self.grid.y[idx],
-                           step, order=self.k)
-
 
 def seminorm(jets: Jet, sel: np.ndarray, k: int, p: float,
              cell_area: float) -> float:
@@ -291,7 +280,8 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
     """Per-level error, tail seminorm, and sup-norms of the approximant on
     the (m, decomposition or skip reason) pairs of ``build_levels``: the
     ``levels`` given, else ``m_list``'s built here with the default c0.
-    The caller asserts decay/boundedness."""
+    A level with an empty band is skipped too.  The caller asserts
+    decay/boundedness."""
     dec = dec or whitney_decompose(domain)
     if levels is None:
         levels = build_levels(dec, qh or QhMetric(domain), m_list)
@@ -301,6 +291,9 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
     rep = PropertyReport("error_decay", 0.0, resolution=domain.h)
     rows = []
     for m, ct in levels:
+        if not isinstance(ct, str) and not ct.P:
+            # xi hats only: u_m = u by construction, so its 0 measures nothing
+            ct = f"empty band at m={m}: no band cubes, so u_m = u"
         if isinstance(ct, str):
             rows.append({"m": int(m), "skipped": ct})
             continue

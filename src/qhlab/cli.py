@@ -9,11 +9,15 @@ Sub-commands run slices of the experiment pipeline on one gallery fixture:
   approx      smooth approximants: error-decay table and curves
   report      all of the above
 
-Flags mirror the config-file fields; ``--config`` loads a file first and
-flags override it.  The output root defaults to $QHLAB_OUT (or ./out).
+Each ``ExperimentConfig`` field is one flag, ``--<field>`` with ``_`` written
+as ``-`` (so ``m_list`` is ``--m-list``), whose value is parsed as the config
+file parses that key; ``--config`` loads a file first and flags override it.
+Without ``--outdir`` or ``--config`` the output directory is
+$QHLAB_OUT/<fixture> (or ./out/<fixture>).
 Exit codes: 0 ok, 1 invariant failure, 2 usage error.  Config-file errors
 are usage errors: an unreadable file, a missing section header, an unknown
-section or key, or a value of the wrong type exits 2 with the file named.
+section or key, or a value of the wrong type exits 2 with the file named;
+a flag value of the wrong type exits 2 with the field named.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .grid import DomainError
 from .report import ExperimentConfig, UsageError, run
-
-_FLOAT_FLAGS = ("h", "c0", "c", "R", "epsilon", "p")
-_INT_FLAGS = ("k", "n_pairs", "n_triangles", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,31 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", type=Path,
                          help="config file; flags override its values")
-        cmd.add_argument("--fixture", help="gallery fixture name")
-        cmd.add_argument("--m-list", dest="m_list",
-                         help="comma-separated decomposition levels")
-        cmd.add_argument("--outdir", help="output directory "
-                         "(default: $QHLAB_OUT/<fixture> or ./out/<fixture>)")
-        for flag in _FLOAT_FLAGS:
-            cmd.add_argument(f"--{flag}", type=float)
-        for flag in _INT_FLAGS:
-            cmd.add_argument(f"--{flag.replace('_', '-')}",
-                             dest=flag, type=int)
+        for f in fields(ExperimentConfig):
+            cmd.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                             help=f"[{f.metadata['section']}] {f.name}")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
-    for flag in ("fixture", "outdir") + _FLOAT_FLAGS + _INT_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, flag, val)
-    if args.m_list is not None:
-        try:
-            cfg.m_list = tuple(int(t) for t in args.m_list.split(",") if t)
-        except ValueError as exc:
-            raise UsageError(f"m_list: {exc}") from exc
+    for f in fields(ExperimentConfig):
+        raw = getattr(args, f.name)
+        if raw is not None:
+            setattr(cfg, f.name, ExperimentConfig.parse(f.name, raw))
     if args.outdir is None and args.config is None:
         root = os.environ.get("QHLAB_OUT", "out")
         cfg.outdir = str(Path(root) / cfg.fixture)

@@ -99,14 +99,21 @@ class Polyline:
         return len(self.cells)
 
 
-class _DijkstraCache:
-    """Single-source shortest paths, LRU-cached, on the undirected graph of
-    ``n`` nodes with edge (ia[i], ib[i]) of weight w[i] (stored once)."""
+# Bytes of (dist, pred) fields one shortest-path engine keeps: 29 fields of
+# the 187,563-node spiral at h=1/512, 7 of the disk at h=1/1024.
+_CACHE_BYTES = 64 * 2**20
 
-    def __init__(self, ia, ib, w, n: int, maxsize: int = 128):
+
+class _DijkstraCache:
+    """Single-source shortest paths on the undirected graph of ``n`` nodes
+    with edge (ia[i], ib[i]) of weight w[i] (stored once).  Fields are kept
+    least-recently-used first and evicted while they exceed _CACHE_BYTES;
+    the newest field is always kept."""
+
+    def __init__(self, ia, ib, w, n: int):
         self.matrix = sparse.csr_matrix((w, (ia, ib)), shape=(n, n))
-        self.maxsize = maxsize
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._bytes = 0
 
     def from_source(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         node = int(node)
@@ -117,8 +124,10 @@ class _DijkstraCache:
             self.matrix, directed=False, indices=node, return_predecessors=True
         )
         self._cache[node] = (dist, pred)
-        if len(self._cache) > self.maxsize:
-            self._cache.popitem(last=False)
+        self._bytes += dist.nbytes + pred.nbytes
+        while self._bytes > _CACHE_BYTES and len(self._cache) > 1:
+            old = self._cache.popitem(last=False)[1]
+            self._bytes -= old[0].nbytes + old[1].nbytes
         return dist, pred
 
     def min_from_set(self, nodes, limit: float = np.inf) -> np.ndarray:
@@ -273,8 +282,7 @@ class GridDomain:
         self._edges = tuple(np.concatenate(v) for v in (ia_all, ib_all, w_all))
         return self._edges
 
-    def graph(self, weights: np.ndarray, maxsize: int = 128,
-              exits=None) -> _DijkstraCache:
+    def graph(self, weights: np.ndarray, exits=None) -> _DijkstraCache:
         """Shortest-path engine on the cell graph, edge i of ``edges()``
         weighing ``weights[i]``.  ``exits = (nodes, costs)`` joins those
         nodes to one extra node, numbered ``n_nodes``, at those costs."""
@@ -286,7 +294,7 @@ class GridDomain:
             ib = np.concatenate([ib, np.full(len(nodes), n)])
             weights = np.concatenate([weights, costs])
             n += 1
-        return _DijkstraCache(ia, ib, weights, n, maxsize)
+        return _DijkstraCache(ia, ib, weights, n)
 
     def length_engine(self) -> _DijkstraCache:
         """Euclidean path length (lambda) engine."""
@@ -381,7 +389,7 @@ def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
     ia, ib, w = domain.edges()
     node_ok = mask[tuple(domain.node_cells.T)]
     keep = node_ok[ia] & node_ok[ib]
-    sub = _DijkstraCache(ia[keep], ib[keep], w[keep], domain.n_nodes, maxsize=1)
+    sub = _DijkstraCache(ia[keep], ib[keep], w[keep], domain.n_nodes)
     try:
         return domain.polyline(
             sub.path(domain.require_interior(x), domain.require_interior(y)))

@@ -637,14 +637,6 @@ class PartitionOfUnity:
             self._boxes = _HatBoxes([hat.bump.boxes for hat in self.hats])
         return _hat_jets(self._boxes, x, y, alphas, self.domain.h)
 
-    def check_coverage(self, x: np.ndarray, y: np.ndarray) -> None:
-        s = self.sum_jet(x, y, alphas=[(0, 0)])[(0, 0)]
-        if (s < 1.0 - 1e-9).any():
-            i = int(np.argmin(s))
-            raise DomainError(
-                f"partition coverage hole at ({x.flat[i]:.4f}, "
-                f"{y.flat[i]:.4f}): hat sum {s.flat[i]:.6f} < 1")
-
     def normalized_jet(self, hat: Hat, x, y, sum_jet: Jet | None = None,
                        alphas=None) -> Jet:
         alphas = alphas or self.alphas

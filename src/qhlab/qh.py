@@ -70,7 +70,7 @@ class QhMetric:
         ia, ib, w = domain.edges()
         d = domain.node_dist()
         self.edge_weights = w * 0.5 * (1.0 / d[ia] + 1.0 / d[ib])
-        self.engine = domain.graph(self.edge_weights, maxsize=256)
+        self.engine = domain.graph(self.edge_weights)
         self._node_d = d
         self._tree: GeodesicTree | None = None
 

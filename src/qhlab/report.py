@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, fields as dfields
+from dataclasses import dataclass, field, fields as dfields
 from importlib import metadata
 from pathlib import Path
 
@@ -57,33 +57,33 @@ class UsageError(ValueError):
     """Invalid configuration or command-line input (exit code 2)."""
 
 
-# configparser section per field group
-_SECTIONS = {
-    "domain": ("fixture", "h"),
-    "constants": ("c0", "c", "R", "epsilon"),
-    "approximation": ("m_list", "k", "p"),
-    "sampling": ("n_pairs", "n_triangles", "seed"),
-    "output": ("outdir",),
-}
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",") if t)
+
+
+def _setting(default, section: str, parse):
+    """An ``ExperimentConfig`` field with its config-file section and the
+    parser of its text form (file value or command-line flag)."""
+    return field(default=default,
+                 metadata={"section": section, "parse": parse})
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat key-value experiment description (sections above)."""
+    """Flat key-value experiment description; each field is the key of its
+    section in a config file and the flag ``--<field>`` (``_`` as ``-``)."""
 
-    fixture: str = "disk"
-    h: float = 1.0 / 128
-    c0: float = 10.0
-    c: float = 1.0
-    R: float = 10.0
-    epsilon: float = 0.2
-    m_list: tuple[int, ...] = (6, 7, 8)
-    k: int = 1
-    p: float = 2.0
-    n_pairs: int = 40
-    n_triangles: int = 30
-    seed: int = 0
-    outdir: str = "out"
+    fixture: str = _setting("disk", "domain", str)
+    h: float = _setting(1.0 / 128, "domain", float)
+    c0: float = _setting(10.0, "constants", float)
+    epsilon: float = _setting(0.2, "constants", float)
+    m_list: tuple[int, ...] = _setting((6, 7, 8), "approximation", _int_tuple)
+    k: int = _setting(1, "approximation", int)
+    p: float = _setting(2.0, "approximation", float)
+    n_pairs: int = _setting(40, "sampling", int)
+    n_triangles: int = _setting(30, "sampling", int)
+    seed: int = _setting(0, "sampling", int)
+    outdir: str = _setting("out", "output", str)
 
     def validate(self) -> None:
         if self.fixture not in gallery.GALLERY:
@@ -93,8 +93,6 @@ class ExperimentConfig:
         checks = [
             ("h", 1e-4 < self.h <= 1 / 16),
             ("c0", self.c0 >= 10),
-            ("c", self.c > 0),
-            ("R", self.R > 0),
             ("epsilon", 0 < self.epsilon < 1),
             ("m_list", len(self.m_list) > 0
              and all(1 <= m <= 12 for m in self.m_list)),
@@ -111,15 +109,25 @@ class ExperimentConfig:
 
     # -- serialization (flat key-value text with sections) -------------------
 
+    @classmethod
+    def parse(cls, name: str, text: str):
+        """The value of field ``name`` written as ``text``; a malformed
+        text is a ``UsageError`` naming the field."""
+        try:
+            return cls.__dataclass_fields__[name].metadata["parse"](text)
+        except ValueError as exc:
+            raise UsageError(f"{name}: {exc}") from exc
+
     def to_text(self) -> str:
         cp = configparser.ConfigParser()
-        for section, keys in _SECTIONS.items():
-            cp[section] = {}
-            for key in keys:
-                val = getattr(self, key)
-                if key == "m_list":
-                    val = ",".join(str(int(m)) for m in val)
-                cp[section][key] = str(val)
+        for f in dfields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, tuple):
+                val = ",".join(str(int(m)) for m in val)
+            section = f.metadata["section"]
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp[section][f.name] = str(val)
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -134,28 +142,23 @@ class ExperimentConfig:
             cp.read_string(text, source)
         except configparser.Error as exc:
             raise UsageError(f"{source}: {exc}") from exc
+        sections: dict[str, list[str]] = {}
+        for f in dfields(cls):
+            sections.setdefault(f.metadata["section"], []).append(f.name)
         kwargs = {}
-        types = {f.name: f.type for f in dfields(cls)}
         for section in cp.sections():
-            if section not in _SECTIONS:
+            if section not in sections:
                 raise UsageError(f"{source}: unknown section [{section}] "
-                                 f"(choose from {list(_SECTIONS)})")
-            names = {key.lower(): key for key in _SECTIONS[section]}
+                                 f"(choose from {list(sections)})")
             for name, raw in cp[section].items():
-                if name not in names:
+                if name not in sections[section]:
                     raise UsageError(
                         f"{source}: [{section}] unknown key {name!r} "
-                        f"(choose from {list(_SECTIONS[section])})")
-                key = names[name]
+                        f"(choose from {sections[section]})")
                 try:
-                    if key == "m_list":
-                        kwargs[key] = tuple(int(t) for t in raw.split(",") if t)
-                    else:
-                        kwargs[key] = {"int": int, "float": float}.get(
-                            types[key], str)(raw)
-                except ValueError as exc:
-                    raise UsageError(f"{source}: [{section}] {key}: {exc}") \
-                        from exc
+                    kwargs[name] = cls.parse(name, raw)
+                except UsageError as exc:
+                    raise UsageError(f"{source}: [{section}] {exc}") from exc
         return cls(**kwargs)
 
     @classmethod

@@ -105,13 +105,15 @@ def whitney_layers(dec: WhitneyDecomposition) -> list[SvgLayer]:
     layer."""
     by_level: dict[int, SvgLayer] = {}
     flagged = SvgLayer("flagged")
-    for x0, y0, side, level, is_flagged in dec.rects():
-        if is_flagged:
-            flagged.rect(x0, y0, side, side, fill="#f4a582", opacity=0.8)
+    h = dec.domain.h
+    for q in dec.cubes:
+        x0, y0 = q.corner[0] * h, q.corner[1] * h
+        if q.flagged:
+            flagged.rect(x0, y0, q.l, q.l, fill="#f4a582", opacity=0.8)
             continue
-        layer = by_level.setdefault(level, SvgLayer(f"level_{level}"))
-        layer.rect(x0, y0, side, side,
-                   stroke=LEVEL_COLORS[level % len(LEVEL_COLORS)])
+        layer = by_level.setdefault(q.level, SvgLayer(f"level_{q.level}"))
+        layer.rect(x0, y0, q.l, q.l,
+                   stroke=LEVEL_COLORS[q.level % len(LEVEL_COLORS)])
     return [by_level[k] for k in sorted(by_level)] + [flagged]
 
 

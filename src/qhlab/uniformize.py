@@ -38,7 +38,7 @@ class DeformedMetric:
 
         ia, ib, _ = self.domain.edges()
         self.edge_weights = qh.edge_weights * 0.5 * (self.rho[ia] + self.rho[ib])
-        self.engine = self.domain.graph(self.edge_weights, maxsize=64)
+        self.engine = self.domain.graph(self.edge_weights)
 
         # deformed boundary distance: one Dijkstra from a virtual boundary
         # node attached to every boundary-adjacent cell with the tail weight
@@ -74,20 +74,11 @@ class DeformedMetric:
             ia, ib, _ = self.domain.edges()
             # harmonic mean of the density 1/d_rho at the edge endpoints
             w = self.edge_weights * 2.0 / (self.d_rho[ia] + self.d_rho[ib])
-            self._k_rho_engine = self.domain.graph(w, maxsize=64)
+            self._k_rho_engine = self.domain.graph(w)
         return self._k_rho_engine
 
     def k_rho(self, x, y) -> float:
         return self.k_rho_engine().distance(self.node(x), self.node(y))
-
-    def stats(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "rho_min": float(self.rho.min()),
-            "rho_max": float(self.rho.max()),
-            "d_rho_min": float(self.d_rho.min()),
-            "d_rho_max": float(self.d_rho.max()),
-        }
 
 
 def build_deformation(qh: QhMetric, epsilon: float = 0.2) -> DeformedMetric:

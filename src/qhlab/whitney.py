@@ -6,7 +6,7 @@ with dist measured cell-accurately as the boundary-distance field sampled at
 the block's center cell; descending from the (always rejected) root then gives
 dist(Q) <= 4 diam(Q) for every accepted cube.  Boundary cells too close to
 the boundary for even a one-cell cube are attached as flagged one-cell cubes
-so the cover stays exact; flagged cubes are excluded from size-layer queries.
+so the cover stays exact.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DomainError, GridDomain
+from .grid import GridDomain
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -60,10 +60,6 @@ class WhitneyDecomposition:
         self.cell_cube = np.full(domain.shape, -1, dtype=np.int64)
         for q in cubes:
             self.cell_cube[q.cell_slices()] = q.index
-        self.by_size: dict[int, list[int]] = {}
-        for q in cubes:
-            if not q.flagged:
-                self.by_size.setdefault(q.size, []).append(q.index)
         self._adjacency: list[set[int]] | None = None
 
     def __len__(self) -> int:
@@ -88,24 +84,10 @@ class WhitneyDecomposition:
             self._adjacency = adj
         return self._adjacency
 
-    def locate(self, cell) -> WhitneyCube:
-        idx = self.cell_cube[int(cell[0]), int(cell[1])]
-        if idx < 0:
-            raise DomainError(f"cell {tuple(cell)} is exterior")
-        return self.cubes[int(idx)]
-
     def cube_cells(self, index: int) -> np.ndarray:
         """(n, 2) array of cell coordinates of a cube."""
         q = self.cubes[index]
         return np.argwhere(np.ones((q.size, q.size), dtype=bool)) + q.corner
-
-    def rects(self):
-        """(x0, y0, side, level, flagged) tuples in physical units, for SVG."""
-        h = self.domain.h
-        return [
-            (q.corner[0] * h, q.corner[1] * h, q.l, q.level, q.flagged)
-            for q in self.cubes
-        ]
 
 
 def center_distance(domain: GridDomain, i0: int, j0: int, size: int) -> float:

@@ -64,7 +64,10 @@ def test_sampled_function_guards():
     with pytest.raises(DomainError):
         SampledFunction(g, f, 1, 0.5)  # p < 1
     u = SampledFunction(g, f, 2, 2.0)
-    assert u.self_check() < 1e-6
+    # central differences of the sampled field agree with its jets
+    idx = np.random.default_rng(0).choice(len(g.x), size=200, replace=False)
+    assert fixtures.verify_jets(u.field, g.x[idx], g.y[idx], g.spacing / 64,
+                                order=u.k) < 1e-6
 
 
 def test_seminorm_linear_field():
@@ -205,6 +208,19 @@ def test_error_decay_constant_is_zero_when_every_level_is_exact(field):
     done = [r for r in rep.samples if "error" in r]
     assert len(done) > 1 and all(r["error"] == 0.0 for r in done)
     assert rep.constant == 0.0
+
+
+def test_error_decay_skips_a_level_with_an_empty_band():
+    # on the disk at h=1/128 the m=9 band is empty: only xi hats act, so
+    # u_m = u and its zero error measures nothing
+    dom = gallery.disk(1 / 128)
+    f = fixtures.singular_fixture(dom, 2, 2.0, order=2)
+    rep = error_decay(f, dom, 2, 2.0, [6, 8, 9])
+    rows = {r["m"]: r for r in rep.samples}
+    assert "error" in rows[6] and "error" in rows[8]
+    assert "empty band" in rows[9]["skipped"]
+    assert rep.extra["levels"] == [6, 8]
+    assert rep.constant == rows[8]["error"] / rows[6]["error"] > 0
 
 
 # -- assembly against a per-hat reference -------------------------------------

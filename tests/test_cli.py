@@ -1,16 +1,18 @@
 """Tests for the experiment config, runner, emitters, and CLI."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import xml.dom.minidom
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from qhlab.cli import main
+from qhlab.cli import build_parser, main
 from qhlab.decomposition import CoreTentacleDecomposition
 from qhlab.report import ExperimentConfig, UsageError, run
 from qhlab.svg import SvgLayer, emit_svg
@@ -119,6 +121,7 @@ def test_config_file_plus_flag_override(tmp_path):
     ("[sampling]\nn_pair = 3\n", "n_pair"),
     ("[approximation]\nm_lst = 9\n", "m_lst"),
     ("[domain]\nfixture = disk\n[tuning]\nsteps = 2\n", "tuning"),
+    ("[constants]\nc = 1.0\n", "c"),
 ])
 def test_config_file_errors_are_usage_errors(tmp_path, capsys, body, name):
     path = tmp_path / "exp.cfg"
@@ -137,6 +140,34 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
                  "--outdir", str(tmp_path / "o")])
     assert code == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_flag_of_the_wrong_type_is_usage_error(tmp_path, capsys):
+    code = main(["gallery", "--n-pairs", "ten", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_pairs" in err and "Traceback" not in err
+
+
+def test_removed_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["properties", "--R", "3", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_each_subcommand_has_one_flag_per_config_field():
+    want = {"--config"} | {f"--{f.name.replace('_', '-')}"
+                           for f in fields(ExperimentConfig)}
+    assert want == {"--config", "--fixture", "--h", "--c0", "--epsilon",
+                    "--m-list", "--k", "--p", "--n-pairs", "--n-triangles",
+                    "--seed", "--outdir"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"gallery", "metrics", "properties",
+                                "decompose", "approx", "report"}
+    for name, cmd in sub.choices.items():
+        flags = {s for a in cmd._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == want, name
 
 
 def test_run_rejects_unknown_stage():

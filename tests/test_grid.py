@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from qhlab import gallery
+from qhlab import gallery, grid
 from qhlab.grid import (
     DomainError,
     GridDomain,
@@ -324,6 +324,23 @@ def test_walk_equals_engine_path_and_realizes_distance():
     # a dict of predecessors (breadth-first search) walks the same way
     assert _walk({4: -1, 7: 4, 9: 7}, 4, 9) == [4, 7, 9]
     assert _walk({4: -1}, 4, 4) == [4]
+
+
+def test_engine_keeps_the_newest_fields_within_its_byte_budget(monkeypatch):
+    dom = gallery.disk(1 / 64)
+    eng = dom.graph(dom.edges()[2])
+    first = eng.from_source(0)
+    field_bytes = sum(a.nbytes for a in first)
+    monkeypatch.setattr(grid, "_CACHE_BYTES", 2 * field_bytes)
+    kept = eng.from_source(1)
+    eng.from_source(2)
+    assert list(eng._cache) == [1, 2]
+    again = eng.from_source(1)
+    assert again[0] is kept[0] and again[1] is kept[1]
+    # a field larger than the whole budget is still kept, alone
+    monkeypatch.setattr(grid, "_CACHE_BYTES", field_bytes - 1)
+    eng.from_source(3)
+    assert list(eng._cache) == [3]
 
 
 # -- serialization -----------------------------------------------------------

@@ -137,7 +137,6 @@ def test_partition_families(disk_pou):
 
 def test_hat_sum_at_least_one(disk_pou):
     dom, ct, pou, x, y = disk_pou
-    pou.check_coverage(x, y)  # raises on a hole
     s = pou.sum_jet(x, y, alphas=[(0, 0)])[(0, 0)]
     assert s.min() >= 1.0 - 1e-9
 

