@@ -74,6 +74,17 @@ def _cells_mask(shape, *cell_arrays: np.ndarray) -> np.ndarray:
     return out
 
 
+def cell_rectangles(cells: np.ndarray) -> list[Rect]:
+    """``mask_rectangles`` of a cell set, covered on its bounding window and
+    given in the cells of the whole bitmap."""
+    if not len(cells):
+        return []
+    lo = cells.min(axis=0)
+    window = _cells_mask(tuple(cells.max(axis=0) - lo + 1), cells - lo)
+    return [r._replace(i0=r.i0 + int(lo[0]), j0=r.j0 + int(lo[1]))
+            for r in mask_rectangles(window)]
+
+
 # offsets of the 8 neighbors of a cell
 _RING8 = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path as FsPath
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -305,45 +304,6 @@ class GridDomain:
     def polyline(self, nodes) -> Polyline:
         return Polyline(self.node_cells[np.asarray(nodes, dtype=int)], self.h)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_pbm(self, path) -> None:
-        path = FsPath(path)
-        nx, ny = self.shape
-        with open(path, "w") as fh:
-            fh.write(f"P1\n{nx} {ny}\n")
-            for j in range(ny):
-                fh.write(" ".join("1" if self.interior[i, j] else "0" for i in range(nx)))
-                fh.write("\n")
-        with open(path.with_suffix(path.suffix + ".meta"), "w") as fh:
-            fh.write(f"h = {self.h!r}\nx0 = {self.x0[0]} {self.x0[1]}\n")
-            fh.write(f"name = {self.name}\n")
-
-    @classmethod
-    def from_pbm(cls, path) -> "GridDomain":
-        path = FsPath(path)
-        tokens: list[str] = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0]
-                tokens.extend(line.split())
-        if not tokens or tokens[0] != "P1":
-            raise DomainError(f"{path}: not a plain PBM (P1) file")
-        nx, ny = int(tokens[1]), int(tokens[2])
-        bits = np.array(tokens[3 : 3 + nx * ny], dtype=int)
-        if len(bits) != nx * ny:
-            raise DomainError(f"{path}: bitmap size mismatch")
-        interior = bits.reshape(ny, nx).T.astype(bool)
-        meta: dict[str, str] = {}
-        with open(path.with_suffix(path.suffix + ".meta")) as fh:
-            for line in fh:
-                if "=" in line:
-                    key, val = line.split("=", 1)
-                    meta[key.strip()] = val.strip()
-        h = float(meta["h"])
-        x0 = tuple(int(t) for t in meta["x0"].split())
-        return cls(interior, h, x0, name=meta.get("name", path.stem))
-
 
 # -- module-level metric operations ----------------------------------------
 
@@ -384,8 +344,13 @@ def intrinsic_distance(
 
 
 def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
-    """Shortest-length path between x and y restricted to a cell mask (None
-    when the mask separates them)."""
+    """Shortest-length path between x and y whose cells all lie in ``mask``
+    (None when no such path exists).
+
+    The mask restricts the path's cells only: a diagonal or knight move
+    needs its clearance cells to be interior, not in the mask, so the path
+    can step over a one-cell-wide gap in the mask.  Its diameter therefore
+    remains a certified upper bound for delta."""
     ia, ib, w = domain.edges()
     node_ok = mask[tuple(domain.node_cells.T)]
     keep = node_ok[ia] & node_ok[ib]
@@ -428,8 +393,7 @@ def intrinsic_diameter_distance(
             break
         mid = 0.5 * (lo + hi)
         mask = domain.interior & (dxf <= mid) & (dyf <= mid)
-        labels, _ = ndimage.label(mask, structure=_STRUCT8)
-        if labels[tuple(x)] and labels[tuple(x)] == labels[tuple(y)]:
+        if _component_at(mask, x)[tuple(y)]:
             hi = mid
             feasible_mask = mask
         else:

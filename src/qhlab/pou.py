@@ -48,7 +48,7 @@ from math import comb
 
 import numpy as np
 
-from .decomposition import (CoreTentacleDecomposition, _cells_mask,
+from .decomposition import (CoreTentacleDecomposition, cell_rectangles,
                             mask_rectangles)
 from .fixtures import multi_indices
 from .grid import DomainError
@@ -519,22 +519,10 @@ class Hat:
         return np.concatenate(xs), np.concatenate(ys)
 
 
-def _rects_physical(mask: np.ndarray, h: float, origin=(0, 0)
-                    ) -> list[tuple[float, float, float, float]]:
-    """Physical rectangles of a cell mask whose cell (0, 0) is ``origin``."""
-    oi, oj = origin
-    return [((oi + r.i0) * h, (oi + r.i0 + r.ni) * h,
-             (oj + r.j0) * h, (oj + r.j0 + r.nj) * h)
-            for r in mask_rectangles(mask)]
-
-
-def _cells_rects(cells: np.ndarray, h: float):
-    """Physical rectangles of a cell set, covered on its bounding window."""
-    if not len(cells):
-        return []
-    lo = cells.min(axis=0)
-    window = _cells_mask(tuple(cells.max(axis=0) - lo + 1), cells - lo)
-    return _rects_physical(window, h, (int(lo[0]), int(lo[1])))
+def _rects_physical(rects, h: float) -> list[tuple[float, float, float, float]]:
+    """(x0, x1, y0, y1) of cell rectangles."""
+    return [(r.i0 * h, (r.i0 + r.ni) * h, r.j0 * h, (r.j0 + r.nj) * h)
+            for r in rects]
 
 
 def _uniform_bump(rects, delta: float) -> SetBump:
@@ -579,7 +567,7 @@ class PartitionOfUnity:
             cube = dec.cubes[q]
             ramp = 0.05 * ct.c0 * cube.l
             allowed = cube.box(h, 1.1 * ct.c0)
-            rects = _cells_rects(ct.halo[q], h)
+            rects = _rects_physical(cell_rectangles(ct.halo[q]), h)
             return Hat(kind, key, _clipped_bump(rects, ramp, allowed, h),
                        [allowed])
 
@@ -600,14 +588,15 @@ class PartitionOfUnity:
                 boxes.extend(hat_q.bump.boxes)
                 allowed += hat_q.allowed_rects
             for vpos in g.members:
-                rects = _rects_physical(
-                    ct.component_mask(ct.V_ids[vpos]), h)
+                rects = _rects_physical(mask_rectangles(
+                    ct.component_mask(ct.V_ids[vpos])), h)
                 boxes.extend(_uniform_bump(rects, delta_box).boxes)
                 allowed += grown(rects)
             self.hats.append(Hat("phi", gi, SetBump(boxes), allowed))
 
         for ui, lab in enumerate(ct.U_ids):
-            rects = _rects_physical(ct.component_mask(lab), h)
+            rects = _rects_physical(
+                mask_rectangles(ct.component_mask(lab)), h)
             self.hats.append(Hat("xi", ui, _uniform_bump(rects, delta_box),
                                  grown(rects)))
 

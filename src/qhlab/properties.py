@@ -12,9 +12,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .grid import (GridDomain, components, intrinsic_diameter_distance,
+from .grid import (GridDomain, _component_at, intrinsic_diameter_distance,
                    intrinsic_distance)
-from .qh import Geodesic, QhMetric, capital_lambda_delta, sample_nodes
+from .qh import Geodesic, QhMetric, sample_nodes
 
 LOG2 = float(np.log(2.0))
 
@@ -74,21 +74,18 @@ def _separation_state(domain: GridDomain, lam_field: np.ndarray, z_d: float,
                       c: float, nx: int, ny: int) -> str:
     """'skip' (an endpoint inside the ball), 'separated' or 'connected'."""
     radius = c * z_d
-    in_ball = lam_field <= radius
     # endpoints within grid slack of the ball boundary count as inside: the
     # pair x, y must lie in the geodesic minus the ball, and metrication can
     # push a continuum boundary case marginally outside
     slack = 2.0 * domain.h
     if lam_field[nx] <= radius + slack or lam_field[ny] <= radius + slack:
         return "skip"
-    ball = np.zeros(domain.shape, dtype=bool)
-    ball[tuple(domain.node_cells[in_ball].T)] = True
-    labels = components(domain, ball)
-    lx = labels[tuple(domain.node_cells[nx])]
-    ly = labels[tuple(domain.node_cells[ny])]
-    if lx < 0 or ly < 0:
-        return "skip"
-    return "separated" if lx != ly else "connected"
+    cells = domain.node_cells
+    outside = np.zeros(domain.shape, dtype=bool)
+    outside[tuple(cells[lam_field > radius].T)] = True
+    if _component_at(outside, cells[nx])[tuple(cells[ny])]:
+        return "connected"
+    return "separated"
 
 
 def check_ball_separation(
@@ -158,6 +155,9 @@ def check_ball_separation(
 # -- Gehring-Hayman ----------------------------------------------------------
 
 
+MODES = ("length", "diameter")
+
+
 def _intrinsic(domain: GridDomain, x, y, mode: str) -> float:
     """lambda (length mode) or delta (diameter mode) between two cells."""
     if mode == "length":
@@ -165,13 +165,23 @@ def _intrinsic(domain: GridDomain, x, y, mode: str) -> float:
     return intrinsic_diameter_distance(domain, x, y)
 
 
+def _extent(curve, mode: str) -> float:
+    """A curve's euclidean length (length mode) or diameter."""
+    return curve.length if mode == "length" else curve.diameter
+
+
+def _capital(domain: GridDomain, x, y, dist: float) -> float:
+    """Lambda or Delta, log(1 + dist/(d(x) ^ d(y))), from lambda or delta."""
+    dmin = min(domain.boundary_distance(x), domain.boundary_distance(y))
+    return float(np.log1p(dist / dmin))
+
+
 def _record_shortness(report: PropertyReport, qh: QhMetric, x, y, mode: str,
                       denom: float) -> None:
-    """Sample the pair's geodesic length or diameter over ``denom``."""
+    """Sample the geodesic length or diameter of a pair of distinct cells
+    over ``denom``."""
     _, geo = qh.distance(x, y, with_geodesic=True)
-    if denom <= 0:
-        return
-    ratio = (geo.length if mode == "length" else geo.diameter) / denom
+    ratio = _extent(geo, mode) / denom
     report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
                            "ratio": ratio})
     report.constant = max(report.constant, ratio)
@@ -181,7 +191,7 @@ def check_gehring_hayman(
     qh: QhMetric, pairs, mode: str = "length", seed: int = 0
 ) -> PropertyReport:
     """Max over pairs of l(geodesic)/lambda or diam(geodesic)/delta."""
-    if mode not in ("length", "diameter"):
+    if mode not in MODES:
         raise ValueError("mode must be 'length' or 'diameter'")
     domain = qh.domain
     report = PropertyReport(f"gehring_hayman_{mode}", 1.0, seed=seed,
@@ -212,18 +222,15 @@ def check_local_gehring_hayman(
     for x, y in pairs:
         if tuple(x) == tuple(y):
             continue
-        dx, dy = domain.boundary_distance(x), domain.boundary_distance(y)
-        lam_cap, dia_cap = capital_lambda_delta(domain, x, y)
         denom = _intrinsic(domain, x, y, mode)
         if alternate:
-            ratio_d = max(dx / dy, dy / dx)
-            ok = ratio_d <= R and denom <= R * min(dx, dy)
+            dx, dy = domain.boundary_distance(x), domain.boundary_distance(y)
+            ok = max(dx / dy, dy / dx) <= R and denom <= R * min(dx, dy)
         else:
-            ok = (lam_cap if mode == "length" else dia_cap) <= R
-        if not ok:
-            continue
-        qualifying += 1
-        _record_shortness(report, qh, x, y, mode, denom)
+            ok = _capital(domain, x, y, denom) <= R
+        if ok:
+            qualifying += 1
+            _record_shortness(report, qh, x, y, mode, denom)
     report.extra["qualifying_pairs"] = qualifying
     report.passed = report.constant <= c
     return report
@@ -232,30 +239,43 @@ def check_local_gehring_hayman(
 # -- uniformity --------------------------------------------------------------
 
 
+def record_uniformity(report: PropertyReport, pairs, curve
+                      ) -> tuple[float, float]:
+    """Sample the uniform-curve constants of one curve per distinct pair:
+    A1 = length over chord, and A2 = max over the curve's points z of the
+    smaller of the two sub-lengths over the boundary distance at z.
+    ``curve(x, y)`` gives the chord, the cumulative length along the curve
+    and the boundary distance at its points.  Sets ``report.constant`` to
+    max(A1, A2) and returns (A1, A2)."""
+    a1 = a2 = 0.0
+    for x, y in pairs:
+        if tuple(x) == tuple(y):
+            continue
+        chord, cum, dvals = curve(x, y)
+        sub = np.minimum(cum, cum[-1] - cum)
+        with np.errstate(divide="ignore"):
+            r1, r2 = float(cum[-1]) / chord, float((sub / dvals).max())
+        report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
+                               "A1": r1, "A2": r2})
+        a1, a2 = max(a1, r1), max(a2, r2)
+    report.constant = max(a1, a2)
+    return a1, a2
+
+
 def check_uniformity(qh: QhMetric, pairs, seed: int = 0) -> PropertyReport:
     """Measured uniformity constants of the geodesic family (Def of uniform
     curves: length bounded by A|x-y|, and double-cone: min of the two
     sub-lengths at each curve point bounded by A d(z))."""
     domain = qh.domain
     dvals = domain.node_dist()
-    a1 = a2 = 0.0
     report = PropertyReport("uniformity", 0.0, seed=seed, resolution=domain.h)
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
+
+    def geodesic(x, y):
         _, geo = qh.distance(x, y, with_geodesic=True)
-        eu = float(np.hypot(*(domain.position(x) - domain.position(y))))
-        if eu <= 0:
-            continue
-        cum = _cumlen(geo.polyline.points)
-        r1 = cum[-1] / eu
-        sub = np.minimum(cum, cum[-1] - cum)
-        with np.errstate(divide="ignore"):
-            r2 = float((sub / dvals[geo.nodes]).max())
-        report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
-                               "A1": r1, "A2": r2})
-        a1, a2 = max(a1, r1), max(a2, r2)
-    report.constant = max(a1, a2)
+        chord = float(np.hypot(*(domain.position(x) - domain.position(y))))
+        return chord, _cumlen(geo.polyline.points), dvals[geo.nodes]
+
+    a1, a2 = record_uniformity(report, pairs, geodesic)
     report.extra = {"A1": a1, "A2": a2, "doubly_john_A": a2}
     return report
 
@@ -293,19 +313,12 @@ def check_radially_hyperbolic(
         if n < 4:
             continue
         i, j = sorted(rng.choice(n, size=2, replace=False))
-        if i == j:
-            continue
         u = tuple(domain.node_cells[int(geo.nodes[i])])
         v = tuple(domain.node_cells[int(geo.nodes[j])])
-
-        _, dia_cap = capital_lambda_delta(domain, u, v)
-        if dia_cap > R:
+        delta = intrinsic_diameter_distance(domain, u, v)
+        if _capital(domain, u, v, delta) > R:
             continue
-        sub = qh.geodesic_from_nodes(geo.nodes[i : j + 1])
-        denom = intrinsic_diameter_distance(domain, u, v)
-        if denom <= 0:
-            continue
-        ratio = sub.diameter / denom
+        ratio = domain.polyline(geo.nodes[i : j + 1]).diameter / delta
         worst = max(worst, ratio)
         ok = ratio <= c
         ok_all = ok_all and ok
@@ -327,19 +340,14 @@ def check_radially_hyperbolic(
         y = tuple(domain.node_cells[int(union_nodes[-1])])
         if x == y:
             continue
-
-        lam_cap, dia_cap = capital_lambda_delta(domain, x, y)
-        curve = qh.geodesic_from_nodes(union_nodes)
-        held = []
-        if lam_cap <= R:
-            lam = intrinsic_distance(domain, x, y)
-            if lam > 0 and curve.length / lam <= c:
-                held.append("length")
-        if dia_cap <= R:
-            dd = intrinsic_diameter_distance(domain, x, y)
-            if dd > 0 and curve.diameter / dd <= c:
-                held.append("diameter")
-        applicable = (lam_cap <= R) or (dia_cap <= R)
+        curve = domain.polyline(union_nodes)
+        held, applicable = [], False
+        for mode in MODES:
+            dist = _intrinsic(domain, x, y, mode)
+            if _capital(domain, x, y, dist) <= R:
+                applicable = True
+                if _extent(curve, mode) / dist <= c:
+                    held.append(mode)
         ok = (not applicable) or bool(held)
         ok_all = ok_all and ok
         report.samples.append({"kind": "union", "held": held,

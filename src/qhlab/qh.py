@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Cell,
-    GridDomain,
-    Polyline,
-    UnreachableError,
-    _walk,
-    intrinsic_diameter_distance,
-    intrinsic_distance,
-)
+from .grid import Cell, GridDomain, Polyline, UnreachableError, _walk
 
 
 @dataclass
@@ -113,18 +105,6 @@ class QhMetric:
             dist, pred = self.engine.from_source(root)
             self._tree = GeodesicTree(root, dist, pred)
         return self._tree
-
-
-def capital_lambda_delta(
-    domain: GridDomain, x: Cell, y: Cell
-) -> tuple[float, float]:
-    """(Lambda, Delta) = log(1 + lambda/(d^d)), log(1 + delta/(d^d))."""
-    if tuple(x) == tuple(y):
-        return 0.0, 0.0
-    dmin = min(domain.boundary_distance(x), domain.boundary_distance(y))
-    lam = intrinsic_distance(domain, x, y)
-    dia = intrinsic_diameter_distance(domain, x, y)
-    return float(np.log1p(lam / dmin)), float(np.log1p(dia / dmin))
 
 
 def sample_nodes(domain: GridDomain, n: int, seed: int) -> np.ndarray:

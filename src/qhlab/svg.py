@@ -13,7 +13,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .decomposition import (CoreTentacleDecomposition, _cells_mask,
+from .decomposition import (CoreTentacleDecomposition, cell_rectangles,
                             mask_rectangles)
 from .grid import GridDomain
 from .whitney import WhitneyDecomposition
@@ -78,9 +78,13 @@ def emit_svg(layers: list[SvgLayer], path, extent: tuple[float, float],
         fh.write("\n".join(lines) + "\n")
 
 
-def _draw_mask(layer: SvgLayer, mask: np.ndarray, h: float, **style) -> None:
-    for r in mask_rectangles(mask):
+def _draw_rects(layer: SvgLayer, rects, h: float, **style) -> None:
+    for r in rects:
         layer.rect(r.i0 * h, r.j0 * h, r.ni * h, r.nj * h, **style)
+
+
+def _draw_mask(layer: SvgLayer, mask: np.ndarray, h: float, **style) -> None:
+    _draw_rects(layer, mask_rectangles(mask), h, **style)
 
 
 def _mask_layer(name: str, mask: np.ndarray, h: float, **style) -> SvgLayer:
@@ -119,7 +123,7 @@ def whitney_layers(dec: WhitneyDecomposition) -> list[SvgLayer]:
 
 def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
     """Core, band cubes, haloes, thick/thin components, tentacle outlines."""
-    dom, dec, h = ct.domain, ct.dec, ct.domain.h
+    dec, h = ct.dec, ct.domain.h
     core = _mask_layer("core", ct.core_mask, h, fill="#c6dbef")
 
     band = SvgLayer("band")
@@ -130,8 +134,8 @@ def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
 
     haloes = SvgLayer("haloes")
     for i in ct.P:
-        _draw_mask(haloes, _cells_mask(dom.shape, ct.halo[i]), h,
-                   fill="#9ecae1", opacity=0.35)
+        _draw_rects(haloes, cell_rectangles(ct.halo[i]), h,
+                    fill="#9ecae1", opacity=0.35)
 
     thick = SvgLayer("components_thick")
     thin = SvgLayer("components_thin")

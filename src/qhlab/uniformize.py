@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import DomainError, _DijkstraCache
-from .properties import PropertyReport
+from .properties import PropertyReport, record_uniformity
 from .qh import QhMetric
 
 
@@ -99,23 +99,15 @@ def check_deformed_uniformity(
     """
     report = PropertyReport("deformed_uniformity", 0.0, seed=seed,
                             resolution=metric.domain.h)
-    a1 = a2 = 0.0
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
+
+    def geodesic(x, y):
         value, nodes = metric.distance(x, y, with_path=True)
-        if value <= 0:
-            continue
         # cumulative deformed length along the path: the path runs down the
         # shortest-path tree of x, whose distance field is cached
-        sub = metric.engine.from_source(nodes[0])[0][nodes]
-        r1 = float(sub[-1]) / value
-        cone = np.minimum(sub, sub[-1] - sub)
-        r2 = float((cone / metric.d_rho[nodes]).max())
-        report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
-                               "A1": r1, "A2": r2})
-        a1, a2 = max(a1, r1), max(a2, r2)
-    report.constant = max(a1, a2)
+        cum = metric.engine.from_source(nodes[0])[0][nodes]
+        return value, cum, metric.d_rho[nodes]
+
+    a1, a2 = record_uniformity(report, pairs, geodesic)
     report.extra = {
         "A1": a1,
         "A2": a2,

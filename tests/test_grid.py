@@ -19,6 +19,7 @@ from qhlab.grid import (
     intrinsic_diameter_distance,
     intrinsic_distance,
 )
+from qhlab.qh import QhMetric
 
 RNG = np.random.default_rng(7)
 
@@ -159,6 +160,21 @@ def test_masked_geodesic_none_when_the_mask_separates():
     assert _masked_geodesic(dom, dom.interior, a, b) is not None
 
 
+def test_masked_geodesic_steps_over_a_one_cell_wall():
+    """The mask restricts the path's cells, not a knight move's clearance
+    cells: a one-column wall is stepped over, on cells of the mask only."""
+    dom = gallery.disk(1 / 64)
+    a, b = dom.cell_at((0.2, 0.5)), dom.cell_at((0.8, 0.5))
+    i = dom.cell_at((0.5, 0.5))[0]
+    mask = dom.interior.copy()
+    mask[i, :] = False
+    path = _masked_geodesic(dom, mask, a, b)
+    assert path is not None
+    assert mask[tuple(path.cells.T)].all()
+    cols = path.cells[:, 0]
+    assert ((cols[:-1] < i) & (cols[1:] > i)).any()
+
+
 def test_masked_geodesic_full_mask_is_the_length_geodesic():
     dom = gallery.slit_disk(1 / 64)
     for seed in range(6):
@@ -179,6 +195,57 @@ def test_diameter_distance_identity_and_bounds():
     lam = intrinsic_distance(dom, a, b)
     eu = float(np.hypot(*(dom.position(a) - dom.position(b))))
     assert eu - 1e-9 <= delta <= lam + 1e-9
+
+
+def test_capital_lambda_and_delta_from_lambda_and_delta():
+    """Lambda = log(1 + lambda/(d^d)) and Delta likewise from delta."""
+    dom = gallery.slit_disk(1 / 128)
+    x = dom.cell_at((0.3, 0.3))
+    assert intrinsic_distance(dom, x, x) == 0.0
+    assert intrinsic_diameter_distance(dom, x, x) == 0.0
+
+    sq = gallery.square(1 / 128)
+    a, b = sq.cell_at((0.3, 0.4)), sq.cell_at((0.6, 0.62))
+    dmin = min(sq.boundary_distance(a), sq.boundary_distance(b))
+    lam = np.log1p(intrinsic_distance(sq, a, b) / dmin)
+    dia = np.log1p(intrinsic_diameter_distance(sq, a, b) / dmin)
+    eu = float(np.hypot(*(sq.position(a) - sq.position(b))))
+    expect = np.log1p(eu / dmin)
+    assert lam == pytest.approx(expect, rel=0.05)
+    assert dia == pytest.approx(expect, rel=0.05)
+    assert dia <= lam + 1e-12
+
+    x, y = dom.cell_at((0.8, 0.53)), dom.cell_at((0.8, 0.47))
+    # strict: going around the slit is long but not wide
+    assert intrinsic_diameter_distance(dom, x, y) < intrinsic_distance(dom, x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rects=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24),
+                                st.integers(2, 14), st.integers(2, 14)),
+                      min_size=1, max_size=5),
+       data=st.data())
+def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, data):
+    """On a connected union of random rectangles: |x-y| <= delta <= lambda,
+    and criterion 2's bound k >= log(1 + lambda/(d^d)) with 2% slack."""
+    bitmap = np.zeros((32, 32), dtype=bool)
+    for i0, j0, ni, nj in rects:
+        bitmap[i0 : i0 + ni, j0 : j0 + nj] = True
+    cells = np.argwhere(bitmap)
+    x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
+    dom = GridDomain(bitmap, 1 / 32, x0, trim=True)
+    qh = QhMetric(dom)
+    nodes = data.draw(st.lists(st.integers(0, dom.n_nodes - 1),
+                               min_size=2, max_size=8))
+    for a, b in zip(nodes[::2], nodes[1::2]):
+        x, y = tuple(dom.node_cells[a]), tuple(dom.node_cells[b])
+        eu = float(np.hypot(*(dom.position(x) - dom.position(y))))
+        lam = intrinsic_distance(dom, x, y)
+        delta = intrinsic_diameter_distance(dom, x, y)
+        assert eu - 1e-9 <= delta <= lam + 1e-9
+        k = qh.distance(x, y)
+        dmin = min(dom.boundary_distance(x), dom.boundary_distance(y))
+        assert k >= np.log1p(lam / dmin) - 0.02 * k - 1e-12
 
 
 def test_diameter_distance_convex_is_euclidean():
@@ -341,19 +408,6 @@ def test_engine_keeps_the_newest_fields_within_its_byte_budget(monkeypatch):
     monkeypatch.setattr(grid, "_CACHE_BYTES", field_bytes - 1)
     eng.from_source(3)
     assert list(eng._cache) == [3]
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def test_pbm_roundtrip(tmp_path):
-    dom = gallery.slit_disk(1 / 64)
-    p = tmp_path / "dom.pbm"
-    dom.to_pbm(p)
-    back = GridDomain.from_pbm(p)
-    assert back.h == dom.h
-    assert back.x0 == dom.x0
-    assert np.array_equal(back.interior, dom.interior)
 
 
 def test_refinement_lambda_drift_small():

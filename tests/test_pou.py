@@ -10,7 +10,8 @@ from qhlab import gallery, pou as pou_module
 from qhlab.grid import DomainError
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
-from qhlab.decomposition import _cells_mask, build_core_tentacle
+from qhlab.decomposition import (_cells_mask, build_core_tentacle,
+                                 cell_rectangles, mask_rectangles)
 from qhlab.fixtures import multi_indices
 from qhlab.pou import (
     ALPHAS,
@@ -18,10 +19,8 @@ from qhlab.pou import (
     Profile,
     SetBump,
     _HatBoxes,
-    _cells_rects,
     _hat_jets,
     _ramp,
-    _rects_physical,
     build_partition,
     jet_product,
     jet_quotient,
@@ -327,9 +326,7 @@ def test_windowed_cells_rects_equal_full_mask(seed, shape):
     offset = rng.integers(0, np.array(shape) - 40)  # a 40x40 window
     cells = np.unique(rng.integers(0, 40, (rng.integers(1, 40), 2)) + offset,
                       axis=0)
-    h = 1 / 64
-    assert _cells_rects(cells, h) == _rects_physical(
-        _cells_mask(shape, cells), h)
+    assert cell_rectangles(cells) == mask_rectangles(_cells_mask(shape, cells))
 
 
 # -- measured sups ------------------------------------------------------------

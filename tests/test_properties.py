@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qhlab import gallery
+import qhlab.qh
+from qhlab import gallery, properties
 from qhlab.properties import (
     check_ball_separation,
     check_gehring_hayman,
@@ -15,7 +16,7 @@ from qhlab.properties import (
     pair_geodesics,
     sample_pairs,
 )
-from qhlab.qh import QhMetric
+from qhlab.qh import QhMetric, sample_nodes
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,58 @@ def test_local_gehring_hayman_filters(slit_qh):
     alt = check_local_gehring_hayman(slit_qh, pairs, c=4.0, R=2.0,
                                      mode="diameter", alternate=True)
     assert alt.extra["qualifying_pairs"] >= 0
+
+
+def _count_lambda_delta(monkeypatch) -> dict:
+    """Count the calls of intrinsic_distance (lambda) and
+    intrinsic_diameter_distance (delta) made from the checkers' modules
+    (not the call of lambda inside delta)."""
+    calls = {"lambda": 0, "delta": 0}
+    for key, name in (("lambda", "intrinsic_distance"),
+                      ("delta", "intrinsic_diameter_distance")):
+        for module in (properties, qhlab.qh):
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _key=key, _original=getattr(module, name),
+                        **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_local_gehring_hayman_evaluates_each_pair_once(slit_qh, monkeypatch):
+    pairs = sample_pairs(slit_qh.domain, 20, seed=11)
+    n = len({p for p in pairs if p[0] != p[1]})
+    assert n == len(pairs)  # n distinct pairs of distinct cells
+    calls = _count_lambda_delta(monkeypatch)
+    check_local_gehring_hayman(slit_qh, pairs, c=4.0, R=2.0, mode="diameter")
+    assert calls == {"lambda": 0, "delta": n}
+    for alternate in (False, True):
+        calls.update(dict.fromkeys(calls, 0))
+        check_local_gehring_hayman(slit_qh, pairs, c=4.0, R=2.0,
+                                   mode="length", alternate=alternate)
+        assert calls == {"lambda": n, "delta": 0}
+
+
+@pytest.mark.parametrize("fixture", ["disk", "dumbbell"])
+def test_radially_hyperbolic_evaluates_delta_once_per_sub_arc(fixture,
+                                                              monkeypatch):
+    """One delta per sampled radial sub-arc, and one lambda and one delta
+    per non-vacuous union (the disk has none, the dumbbell some)."""
+    qh = QhMetric(gallery.make(fixture, 1 / 128))
+    tree = qh.radial_tree()
+    sub_arcs = sum(len(tree.path_nodes(int(v))) >= 4
+                   for v in sample_nodes(qh.domain, 10, 17)
+                   if int(v) != tree.root)
+    calls = _count_lambda_delta(monkeypatch)
+    rep = check_radially_hyperbolic(qh, c0=10.0, c=8.0, R=3.0,
+                                    n_samples=10, seed=17)
+    unions = sum("held" in s for s in rep.samples)
+    assert sub_arcs > 0
+    assert calls == {"lambda": unions, "delta": sub_arcs + unions}
 
 
 def test_uniformity_disk_modest_constants(disk_qh):

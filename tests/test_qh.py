@@ -7,7 +7,6 @@ from qhlab import gallery
 from qhlab.grid import intrinsic_distance
 from qhlab.qh import (
     QhMetric,
-    capital_lambda_delta,
     estimate_delta,
     four_point_delta,
     sample_nodes,
@@ -112,26 +111,6 @@ def test_disk_tree_paths_nearly_radial():
         rel = pts - center
         perp = np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0])
         assert perp.max() < 0.035  # within a few cells of the true radius
-
-
-def test_capital_lambda_delta():
-    dom = gallery.slit_disk(1 / 128)
-    x = dom.cell_at((0.3, 0.3))
-    assert capital_lambda_delta(dom, x, x) == (0.0, 0.0)
-
-    sq = gallery.square(1 / 128)
-    a, b = sq.cell_at((0.3, 0.4)), sq.cell_at((0.6, 0.62))
-    lam, dia = capital_lambda_delta(sq, a, b)
-    dmin = min(sq.boundary_distance(a), sq.boundary_distance(b))
-    eu = float(np.hypot(*(sq.position(a) - sq.position(b))))
-    expect = np.log1p(eu / dmin)
-    assert lam == pytest.approx(expect, rel=0.05)
-    assert dia == pytest.approx(expect, rel=0.05)
-    assert dia <= lam + 1e-12
-
-    x, y = dom.cell_at((0.8, 0.53)), dom.cell_at((0.8, 0.47))
-    lam2, dia2 = capital_lambda_delta(dom, x, y)
-    assert dia2 < lam2  # strict: going around the slit is long but not wide
 
 
 def test_estimate_delta_disk_refinement_stable():
