@@ -248,7 +248,9 @@ class CoreTentacleDecomposition:
             for q in dec.cubes
             if not q.flagged and self.core_mask[q.cell_slices()].all()
         ]
-        self._w1 = np.array(self.W1, dtype=np.int64)  # for cover()
+        # per cube: in W1; the extra last entry answers cell_cube's -1
+        self._in_w1 = np.zeros(len(dec.cubes) + 1, dtype=bool)
+        self._in_w1[self.W1] = True
         self.P1 = [
             i for i in self.W1
             if l_min - 1e-12 <= dec.cubes[i].l < l_cap - 1e-12
@@ -499,7 +501,7 @@ class CoreTentacleDecomposition:
         dom = self.domain
         cells = self.bq[qidx]
         cubes_here = self.dec.cell_cube[cells[:, 0], cells[:, 1]]
-        direct = np.intersect1d(cubes_here, self._w1).tolist()
+        direct = np.unique(cubes_here[self._in_w1[cubes_here]]).tolist()
         nodes = self._nodes(cells)
         T, cols = self._trail_matrix()
         rows = T[nodes]
@@ -508,7 +510,7 @@ class CoreTentacleDecomposition:
         band = sorted(cols)
         via = [band[t] for t in np.flatnonzero(hit)]
         cube_of = self.dec.cell_cube[tuple(dom.node_cells[nodes].T)]
-        covered = np.isin(cube_of, self._w1) | (rows != 0).any(axis=1)
+        covered = self._in_w1[cube_of] | (rows != 0).any(axis=1)
         uncovered = dom.node_cells[nodes[~covered]]
         return direct, via, uncovered
 

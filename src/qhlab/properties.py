@@ -70,6 +70,9 @@ def _cumlen(points: np.ndarray) -> np.ndarray:
 # -- ball separation ---------------------------------------------------------
 
 
+_SLACK = 2.0  # cells
+
+
 def _separation_state(domain: GridDomain, lam_field: np.ndarray, z_d: float,
                       c: float, nx: int, ny: int) -> str:
     """'skip' (an endpoint inside the ball), 'separated' or 'connected'."""
@@ -77,7 +80,7 @@ def _separation_state(domain: GridDomain, lam_field: np.ndarray, z_d: float,
     # endpoints within grid slack of the ball boundary count as inside: the
     # pair x, y must lie in the geodesic minus the ball, and metrication can
     # push a continuum boundary case marginally outside
-    slack = 2.0 * domain.h
+    slack = _SLACK * domain.h
     if lam_field[nx] <= radius + slack or lam_field[ny] <= radius + slack:
         return "skip"
     cells = domain.node_cells
@@ -106,6 +109,7 @@ def check_ball_separation(
     report = PropertyReport("ball_separation", 0.0, bound=c, seed=seed,
                             resolution=domain.h)
     c_lo_all, c_hi_all = 0.05, 64.0
+    c_top = c_hi_all if c is None else c  # the largest c any state tests
     worst = 0.0
     all_pass = True
     for gi, geo in enumerate(geodesics):
@@ -114,10 +118,16 @@ def check_ball_separation(
             continue
         z_idx = np.linspace(1, n - 2, z_per_geodesic).astype(int)
         nx, ny = int(geo.nodes[0]), int(geo.nodes[-1])
+        cum = _cumlen(geo.polyline.points)
         for zi in np.unique(z_idx):
             nz = int(geo.nodes[zi])
-            lam_field = eng.from_source(nz)[0]
             z_d = float(dvals[nz])
+            # A state reads lambda up to its radius plus the endpoint slack,
+            # and every radius reaching the nearer endpoint skips; the
+            # geodesic's arc from z bounds lambda to that endpoint.
+            near_end = min(cum[zi], cum[-1] - cum[zi]) * (1 + 1e-9)
+            lam_field = eng.min_from_set(
+                [nz], min(c_top * z_d + _SLACK * domain.h, near_end))
 
             def state(cv):
                 return _separation_state(domain, lam_field, z_d, cv, nx, ny)
@@ -158,11 +168,13 @@ def check_ball_separation(
 MODES = ("length", "diameter")
 
 
-def _intrinsic(domain: GridDomain, x, y, mode: str) -> float:
-    """lambda (length mode) or delta (diameter mode) between two cells."""
+def _intrinsic(domain: GridDomain, x, y, mode: str,
+               bound: float = np.inf) -> float:
+    """lambda (length mode) or delta (diameter mode) between two cells;
+    ``bound``, the length of an x-y path, limits the lambda search."""
     if mode == "length":
-        return intrinsic_distance(domain, x, y)
-    return intrinsic_diameter_distance(domain, x, y)
+        return intrinsic_distance(domain, x, y, bound=bound)
+    return intrinsic_diameter_distance(domain, x, y, bound=bound)
 
 
 def _extent(curve, mode: str) -> float:
@@ -176,11 +188,10 @@ def _capital(domain: GridDomain, x, y, dist: float) -> float:
     return float(np.log1p(dist / dmin))
 
 
-def _record_shortness(report: PropertyReport, qh: QhMetric, x, y, mode: str,
+def _record_shortness(report: PropertyReport, geo: Geodesic, x, y, mode: str,
                       denom: float) -> None:
-    """Sample the geodesic length or diameter of a pair of distinct cells
-    over ``denom``."""
-    _, geo = qh.distance(x, y, with_geodesic=True)
+    """Sample the length or diameter of the geodesic of a pair of distinct
+    cells over ``denom``."""
     ratio = _extent(geo, mode) / denom
     report.samples.append({"x": list(map(int, x)), "y": list(map(int, y)),
                            "ratio": ratio})
@@ -190,7 +201,8 @@ def _record_shortness(report: PropertyReport, qh: QhMetric, x, y, mode: str,
 def check_gehring_hayman(
     qh: QhMetric, pairs, mode: str = "length", seed: int = 0
 ) -> PropertyReport:
-    """Max over pairs of l(geodesic)/lambda or diam(geodesic)/delta."""
+    """Max over pairs of l(geodesic)/lambda or diam(geodesic)/delta; the
+    geodesic's length bounds the lambda search."""
     if mode not in MODES:
         raise ValueError("mode must be 'length' or 'diameter'")
     domain = qh.domain
@@ -198,8 +210,9 @@ def check_gehring_hayman(
                             resolution=domain.h)
     for x, y in pairs:
         if tuple(x) != tuple(y):
-            _record_shortness(report, qh, x, y, mode,
-                              _intrinsic(domain, x, y, mode))
+            _, geo = qh.distance(x, y, with_geodesic=True)
+            _record_shortness(report, geo, x, y, mode,
+                              _intrinsic(domain, x, y, mode, geo.length))
     return report
 
 
@@ -230,7 +243,8 @@ def check_local_gehring_hayman(
             ok = _capital(domain, x, y, denom) <= R
         if ok:
             qualifying += 1
-            _record_shortness(report, qh, x, y, mode, denom)
+            _, geo = qh.distance(x, y, with_geodesic=True)
+            _record_shortness(report, geo, x, y, mode, denom)
     report.extra["qualifying_pairs"] = qualifying
     report.passed = report.constant <= c
     return report
@@ -315,10 +329,11 @@ def check_radially_hyperbolic(
         i, j = sorted(rng.choice(n, size=2, replace=False))
         u = tuple(domain.node_cells[int(geo.nodes[i])])
         v = tuple(domain.node_cells[int(geo.nodes[j])])
-        delta = intrinsic_diameter_distance(domain, u, v)
+        arc = domain.polyline(geo.nodes[i : j + 1])
+        delta = intrinsic_diameter_distance(domain, u, v, bound=arc.length)
         if _capital(domain, u, v, delta) > R:
             continue
-        ratio = domain.polyline(geo.nodes[i : j + 1]).diameter / delta
+        ratio = arc.diameter / delta
         worst = max(worst, ratio)
         ok = ratio <= c
         ok_all = ok_all and ok
@@ -343,7 +358,7 @@ def check_radially_hyperbolic(
         curve = domain.polyline(union_nodes)
         held, applicable = [], False
         for mode in MODES:
-            dist = _intrinsic(domain, x, y, mode)
+            dist = _intrinsic(domain, x, y, mode, curve.length)
             if _capital(domain, x, y, dist) <= R:
                 applicable = True
                 if _extent(curve, mode) / dist <= c:
@@ -377,7 +392,7 @@ def check_geodesic_tail_diameter(
         if tuple(x) == tuple(y):
             continue
         _, geo = qh.distance(x, y, with_geodesic=True)
-        delta = intrinsic_diameter_distance(domain, x, y)
+        delta = intrinsic_diameter_distance(domain, x, y, bound=geo.length)
         px = domain.position(x)
         radii = np.sqrt(((geo.polyline.points - px) ** 2).sum(1))
         data.append((geo, delta, radii))
@@ -421,7 +436,7 @@ def midpoint_john_check(qh: QhMetric, pairs, A: float, tol: float = 0.2):
         mid = int(np.searchsorted(cum, cum[-1] / 2))
         mid = min(mid, len(geo.nodes) - 1)
         dz = float(dvals[int(geo.nodes[mid])])
-        delta = intrinsic_diameter_distance(domain, x, y)
+        delta = intrinsic_diameter_distance(domain, x, y, bound=cum[-1])
         if delta < dz / 2:
             continue
         lhs = float(cum[mid])

@@ -60,10 +60,9 @@ class QhMetric:
     def __init__(self, domain: GridDomain):
         self.domain = domain
         ia, ib, w = domain.edges()
-        d = domain.node_dist()
-        self.edge_weights = w * 0.5 * (1.0 / d[ia] + 1.0 / d[ib])
+        self._node_d = domain.node_dist()
+        self.edge_weights = self.step_weights(w, ia, ib)
         self.engine = domain.graph(self.edge_weights)
-        self._node_d = d
         self._tree: GeodesicTree | None = None
 
     # -- plumbing -----------------------------------------------------------
@@ -76,15 +75,19 @@ class QhMetric:
         it exceeds ``limit`` (every finite value is exact)."""
         return self.engine.min_from_set(nodes, limit)
 
+    def step_weights(self, lengths, a, b) -> np.ndarray:
+        """Quasihyperbolic length of steps a -> b of euclidean ``lengths``:
+        the edge weights' trapezoidal quadrature of 1/d."""
+        d = self._node_d
+        return lengths * 0.5 * (1.0 / d[a] + 1.0 / d[b])
+
     def k_length_of(self, nodes: np.ndarray) -> float:
         """Quasihyperbolic length of a node path (same quadrature as edges)."""
         nodes = np.asarray(nodes, dtype=int)
         if len(nodes) < 2:
             return 0.0
-        pts = (self.domain.node_cells[nodes] + 0.5) * self.domain.h
-        seg = np.sqrt((np.diff(pts, axis=0) ** 2).sum(1))
-        d = self._node_d[nodes]
-        return float((seg * 0.5 * (1.0 / d[:-1] + 1.0 / d[1:])).sum())
+        steps = self.domain.step_lengths(nodes)
+        return float(self.step_weights(steps, nodes[:-1], nodes[1:]).sum())
 
     def geodesic_from_nodes(self, nodes) -> Geodesic:
         nodes = np.asarray(nodes, dtype=int)
@@ -143,6 +146,24 @@ class DeltaEstimate:
     per_triangle: list[float] = field(default_factory=list, repr=False)
 
 
+def _thinness_limits(start: float, half: float):
+    """Limits for one side's distance field to the other two sides, tried
+    in turn until the field reaches every node of the side.
+
+    A side's thinness rarely exceeds the thinness measured before it (of
+    its triangle, or of the earlier triangles for a first side) by much, so
+    the first limit is 1.25 times that, doubled while below ``half``.  The
+    other sides hold the side's ends, and each node of a geodesic lies
+    within half its k-length of one of them, so ``half`` always suffices
+    up to quadrature; the unbounded field comes last."""
+    limit = 1.25 * start
+    while 0 < limit < half:
+        yield limit
+        limit *= 2
+    yield half
+    yield np.inf
+
+
 def estimate_delta(
     qh: QhMetric, n_triangles: int = 100, seed: int = 0
 ) -> DeltaEstimate:
@@ -164,19 +185,21 @@ def estimate_delta(
             continue
         ends = ((a, b), (a, c), (b, c))
         try:
-            sides = [np.asarray(qh.engine.path(u, v)) for u, v in ends]
+            # the search from b stops at k(b, a) + k(a, c), which bounds k(b, c)
+            k_ab, k_ac = qh.engine.distance(a, b), qh.engine.distance(a, c)
+            sides = [np.asarray(qh.engine.path(u, v, bound)) for (u, v), bound
+                     in zip(ends, (k_ab, k_ac, k_ab + k_ac))]
         except UnreachableError:
             per.append(0.0)
             continue
         thin = 0.0
         for i, (u, v) in enumerate(ends):
             others = np.unique(np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]]))
-            # the other sides hold u and v, and each node of this geodesic
-            # lies within half its k-length of one of them
-            limit = 0.5 * qh.engine.distance(u, v) * (1 + 1e-9)
-            near = qh.min_field(others, limit)[sides[i]]
-            if not np.isfinite(near).all():
-                near = qh.min_field(others)[sides[i]]
+            half = 0.5 * qh.engine.distance(u, v)
+            for limit in _thinness_limits(thin if i else best, half):
+                near = qh.min_field(others, limit * (1 + 1e-9))[sides[i]]
+                if np.isfinite(near).all():
+                    break
             thin = max(thin, float(near.max()))
         per.append(thin)
         if thin > best:

@@ -37,7 +37,7 @@ class DeformedMetric:
         self.rho = np.exp(-self.epsilon * tree.dist)
 
         ia, ib, _ = self.domain.edges()
-        self.edge_weights = qh.edge_weights * 0.5 * (self.rho[ia] + self.rho[ib])
+        self.edge_weights = self._eps_steps(qh.edge_weights, ia, ib)
         self.engine = self.domain.graph(self.edge_weights)
 
         # deformed boundary distance: one Dijkstra from a virtual boundary
@@ -50,17 +50,38 @@ class DeformedMetric:
 
         self._k_rho_engine: _DijkstraCache | None = None
 
+    # -- step weights (the engines' quadrature) -----------------------------
+
+    def _eps_steps(self, k_steps, a, b) -> np.ndarray:
+        """d_eps length of steps a -> b of k-length ``k_steps``: the
+        trapezoidal average of the density at the ends."""
+        return k_steps * 0.5 * (self.rho[a] + self.rho[b])
+
+    def _k_rho_steps(self, eps_steps, a, b) -> np.ndarray:
+        """k_rho length of steps a -> b of d_eps length ``eps_steps``: the
+        harmonic mean of the density 1/d_rho at the ends."""
+        return eps_steps * 2.0 / (self.d_rho[a] + self.d_rho[b])
+
+    def path_lengths(self, nodes) -> tuple[float, float]:
+        """d_eps and k_rho lengths of a node path; each bounds the distance
+        of its ends in that metric."""
+        nodes = np.asarray(nodes, dtype=int)
+        a, b = nodes[:-1], nodes[1:]
+        k_steps = self.qh.step_weights(self.domain.step_lengths(nodes), a, b)
+        eps = self._eps_steps(k_steps, a, b)
+        return float(eps.sum()), float(self._k_rho_steps(eps, a, b).sum())
+
     # -- metric queries -----------------------------------------------------
 
     def node(self, x) -> int:
         return self.domain.require_interior(x)
 
-    def distance(self, x, y, with_path: bool = False):
+    def distance(self, x, y, with_path: bool = False, bound: float = np.inf):
         nx, ny = self.node(x), self.node(y)
-        value = self.engine.distance(nx, ny)
+        value = self.engine.distance(nx, ny, bound)
         if not with_path:
             return value
-        return value, np.asarray(self.engine.path(nx, ny))
+        return value, np.asarray(self.engine.path(nx, ny, bound))
 
     def diameter_from(self, x) -> float:
         """Max deformed distance from x (the space is bounded)."""
@@ -72,13 +93,12 @@ class DeformedMetric:
     def k_rho_engine(self) -> _DijkstraCache:
         if self._k_rho_engine is None:
             ia, ib, _ = self.domain.edges()
-            # harmonic mean of the density 1/d_rho at the edge endpoints
-            w = self.edge_weights * 2.0 / (self.d_rho[ia] + self.d_rho[ib])
-            self._k_rho_engine = self.domain.graph(w)
+            self._k_rho_engine = self.domain.graph(
+                self._k_rho_steps(self.edge_weights, ia, ib))
         return self._k_rho_engine
 
-    def k_rho(self, x, y) -> float:
-        return self.k_rho_engine().distance(self.node(x), self.node(y))
+    def k_rho(self, x, y, bound: float = np.inf) -> float:
+        return self.k_rho_engine().distance(self.node(x), self.node(y), bound)
 
 
 def build_deformation(qh: QhMetric, epsilon: float = 0.2) -> DeformedMetric:
@@ -95,16 +115,19 @@ def check_deformed_uniformity(
 
     A1 = max path-length/d_eps (1 up to quadrature, geodesics realize the
     metric); A2 = max over path points z of the smaller sub-length divided by
-    the deformed boundary distance d_rho(z).
+    the deformed boundary distance d_rho(z).  Each d_eps search stops at the
+    d_eps length of the pair's k-geodesic.
     """
     report = PropertyReport("deformed_uniformity", 0.0, seed=seed,
                             resolution=metric.domain.h)
 
     def geodesic(x, y):
-        value, nodes = metric.distance(x, y, with_path=True)
+        _, geo = metric.qh.distance(x, y, with_geodesic=True)
+        bound = metric.path_lengths(geo.nodes)[0]
+        value, nodes = metric.distance(x, y, with_path=True, bound=bound)
         # cumulative deformed length along the path: the path runs down the
         # shortest-path tree of x, whose distance field is cached
-        cum = metric.engine.from_source(nodes[0])[0][nodes]
+        cum = metric.engine.field(nodes[0], nodes[-1], bound)[0][nodes]
         return value, cum, metric.d_rho[nodes]
 
     a1, a2 = record_uniformity(report, pairs, geodesic)
@@ -121,14 +144,15 @@ def check_bilipschitz(
     metric: DeformedMetric, pairs, seed: int = 0
 ) -> PropertyReport:
     """C = max over pairs of max(k_rho/k, k/k_rho) between the deformed and
-    original quasihyperbolic metrics."""
+    original quasihyperbolic metrics.  Each k_rho search stops at the k_rho
+    length of the pair's k-geodesic."""
     report = PropertyReport("bilipschitz", 1.0, seed=seed,
                             resolution=metric.domain.h)
     for x, y in pairs:
         if tuple(x) == tuple(y):
             continue
-        k = metric.qh.distance(x, y)
-        kr = metric.k_rho(x, y)
+        k, geo = metric.qh.distance(x, y, with_geodesic=True)
+        kr = metric.k_rho(x, y, bound=metric.path_lengths(geo.nodes)[1])
         if k <= 0 or kr <= 0:
             continue
         ratio = max(kr / k, k / kr)

@@ -55,6 +55,19 @@ def test_construction_rejects_disconnected_interior():
     assert dom.n_nodes == 4
 
 
+def test_construction_joins_cells_as_the_cell_graph_does():
+    """Squares meeting only at a corner are two components: the graph has
+    no step across the corner."""
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[1:3, 3:5] = True
+    mask[3:5, 1:3] = True
+    with pytest.raises(DomainError):
+        GridDomain(mask, 0.1, (1, 3))
+    dom = GridDomain(mask, 0.1, (1, 3), trim=True)
+    assert dom.n_nodes == 4
+    assert np.isfinite(dom.length_engine().from_source(0)[0]).all()
+
+
 def test_boundary_distance_square_center():
     h = 1 / 256
     dom = gallery.square(h, margin=0.0)  # full unit square
@@ -220,20 +233,27 @@ def test_capital_lambda_and_delta_from_lambda_and_delta():
     assert intrinsic_diameter_distance(dom, x, y) < intrinsic_distance(dom, x, y)
 
 
-@settings(max_examples=30, deadline=None)
-@given(rects=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24),
-                                st.integers(2, 14), st.integers(2, 14)),
-                      min_size=1, max_size=5),
-       data=st.data())
-def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, data):
-    """On a connected union of random rectangles: |x-y| <= delta <= lambda,
-    and criterion 2's bound k >= log(1 + lambda/(d^d)) with 2% slack."""
+RECTS = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24),
+                           st.integers(2, 14), st.integers(2, 14)),
+                 min_size=1, max_size=5)
+
+
+def _rect_union(rects, data) -> GridDomain:
+    """The component of a drawn cell in a union of rectangles."""
     bitmap = np.zeros((32, 32), dtype=bool)
     for i0, j0, ni, nj in rects:
         bitmap[i0 : i0 + ni, j0 : j0 + nj] = True
     cells = np.argwhere(bitmap)
     x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
-    dom = GridDomain(bitmap, 1 / 32, x0, trim=True)
+    return GridDomain(bitmap, 1 / 32, x0, trim=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rects=RECTS, data=st.data())
+def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, data):
+    """On a connected union of random rectangles: |x-y| <= delta <= lambda,
+    and criterion 2's bound k >= log(1 + lambda/(d^d)) with 2% slack."""
+    dom = _rect_union(rects, data)
     qh = QhMetric(dom)
     nodes = data.draw(st.lists(st.integers(0, dom.n_nodes - 1),
                                min_size=2, max_size=8))
@@ -246,6 +266,53 @@ def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, data):
         k = qh.distance(x, y)
         dmin = min(dom.boundary_distance(x), dom.boundary_distance(y))
         assert k >= np.log1p(lam / dmin) - 0.02 * k - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(rects=RECTS, data=st.data())
+def test_bounded_queries_equal_unbounded_on_generated_domains(rects, data):
+    """On the lambda and k graphs of a union of rectangles, a bound that is
+    tight, loose or too small to reach the target changes no distance, path
+    or reached value, and a later from_source returns the full field."""
+    dom = _rect_union(rects, data)
+    src, dst = (data.draw(st.integers(0, dom.n_nodes - 1)) for _ in range(2))
+    for weights in (dom.edges()[2], QhMetric(dom).edge_weights):
+        full_dist, full_pred = dom.graph(weights).from_source(src)
+        want = full_dist[dst]
+        for scale in (1.0, 3.0, 0.5):
+            eng = dom.graph(weights)
+            bound = scale * want
+            assert eng.distance(src, dst, bound) == want
+            assert eng.path(src, dst, bound) == _walk(full_pred, src, dst)
+            dist, pred = eng.field(src, dst, bound)
+            reached = np.isfinite(dist)
+            assert np.array_equal(dist[reached], full_dist[reached])
+            assert np.array_equal(pred[reached], full_pred[reached])
+            assert (full_dist[~reached] > bound).all()
+            if scale < 1 and want > 0:  # searched again without the bound
+                assert reached.all()
+            dist, pred = eng.from_source(src)
+            assert np.array_equal(dist, full_dist)
+            assert np.array_equal(pred, full_pred)
+
+
+def test_engine_serves_a_bounded_field_where_it_reached():
+    dom = gallery.disk(1 / 64)
+    eng = dom.graph(dom.edges()[2])
+    full = dom.graph(dom.edges()[2]).from_source(0)[0]
+    order = np.argsort(full)
+    near, mid, far = (int(order[int(q * (dom.n_nodes - 1))])
+                      for q in (0.1, 0.3, 0.9))
+    dist = eng.field(0, mid, full[mid])[0]
+    assert np.isinf(dist[far])
+    # a query the cached field reached is served from it
+    assert eng.field(0, near, full[far])[0] is dist
+    assert eng.distance(0, near) == full[near]
+    # one it did not reach, and from_source, search again
+    assert eng.field(0, far, full[far])[0] is not dist
+    assert np.isinf(eng.field(0, far, full[far])[0]).any()
+    assert np.isfinite(eng.from_source(0)[0]).all()
+    assert eng._limits == {0: np.inf} and len(eng._cache) == 1
 
 
 def test_diameter_distance_convex_is_euclidean():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import qhlab.qh
-from qhlab import gallery, properties
+from qhlab import gallery, grid, properties
 from qhlab.properties import (
+    MODES,
     check_ball_separation,
     check_gehring_hayman,
     check_geodesic_tail_diameter,
@@ -17,6 +18,8 @@ from qhlab.properties import (
     sample_pairs,
 )
 from qhlab.qh import QhMetric, sample_nodes
+from qhlab.uniformize import (build_deformation, check_bilipschitz,
+                              check_deformed_uniformity)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,50 @@ def test_radially_hyperbolic_evaluates_delta_once_per_sub_arc(fixture,
     unions = sum("held" in s for s in rep.samples)
     assert sub_arcs > 0
     assert calls == {"lambda": unions, "delta": sub_arcs + unions}
+
+
+def test_radially_hyperbolic_dumbbell_union_outcomes():
+    qh = QhMetric(gallery.dumbbell(1 / 128))
+    rep = check_radially_hyperbolic(qh, c0=10.0, c=8.0, R=3.0,
+                                    n_samples=10, seed=17)
+    unions = [s for s in rep.samples
+              if s["kind"] == "union" and not s.get("vacuous")]
+    assert unions
+    for s in unions:
+        assert set(s["held"]) <= set(MODES)
+        assert s["applicable"] or not s["held"]
+        assert s["ok"] == ((not s["applicable"]) or bool(s["held"]))
+
+
+def _checker_outputs(name: str) -> str:
+    qh = QhMetric(gallery.make(name, 1 / 128))
+    pairs = sample_pairs(qh.domain, 6, seed=31)
+    geos = pair_geodesics(qh, pairs)
+    deformed = build_deformation(qh, 0.2)
+    out = [check_ball_separation(qh, geos),
+           check_ball_separation(qh, geos, c=1.0),
+           *(check_gehring_hayman(qh, pairs, mode) for mode in MODES),
+           check_geodesic_tail_diameter(qh, pairs),
+           check_radially_hyperbolic(qh, c0=10.0, c=8.0, R=3.0,
+                                     n_samples=10, seed=17),
+           check_deformed_uniformity(deformed, pairs),
+           check_bilipschitz(deformed, pairs)]
+    return repr([r.as_dict() for r in out]
+                + [midpoint_john_check(qh, pairs, 2.0)])
+
+
+@pytest.mark.parametrize("name", ["disk", "dumbbell"])
+def test_bounded_searches_change_no_checker_output(name, monkeypatch):
+    """Every checker's samples equal those of unbounded searches."""
+    got = _checker_outputs(name)
+    engine = grid._DijkstraCache
+    field, min_from_set = engine.field, engine.min_from_set
+    monkeypatch.setattr(engine, "field", lambda self, src, dst, bound=np.inf:
+                        field(self, src, dst))
+    monkeypatch.setattr(engine, "min_from_set",
+                        lambda self, nodes, limit=np.inf:
+                        min_from_set(self, nodes))
+    assert _checker_outputs(name) == got
 
 
 def test_uniformity_disk_modest_constants(disk_qh):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qhlab import gallery
-from qhlab.grid import intrinsic_distance
+from qhlab.grid import _walk, intrinsic_distance
 from qhlab.qh import (
     QhMetric,
     estimate_delta,
@@ -159,6 +159,35 @@ def test_estimate_delta_equals_unbounded_fields(name, monkeypatch):
         want = estimate_delta(qh, 12, seed=5)
         assert (got.value, got.argmax) == (want.value, want.argmax)
         assert got.per_triangle == want.per_triangle
+
+
+def _thinness_reference(qh, n_triangles, seed):
+    """Per-triangle thinness from unbounded fields, written out."""
+    nodes = sample_nodes(qh.domain, 3 * n_triangles, seed)
+    out = []
+    for t in range(n_triangles):
+        a, b, c = (int(v) for v in nodes[3 * t : 3 * t + 3])
+        if len({a, b, c}) < 3:
+            out.append(0.0)
+            continue
+        full = {u: qh.engine.from_source(u)[1] for u in (a, b)}
+        sides = [np.asarray(_walk(full[u], u, v))
+                 for u, v in ((a, b), (a, c), (b, c))]
+        thin = 0.0
+        for i in range(3):
+            others = np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]])
+            thin = max(thin, float(qh.min_field(others)[sides[i]].max()))
+        out.append(thin)
+    return out
+
+
+@pytest.mark.parametrize("name", ["disk", "dumbbell"])
+def test_estimate_delta_per_triangle_equals_unbounded_reference(name):
+    qh = QhMetric(gallery.make(name, 1 / 128))
+    got = estimate_delta(qh, 16, seed=9)
+    want = _thinness_reference(QhMetric(qh.domain), 16, 9)
+    assert got.per_triangle == want
+    assert got.value == max(want)
 
 
 def test_punctured_lattice_delta_grows():
