@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field as dfield
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ from scipy import ndimage, sparse
 from .grid import (DomainError, GridDomain, components, _STRUCT8,
                    _component_at, _walk)
 from .properties import PropertyReport
-from .qh import QhMetric
+from .qh import QhMetric, search_limits
 from .whitney import WhitneyDecomposition
 
 
@@ -677,14 +678,26 @@ def verify_distance_lemmas(ct: CoreTentacleDecomposition) -> PropertyReport:
                 queries[q].append((2, g.assigned_cube))
 
     # one k-field per first cube, read at all its targets, then dropped
-    # (the field comes from the first cube: the sums are not symmetric)
+    # (the field comes from the first cube: the sums are not symmetric).
+    # It grows from the largest value so far until every target cube has a
+    # reached node, whose minimum is then exact; a path through the base
+    # point bounds the limit needed.
+    root = ct.qh.radial_tree().dist
+    cube_nodes = cache(ct._cube_nodes)
     maxima = [0.0, 0.0, 0.0]
     for qa, targets in queries.items():
-        field = ct.qh.min_field(ct._cube_nodes(qa))
-        for cls, qb in targets:
-            nodes = ct._cube_nodes(qb)
-            dist = float(field[nodes].min()) if len(nodes) else float("inf")
-            maxima[cls] = max(maxima[cls], dist)
+        sources = cube_nodes(qa)
+        nodes = [cube_nodes(qb) for _, qb in targets]
+        starts = np.cumsum([0] + [len(v) for v in nodes[:-1]])
+        nodes = np.concatenate(nodes)
+        cap = root[sources].min() + np.minimum.reduceat(root[nodes], starts).max()
+        for limit in search_limits(max(maxima), cap):
+            field = ct.qh.min_field(sources, limit * (1 + 1e-9))
+            dist = np.minimum.reduceat(field[nodes], starts)
+            if np.isfinite(dist).all():
+                break
+        for (cls, _), value in zip(targets, dist.tolist()):
+            maxima[cls] = max(maxima[cls], value)
     max_trail, max_band, max_group = maxima
 
     rep.extra = {

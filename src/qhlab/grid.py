@@ -27,19 +27,31 @@ class UnreachableError(DomainError):
     """Two query points lie in different connected components."""
 
 
-# Offsets of the 16-neighborhood (half of it; edges are symmetric) together
-# with the cells a segment to that neighbor passes next to.  Requiring those
-# clearance cells to be interior prevents paths from cutting exterior corners.
+# The 16-neighborhood in the order a row of the edge table lists it: the
+# offsets to larger-numbered cells ascending (nodes are numbered in raster
+# order), then their negations ascending.  scipy's undirected Dijkstra scans
+# a node's row of a one-orientation matrix and then its row of the
+# transpose, sorted, in exactly this order; so a directed search of the
+# table visits nodes, and breaks ties, as that search would.  Each offset
+# carries the cells, relative to the row's cell, that a segment to the
+# neighbor passes next to: requiring those clearance cells to be interior
+# prevents paths from cutting exterior corners.
 _HALF_OFFSETS: list[tuple[Cell, list[Cell]]] = [
-    ((1, 0), []),
     ((0, 1), []),
-    ((1, 1), [(1, 0), (0, 1)]),
-    ((1, -1), [(1, 0), (0, -1)]),
-    ((2, 1), [(1, 0), (1, 1)]),
-    ((2, -1), [(1, 0), (1, -1)]),
-    ((1, 2), [(0, 1), (1, 1)]),
     ((1, -2), [(0, -1), (1, -1)]),
+    ((1, -1), [(1, 0), (0, -1)]),
+    ((1, 0), []),
+    ((1, 1), [(1, 0), (0, 1)]),
+    ((1, 2), [(0, 1), (1, 1)]),
+    ((2, -1), [(1, 0), (1, -1)]),
+    ((2, 1), [(1, 0), (1, 1)]),
 ]
+_OFFSETS = _HALF_OFFSETS + sorted(
+    ((-di, -dj), [(ci - di, cj - dj) for ci, cj in clearance])
+    for (di, dj), clearance in _HALF_OFFSETS)
+
+# Entries per block where per-entry weights are computed in place.
+_BLOCK = 1 << 16
 
 _STRUCT8 = np.ones((3, 3), dtype=bool)
 
@@ -104,10 +116,10 @@ _CACHE_BYTES = 64 * 2**20
 
 
 class _DijkstraCache:
-    """Single-source shortest paths on the undirected graph of ``n`` nodes
-    with edge (ia[i], ib[i]) of weight w[i] (stored once).  Fields are kept
-    least-recently-used first and evicted while they exceed _CACHE_BYTES;
-    the newest field is always kept.
+    """Single-source shortest paths on a weighted graph whose CSR
+    ``matrix`` holds every edge in both orientations, searched directed.
+    Fields are kept least-recently-used first and evicted while they exceed
+    _CACHE_BYTES; the newest field is always kept.
 
     A query given a ``bound`` on its distance grows the field only to that
     distance.  Every finite value of a search with a limit, and every
@@ -117,24 +129,23 @@ class _DijkstraCache:
     it serves any query whose target it reached, and ``from_source`` only
     when unbounded.
 
-    The matrix holds each edge once and scipy symmetrizes it on every
-    search (``directed=False``).  A symmetric matrix searched with
-    ``directed=True`` saves at most a tenth of a field's time (spiral at
-    h=1/512: 97 against 108 ms in one measurement, 75-83 against 76-83 ms
-    in another), while a prototype sharing one symmetric pattern between
-    the engines raised metric-spiral's peak RSS by 65 MB.  Nor do threads
-    help: scipy's Dijkstra holds the GIL (8 spiral fields took 0.71 s on
-    2 threads, 0.66 s in sequence)."""
+    The engines of one domain share the index arrays of its edge table
+    (``GridDomain.edges``) and differ in their weights only.  Searching a
+    two-way table directed spares the transpose scipy builds on every
+    undirected search: on the spiral at h=1/512 a search limited to 1e-9
+    took 1.7 ms, against 6.5 ms undirected on a one-orientation matrix.
+    Threads do not help: scipy's Dijkstra holds the GIL (8 spiral fields
+    took 0.71 s on 2 threads, 0.66 s in sequence)."""
 
-    def __init__(self, ia, ib, w, n: int):
-        self.matrix = sparse.csr_matrix((w, (ia, ib)), shape=(n, n))
+    def __init__(self, matrix: sparse.csr_matrix):
+        self.matrix = matrix
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._limits: dict[int, float] = {}
         self._bytes = 0
 
     def _search(self, node: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
         dist, pred = csgraph.dijkstra(
-            self.matrix, directed=False, indices=node, return_predecessors=True,
+            self.matrix, indices=node, return_predecessors=True,
             limit=limit,
         )
         old = self._cache.pop(node, None)
@@ -174,7 +185,7 @@ class _DijkstraCache:
     def min_from_set(self, nodes, limit: float = np.inf) -> np.ndarray:
         """Distance to the nearest of ``nodes``; inf beyond ``limit``."""
         return csgraph.dijkstra(
-            self.matrix, directed=False, indices=list(nodes), min_only=True,
+            self.matrix, indices=list(nodes), min_only=True,
             limit=limit,
         )
 
@@ -308,42 +319,62 @@ class GridDomain:
     # -- cell graph ---------------------------------------------------------
 
     def edges(self):
-        """Undirected edge arrays (ia, ib, length) of the 16-neighbor cell
-        graph, each edge once."""
+        """Edge table (indptr, indices, lengths) of the 16-neighbor cell
+        graph: CSR arrays holding each edge in both orientations, a row
+        listing its cell's neighbors in ``_OFFSETS`` order, with the
+        euclidean length of each entry."""
         if self._edges is not None:
             return self._edges
-        inter = self.interior
-        ia_all, ib_all, w_all = [], [], []
-        for (di, dj), clearance in _HALF_OFFSETS:
-            ok = np.zeros(inter.shape, dtype=bool)
-            i_hi = inter.shape[0] - max(di, 0)
-            j_lo, j_hi = max(-dj, 0), inter.shape[1] - max(dj, 0)
-            src = np.s_[max(-di, 0) : i_hi, j_lo:j_hi]
-            dst = np.s_[max(-di, 0) + di : i_hi + di, j_lo + dj : j_hi + dj]
-            ok[src] = inter[src] & inter[dst]
-            for (ci, cj) in clearance:
-                mid = np.s_[max(-di, 0) + ci : i_hi + ci, j_lo + cj : j_hi + cj]
-                ok[src] &= inter[mid]
-            cells = np.argwhere(ok)
-            ia_all.append(self.cell_node[tuple(cells.T)])
-            ib_all.append(self.cell_node[cells[:, 0] + di, cells[:, 1] + dj])
-            w_all.append(np.full(len(cells), self.h * float(np.hypot(di, dj))))
-        self._edges = tuple(np.concatenate(v) for v in (ia_all, ib_all, w_all))
+        # shifted lookups on the bitmap, padded so no neighbor leaves it
+        stride = self.shape[1] + 4
+        flat = (self.node_cells[:, 0] + 2) * stride + self.node_cells[:, 1] + 2
+        inter = np.pad(self.interior, 2).ravel()
+        node = np.pad(self.cell_node.astype(np.int32), 2,
+                      constant_values=-1).ravel()
+        nbr = np.empty((self.n_nodes, len(_OFFSETS)), dtype=np.int32)
+        for s, ((di, dj), clearance) in enumerate(_OFFSETS):
+            nbr[:, s] = node[flat + di * stride + dj]
+            for ci, cj in clearance:
+                nbr[~inter[flat + ci * stride + cj], s] = -1
+        has = nbr >= 0
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(has.sum(1), out=indptr[1:])
+        slot_lengths = [self.h * float(np.hypot(*off)) for off, _ in _OFFSETS]
+        lengths = np.broadcast_to(slot_lengths, has.shape)[has]
+        self._edges = (indptr, nbr[has], lengths)
         return self._edges
 
+    def entry_sums(self, values: np.ndarray) -> np.ndarray:
+        """values[r] + values[c] per entry (r, c) of the edge table, in
+        entry order, computed in blocks: the sum is symmetric, so both
+        orientations of an edge get the same bits."""
+        indptr, indices, _ = self.edges()
+        out = np.repeat(values, np.diff(indptr))
+        for lo in range(0, len(out), _BLOCK):
+            out[lo : lo + _BLOCK] += values[indices[lo : lo + _BLOCK]]
+        return out
+
     def graph(self, weights: np.ndarray, exits=None) -> _DijkstraCache:
-        """Shortest-path engine on the cell graph, edge i of ``edges()``
-        weighing ``weights[i]``.  ``exits = (nodes, costs)`` joins those
-        nodes to one extra node, numbered ``n_nodes``, at those costs."""
-        ia, ib, _ = self.edges()
+        """Shortest-path engine on the cell graph, entry i of the edge
+        table weighing ``weights[i]`` (the array is kept, not copied).
+        ``exits = (nodes, costs)``, nodes ascending, joins those nodes to
+        one extra node, numbered ``n_nodes``, at those costs."""
+        indptr, indices, _ = self.edges()
         n = self.n_nodes
         if exits is not None:
             nodes, costs = exits
-            ia = np.concatenate([ia, nodes])
-            ib = np.concatenate([ib, np.full(len(nodes), n)])
-            weights = np.concatenate([weights, costs])
+            # one entry at the end of each exit node's row, then the extra
+            # node's row
+            at = np.concatenate([indptr[nodes + 1],
+                                 np.full(len(nodes), len(indices))])
+            indices = np.insert(indices, at,
+                                np.concatenate([np.full(len(nodes), n), nodes]))
+            weights = np.insert(weights, at, np.concatenate([costs, costs]))
+            indptr = np.append(indptr + np.searchsorted(nodes, np.arange(n + 1)),
+                               len(indices)).astype(np.int32)
             n += 1
-        return _DijkstraCache(ia, ib, weights, n)
+        return _DijkstraCache(
+            sparse.csr_matrix((weights, indices, indptr), shape=(n, n)))
 
     def length_engine(self) -> _DijkstraCache:
         """Euclidean path length (lambda) engine."""
@@ -402,16 +433,34 @@ def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
     The mask restricts the path's cells only: a diagonal or knight move
     needs its clearance cells to be interior, not in the mask, so the path
     can step over a one-cell-wide gap in the mask.  Its diameter therefore
-    remains a certified upper bound for delta."""
-    ia, ib, w = domain.edges()
+    remains a certified upper bound for delta.
+
+    The search runs on the mask's own nodes: the edge table's rows of
+    masked nodes, keeping the entries whose end is masked, renumbered in
+    the same order, so each row is scanned as in the whole-domain table."""
+    indptr, indices, lengths = domain.edges()
     node_ok = mask[tuple(domain.node_cells.T)]
-    keep = node_ok[ia] & node_ok[ib]
-    sub = _DijkstraCache(ia[keep], ib[keep], w[keep], domain.n_nodes)
+    nx, ny = domain.require_interior(x), domain.require_interior(y)
+    if not (node_ok[nx] and node_ok[ny]):
+        return None
+    nodes = np.flatnonzero(node_ok)
+    renumber = np.cumsum(node_ok, dtype=np.int32) - 1
+    # the entries of the masked rows, row after row
+    starts, counts = indptr[nodes], np.diff(indptr)[nodes]
+    ends = np.cumsum(counts)
+    entries = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    keep = node_ok[indices[entries]]
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    entries = entries[keep]
+    sub = _DijkstraCache(sparse.csr_matrix(
+        (lengths[entries], renumber[indices[entries]],
+         kept_before[np.concatenate([[0], ends])]),
+        shape=(len(nodes), len(nodes))))
     try:
-        return domain.polyline(
-            sub.path(domain.require_interior(x), domain.require_interior(y)))
+        path = sub.path(renumber[nx], renumber[ny])
     except UnreachableError:
         return None
+    return domain.polyline(nodes[path])
 
 
 def intrinsic_diameter_distance(

@@ -101,7 +101,10 @@ def check_ball_separation(
     """Minimal c such that B(z, c d(z)) (intrinsic lambda-ball) separates the
     two geodesic endpoints for every sampled interior geodesic point z.
 
-    When ``c`` is given, reports pass/fail at that value instead.
+    When ``c`` is given, reports pass/fail at that value instead.  Without
+    it, a z whose ball holds an endpoint already at the smallest c tested
+    (0.05) passes at every c: it is sampled as a ``skip`` state and bounds
+    the constant below by that smallest c only.
     """
     domain = qh.domain
     dvals = domain.node_dist()
@@ -139,7 +142,13 @@ def check_ball_separation(
                 report.samples.append(
                     {"geodesic": gi, "z_index": int(zi), "state": st, "c": c})
                 continue
-            # bisection (log scale) for the minimal passing c
+            # bisection (log scale) for the minimal passing c; a ball
+            # holding an endpoint at the smallest c tested passes at every c
+            if state(c_lo_all) == "skip":
+                worst = max(worst, c_lo_all)
+                report.samples.append(
+                    {"geodesic": gi, "z_index": int(zi), "state": "skip"})
+                continue
             if state(c_hi_all) == "connected":
                 worst = float("inf")
                 all_pass = False

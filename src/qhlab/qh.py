@@ -55,13 +55,17 @@ class GeodesicTree:
 
 
 class QhMetric:
-    """Quasihyperbolic distance oracle for one grid domain."""
+    """Quasihyperbolic distance oracle for one grid domain; ``edge_weights``,
+    per entry of the domain's edge table, is its engine's weight array."""
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
-        ia, ib, w = domain.edges()
         self._node_d = domain.node_dist()
-        self.edge_weights = self.step_weights(w, ia, ib)
+        # step_weights on the edge table, in place: len * (1/d + 1/d) * 0.5
+        # has the bits of len * 0.5 * (1/d + 1/d), halving being exact
+        self.edge_weights = domain.entry_sums(1.0 / self._node_d)
+        self.edge_weights *= domain.edges()[2]
+        self.edge_weights *= 0.5
         self.engine = domain.graph(self.edge_weights)
         self._tree: GeodesicTree | None = None
 
@@ -146,21 +150,16 @@ class DeltaEstimate:
     per_triangle: list[float] = field(default_factory=list, repr=False)
 
 
-def _thinness_limits(start: float, half: float):
-    """Limits for one side's distance field to the other two sides, tried
-    in turn until the field reaches every node of the side.
-
-    A side's thinness rarely exceeds the thinness measured before it (of
-    its triangle, or of the earlier triangles for a first side) by much, so
-    the first limit is 1.25 times that, doubled while below ``half``.  The
-    other sides hold the side's ends, and each node of a geodesic lies
-    within half its k-length of one of them, so ``half`` always suffices
-    up to quadrature; the unbounded field comes last."""
-    limit = 1.25 * start
-    while 0 < limit < half:
+def search_limits(start: float, cap: float):
+    """Limits for a distance field, tried in turn until it reaches what its
+    caller reads: ``start`` doubled while below ``cap``, a limit that
+    suffices up to quadrature; then ``cap`` and no limit.  Every finite
+    value of a field searched to a limit is exact."""
+    limit = start
+    while 0 < limit < cap:
         yield limit
         limit *= 2
-    yield half
+    yield cap
     yield np.inf
 
 
@@ -195,8 +194,12 @@ def estimate_delta(
         thin = 0.0
         for i, (u, v) in enumerate(ends):
             others = np.unique(np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]]))
+            # a side's thinness rarely exceeds the thinness measured before
+            # it (of its triangle, or of the earlier triangles for a first
+            # side) by much; the other sides hold the side's ends, and each
+            # node of a geodesic lies within half its k-length of one
             half = 0.5 * qh.engine.distance(u, v)
-            for limit in _thinness_limits(thin if i else best, half):
+            for limit in search_limits(1.25 * (thin if i else best), half):
                 near = qh.min_field(others, limit * (1 + 1e-9))[sides[i]]
                 if np.isfinite(near).all():
                     break

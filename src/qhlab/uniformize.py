@@ -36,8 +36,10 @@ class DeformedMetric:
         tree = qh.radial_tree()
         self.rho = np.exp(-self.epsilon * tree.dist)
 
-        ia, ib, _ = self.domain.edges()
-        self.edge_weights = self._eps_steps(qh.edge_weights, ia, ib)
+        # _eps_steps on the edge table, in place (halving is exact)
+        self.edge_weights = self.domain.entry_sums(self.rho)
+        self.edge_weights *= qh.edge_weights
+        self.edge_weights *= 0.5
         self.engine = self.domain.graph(self.edge_weights)
 
         # deformed boundary distance: one Dijkstra from a virtual boundary
@@ -92,9 +94,11 @@ class DeformedMetric:
 
     def k_rho_engine(self) -> _DijkstraCache:
         if self._k_rho_engine is None:
-            ia, ib, _ = self.domain.edges()
-            self._k_rho_engine = self.domain.graph(
-                self._k_rho_steps(self.edge_weights, ia, ib))
+            # _k_rho_steps on the edge table, in place (doubling is exact)
+            weights = self.domain.entry_sums(self.d_rho)
+            np.divide(self.edge_weights, weights, out=weights)
+            weights *= 2.0
+            self._k_rho_engine = self.domain.graph(weights)
         return self._k_rho_engine
 
     def k_rho(self, x, y, bound: float = np.inf) -> float:

@@ -236,6 +236,20 @@ def test_distance_lemma_group_max(dumbbell_ctx):
     assert rep.passed and np.isfinite(rep.constant)
 
 
+def test_distance_lemmas_equal_unbounded_fields(dumbbell_ctx, monkeypatch):
+    """The limited cube fields change no maximum, and a first cube whose
+    targets come back unreached is searched again without the limit."""
+    ct = dumbbell_ctx[3]
+    got = verify_distance_lemmas(ct).extra
+    unbounded = QhMetric.min_field
+    for bounded in (lambda self, nodes, limit=np.inf: unbounded(self, nodes),
+                    lambda self, nodes, limit=np.inf: (
+                        unbounded(self, nodes) if limit == np.inf
+                        else np.full(self.domain.n_nodes, np.inf))):
+        monkeypatch.setattr(QhMetric, "min_field", bounded)
+        assert verify_distance_lemmas(ct).extra == got
+
+
 def test_chain_overlap_bounded(ct6):
     pairs = chain_pair_classes(ct6)
     assert pairs and all(a < b for a, b in pairs)

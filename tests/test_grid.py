@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import ndimage
+from scipy import ndimage, sparse
+from scipy.sparse import csgraph
 
 from qhlab import gallery, grid
 from qhlab.grid import (
@@ -109,7 +110,8 @@ def test_distance_field_analytic_agreement_on_fixtures():
 
 def test_distance_field_lipschitz_across_edges():
     dom = gallery.slit_disk(1 / 128)
-    ia, ib, w = dom.edges()
+    indptr, ib, w = dom.edges()
+    ia = np.repeat(np.arange(dom.n_nodes), np.diff(indptr))
     dvals = dom.node_dist()
     assert np.all(np.abs(dvals[ia] - dvals[ib]) <= w + 1e-12)
 
@@ -296,6 +298,66 @@ def test_bounded_queries_equal_unbounded_on_generated_domains(rects, data):
             assert np.array_equal(pred, full_pred)
 
 
+_HALF_NEIGHBORS = [  # offset, clearance cells (the cell graph's definition)
+    ((1, 0), []), ((0, 1), []),
+    ((1, 1), [(1, 0), (0, 1)]), ((1, -1), [(1, 0), (0, -1)]),
+    ((2, 1), [(1, 0), (1, 1)]), ((2, -1), [(1, 0), (1, -1)]),
+    ((1, 2), [(0, 1), (1, 1)]), ((1, -2), [(0, -1), (1, -1)]),
+]
+
+
+def _one_orientation_edges(dom):
+    """(ia, ib, length) of each cell-graph edge once, found cell by cell."""
+    ia, ib, w = [], [], []
+    for i, j in dom.node_cells:
+        for (di, dj), clearance in _HALF_NEIGHBORS:
+            cells = [(i + di, j + dj)] + [(i + a, j + b) for a, b in clearance]
+            if all(0 <= a < dom.shape[0] and 0 <= b < dom.shape[1]
+                   and dom.interior[a, b] for a, b in cells):
+                ia.append(dom.cell_node[i, j])
+                ib.append(dom.cell_node[i + di, j + dj])
+                w.append(dom.h * float(np.hypot(di, dj)))
+    return np.array(ia), np.array(ib), np.array(w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rects=RECTS, data=st.data())
+def test_engines_equal_undirected_search_of_one_orientation(rects, data):
+    """The lambda and k engines' weights, from_source, bounded field and
+    min_from_set are bitwise those of scipy's undirected search of a
+    one-orientation matrix of the same edges (dist and pred)."""
+    dom = _rect_union(rects, data)
+    qh = QhMetric(dom)
+    n = dom.n_nodes
+    ia, ib, lengths = _one_orientation_edges(dom)
+    src = data.draw(st.integers(0, n - 1))
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=4))
+    for eng, w in ((dom.length_engine(), lengths),
+                   (qh.engine, qh.step_weights(lengths, ia, ib))):
+        assert eng.matrix.nnz == 2 * len(w)
+        for a, b in ((ia, ib), (ib, ia)):
+            assert np.array_equal(np.asarray(eng.matrix[a, b]).ravel(), w)
+        ref = sparse.csr_matrix((w, (ia, ib)), shape=(n, n))
+
+        def reference(**kw):
+            return csgraph.dijkstra(ref, directed=False, **kw)
+
+        dist, pred = reference(indices=src, return_predecessors=True)
+        got = eng.from_source(src)
+        assert np.array_equal(got[0], dist) and np.array_equal(got[1], pred)
+        dst = data.draw(st.integers(0, n - 1))
+        got = dom.graph(eng.matrix.data).field(src, dst, dist[dst])
+        want = reference(indices=src, return_predecessors=True,
+                         limit=dist[dst] * (1 + 1e-9))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        for limit in (np.inf, np.median(dist)):
+            assert np.array_equal(
+                eng.min_from_set(sources, limit),
+                reference(indices=sources, min_only=True, limit=limit))
+
+
 def test_engine_serves_a_bounded_field_where_it_reached():
     dom = gallery.disk(1 / 64)
     eng = dom.graph(dom.edges()[2])
@@ -442,7 +504,7 @@ def test_components_lookup_equals_per_label_loop(forbidden, data):
 def test_walk_equals_engine_path_and_realizes_distance():
     dom = gallery.slit_disk(1 / 64)
     eng = dom.length_engine()
-    weights = (eng.matrix + eng.matrix.T).tocsr()
+    weights = eng.matrix
     rng = np.random.default_rng(11)
     for src, dst in rng.integers(0, dom.n_nodes, size=(12, 2)):
         dist, pred = eng.from_source(src)

@@ -56,6 +56,23 @@ def test_ball_separation_fails_below_minimal(disk_qh):
     assert "connected" in states or all(s == "skip" for s in states)
 
 
+def test_ball_separation_skips_the_balls_holding_an_endpoint(disk_qh):
+    """Without c, the sampled z whose ball holds an endpoint at the
+    smallest c tested are exactly those skipped at that c, one for one."""
+    pairs = sample_pairs(disk_qh.domain, 10, seed=31)
+    geos = pair_geodesics(disk_qh, pairs)
+    rep = check_ball_separation(disk_qh, geos)
+    at_lo = check_ball_separation(disk_qh, geos, c=0.05)
+    assert len(rep.samples) == len(at_lo.samples)
+    skipped = [(s["geodesic"], s["z_index"]) for s in rep.samples
+               if s.get("state") == "skip"]
+    assert skipped == [(s["geodesic"], s["z_index"]) for s in at_lo.samples
+                       if s["state"] == "skip"]
+    assert 0 < len(skipped) < len(rep.samples)
+    assert rep.constant == max(s["minimal_c"] for s in rep.samples
+                               if "minimal_c" in s) > 0.05
+
+
 def test_gehring_hayman_constants_finite_and_stable():
     consts = {"length": [], "diameter": []}
     for h in (1 / 128, 1 / 256):

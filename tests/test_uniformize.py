@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from qhlab import gallery
 from qhlab.grid import DomainError
@@ -39,7 +40,8 @@ def test_density_invariants(disk_qh, disk_def):
     assert rho[dom.require_interior(dom.x0)] == pytest.approx(1.0)
     assert 0 < rho.min() and rho.max() <= 1.0 + 1e-12
     # multiplicative Lipschitz along edges: |log rho(a)-log rho(b)| <= eps*w
-    ia, ib, _ = dom.edges()
+    indptr, ib, _ = dom.edges()
+    ia = np.repeat(np.arange(dom.n_nodes), np.diff(indptr))
     gap = np.abs(np.log(rho[ia]) - np.log(rho[ib]))
     assert (gap <= 0.2 * disk_qh.edge_weights + 1e-9).all()
 
@@ -142,19 +144,42 @@ def test_epsilon_sweep_reports(disk_qh):
 @pytest.mark.parametrize("fixture, h", [("disk", 1 / 128), ("spiral", 1 / 256)])
 def test_deformed_uniformity_samples_equal_summed_edge_weights(fixture, h):
     """A1 and A2 bitwise equal to the cumulative sum of the path's edge
-    weights, each edge looked up in both orientations of the edge table."""
+    weights, each edge looked up in the two-way edge table."""
     dom = gallery.make(fixture, h)
     metric = build_deformation(QhMetric(dom), 0.2)
-    ia, ib, _ = dom.edges()
-    table = sparse.csr_matrix((metric.edge_weights, (ia, ib)),
+    indptr, indices, _ = dom.edges()
+    table = sparse.csr_matrix((metric.edge_weights, indices, indptr),
                               shape=(dom.n_nodes, dom.n_nodes))
     rep = check_deformed_uniformity(metric, sample_pairs(dom, 10, 4))
     assert len(rep.samples) >= 8
     for s in rep.samples:
         value, nodes = metric.distance(s["x"], s["y"], with_path=True)
         a, b = nodes[:-1], nodes[1:]
-        steps = np.asarray(table[a, b] + table[b, a]).ravel()
+        steps = np.asarray(table[a, b]).ravel()
         sub = np.concatenate([[0.0], steps]).cumsum()
         cone = np.minimum(sub, sub[-1] - sub)
         assert s["A1"] == float(sub[-1]) / value
         assert s["A2"] == float((cone / metric.d_rho[nodes]).max())
+
+
+@pytest.mark.parametrize("fixture", ["disk", "dumbbell"])
+def test_d_rho_equals_virtual_node_reference(fixture):
+    """d_rho bitwise equal to scipy's undirected search from a virtual node
+    joined to the boundary layer, on a one-orientation matrix of the same
+    edges weighed by the quadratures written out per edge."""
+    dom = gallery.make(fixture, 1 / 128)
+    metric = build_deformation(QhMetric(dom), 0.2)
+    n = dom.n_nodes
+    indptr, indices, lengths = dom.edges()
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    once = indices > rows
+    ia, ib = rows[once], indices[once]
+    k = metric.qh.step_weights(lengths[once], ia, ib)
+    eps = k * 0.5 * (metric.rho[ia] + metric.rho[ib])
+    near = np.flatnonzero(dom.node_dist() <= dom.h)
+    ref = sparse.csr_matrix(
+        (np.concatenate([eps, metric.rho[near] / metric.epsilon]),
+         (np.concatenate([ia, near]), np.concatenate([ib, np.full(len(near), n)]))),
+        shape=(n + 1, n + 1))
+    want = csgraph.dijkstra(ref, directed=False, indices=[n], min_only=True)
+    assert np.array_equal(metric.d_rho, want[:n])
