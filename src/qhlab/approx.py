@@ -272,8 +272,12 @@ def error_localization(u: SampledFunction, approx: Approximant) -> float:
     return (total - inside) / total
 
 
+# error_decay's tail at level m lies outside the core at level _ALPHA_TAIL*m
+_ALPHA_TAIL = 0.6
+
+
 def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
-                m_list, alpha_tail: float = 0.6, refine: int = 2,
+                m_list, refine: int = 2,
                 qh: QhMetric | None = None,
                 dec: WhitneyDecomposition | None = None,
                 levels=None) -> PropertyReport:
@@ -301,7 +305,7 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
         approx = assemble(u, pou, ct)
         diff = approx.error_jets(u)
         err = seminorm(diff, None, k, p, grid.cell_area)
-        tail_sel = grid.region(~core_mask_at_level(dec, alpha_tail * m))
+        tail_sel = grid.region(~core_mask_at_level(dec, _ALPHA_TAIL * m))
         tail = seminorm(u.jets, tail_sel, k, p, grid.cell_area)
         rows.append({
             "m": int(m),
@@ -315,7 +319,7 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
     done = [r for r in rows if "error" in r]
     rep.samples = rows
     rep.extra = {
-        "k": k, "p": p, "alpha_tail": alpha_tail,
+        "k": k, "p": p, "alpha_tail": _ALPHA_TAIL,
         "total_seminorm": total,
         "errors": [r["error"] for r in done],
         "ratios": [r["ratio"] for r in done],

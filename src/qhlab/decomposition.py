@@ -528,7 +528,7 @@ class CoreTentacleDecomposition:
         ca = self.dec.cubes[a].center_cell()
         cb = self.dec.cubes[b].center_cell()
         _, geo = self.qh.distance(ca, cb, with_geodesic=True)
-        raw = self.dec.cell_cube[tuple(geo.polyline.cells.T)]
+        raw = self.dec.cell_cube[tuple(self.domain.node_cells[geo.nodes].T)]
         seq = raw[np.append(True, raw[1:] != raw[:-1])].tolist()
         # repair: 16-neighbor moves can hop over a face neighbor
         adj = self.dec.adjacency

@@ -29,13 +29,13 @@ class UnreachableError(DomainError):
 
 # The 16-neighborhood in the order a row of the edge table lists it: the
 # offsets to larger-numbered cells ascending (nodes are numbered in raster
-# order), then their negations ascending.  scipy's undirected Dijkstra scans
-# a node's row of a one-orientation matrix and then its row of the
-# transpose, sorted, in exactly this order; so a directed search of the
-# table visits nodes, and breaks ties, as that search would.  Each offset
-# carries the cells, relative to the row's cell, that a segment to the
-# neighbor passes next to: requiring those clearance cells to be interior
-# prevents paths from cutting exterior corners.
+# order), then their negations ascending, as scipy's undirected Dijkstra
+# scans a one-orientation matrix and its transpose.  The order decides no
+# result: scipy 1.17 keeps the same one of tied predecessors whatever order
+# a row lists them in.  Each offset carries the cells, relative to the
+# row's cell, that a segment to the neighbor passes next to: requiring
+# those clearance cells to be interior prevents paths from cutting
+# exterior corners.
 _HALF_OFFSETS: list[tuple[Cell, list[Cell]]] = [
     ((0, 1), []),
     ((1, -2), [(0, -1), (1, -1)]),
@@ -86,28 +86,20 @@ def _euclid_diameter(points: np.ndarray) -> float:
 
 @dataclass
 class Polyline:
-    """A path through interior cell centers with cached euclidean summaries."""
+    """A path through interior cell centers: its graph nodes, their centers
+    and each step's lambda length, read from the length engine."""
 
-    cells: np.ndarray  # (n, 2) int cell indices
-    h: float
-
-    @property
-    def points(self) -> np.ndarray:
-        return (self.cells + 0.5) * self.h
+    nodes: np.ndarray  # graph node ids along the path
+    points: np.ndarray  # (n, 2) cell centers
+    steps: np.ndarray  # lambda length of each of the n - 1 steps
 
     @property
     def length(self) -> float:
-        pts = self.points
-        if len(pts) < 2:
-            return 0.0
-        return float(np.sqrt((np.diff(pts, axis=0) ** 2).sum(1)).sum())
+        return float(self.steps.sum())
 
     @property
     def diameter(self) -> float:
         return _euclid_diameter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
 
 # Bytes of (dist, pred) fields one shortest-path engine keeps: 29 fields of
@@ -135,7 +127,11 @@ class _DijkstraCache:
     undirected search: on the spiral at h=1/512 a search limited to 1e-9
     took 1.7 ms, against 6.5 ms undirected on a one-orientation matrix.
     Threads do not help: scipy's Dijkstra holds the GIL (8 spiral fields
-    took 0.71 s on 2 threads, 0.66 s in sequence)."""
+    took 0.71 s on 2 threads, 0.66 s in sequence).
+
+    A path's length in the engine's metric is read from the engine's own
+    weights (``steps``), so each metric's step rule is written once, in
+    the weights its engine is built from."""
 
     def __init__(self, matrix: sparse.csr_matrix):
         self.matrix = matrix
@@ -198,6 +194,22 @@ class _DijkstraCache:
     def path(self, src: int, dst: int, bound: float = np.inf) -> list[int]:
         self.distance(src, dst, bound)
         return _walk(self.field(src, dst, bound)[1], src, dst)
+
+    def steps(self, nodes) -> np.ndarray:
+        """The weight of each step of a node path (none for one node); a
+        step that is not an edge of the graph raises DomainError."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        a, b = nodes[:-1], nodes[1:]
+        m = self.matrix
+        lo, hi = m.indptr[a, None], m.indptr[a + 1, None]
+        # the entries of each step's row, padded to the longest of them
+        at = lo + np.arange(int((hi - lo).max(initial=0)))
+        hit = (at < hi) & (m.indices[np.minimum(at, m.nnz - 1)] == b[:, None])
+        joined = hit.any(1)
+        if not joined.all():
+            i = int(np.argmin(joined))
+            raise DomainError(f"nodes {a[i]} and {b[i]} are not joined by an edge")
+        return m.data[at[hit]]
 
 
 def _walk(pred, src: int, dst: int) -> list[int]:
@@ -311,11 +323,6 @@ class GridDomain:
         """Boundary distance per graph node."""
         return self.dist[tuple(self.node_cells.T)]
 
-    def step_lengths(self, nodes) -> np.ndarray:
-        """Euclidean length of each step of a node path."""
-        pts = (self.node_cells[np.asarray(nodes, dtype=int)] + 0.5) * self.h
-        return np.sqrt((np.diff(pts, axis=0) ** 2).sum(1))
-
     # -- cell graph ---------------------------------------------------------
 
     def edges(self):
@@ -383,7 +390,9 @@ class GridDomain:
         return self._length_engine
 
     def polyline(self, nodes) -> Polyline:
-        return Polyline(self.node_cells[np.asarray(nodes, dtype=int)], self.h)
+        nodes = np.asarray(nodes, dtype=int)
+        return Polyline(nodes, (self.node_cells[nodes] + 0.5) * self.h,
+                        self.length_engine().steps(nodes))
 
 
 # -- module-level metric operations ----------------------------------------

@@ -22,6 +22,7 @@ from .grid import DomainError
 from .properties import PropertyReport
 
 MOMENT_TOL = 1e-10
+_ETA = 0.25  # least share of a cube the norm_equivalence_check sets cover
 
 
 @dataclass
@@ -158,12 +159,11 @@ def poly_difference_norm(p1: PolyApprox, p2: PolyApprox,
     return float((np.abs(diff) ** p).sum() * spacing ** 2) ** (1.0 / p)
 
 
-def norm_equivalence_check(dec, k: int, p: float, eta: float = 0.25,
-                           n_cubes: int = 20, n_pairs: int = 8,
-                           seed: int = 0) -> PropertyReport:
+def norm_equivalence_check(dec, k: int, p: float, n_cubes: int = 20,
+                           n_pairs: int = 8, seed: int = 0) -> PropertyReport:
     """Measured constant in ||P||_Lp(E) <= C ||P||_Lp(F) over random subsets
-    E, F of Whitney cubes with |E|, |F| > eta |Q|, for random degree-(k-1)
-    polynomials."""
+    E, F of Whitney cubes with |E|, |F| > eta |Q| (eta = _ETA), for random
+    degree-(k-1) polynomials."""
     rng = np.random.default_rng(seed)
     dom = dec.domain
     rep = PropertyReport("norm_equivalence", 1.0, seed=seed, resolution=dom.h)
@@ -173,7 +173,7 @@ def norm_equivalence_check(dec, k: int, p: float, eta: float = 0.25,
     for qi in (unflagged[i] for i in idx):
         cells = dec.cube_cells(qi)
         nq = len(cells)
-        keep = max(int(np.ceil(eta * nq)) + 1, 1)
+        keep = max(int(np.ceil(_ETA * nq)) + 1, 1)
         for _ in range(n_pairs):
             e = cells[rng.choice(nq, size=min(nq, keep + rng.integers(0, nq - keep + 1)), replace=False)]
             f = cells[rng.choice(nq, size=min(nq, keep + rng.integers(0, nq - keep + 1)), replace=False)]
@@ -185,8 +185,8 @@ def norm_equivalence_check(dec, k: int, p: float, eta: float = 0.25,
             if nf == 0:
                 continue
             rep.constant = max(rep.constant, ne / nf)
-    rep.extra = {"eta": eta, "k": k, "p": p,
-                 "bound_for_constants": eta ** (-1.0 / p)}
+    rep.extra = {"eta": _ETA, "k": k, "p": p,
+                 "bound_for_constants": _ETA ** (-1.0 / p)}
     rep.passed = np.isfinite(rep.constant)
     return rep
 

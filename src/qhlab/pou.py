@@ -233,6 +233,7 @@ _POINT_BLOCK = 1 << 13
 
 # Most buckets per axis of the pair search.
 _MAX_BUCKETS = 1024
+_PROBES_PER_RAMP = 6  # Hat.probe_points inside each ramp band, per axis
 
 
 class _Profiles:
@@ -499,15 +500,14 @@ class Hat:
     def jet(self, x, y, alphas=ALPHAS) -> Jet:
         return self.bump.jet(x, y, alphas)
 
-    def probe_points(self, samples_per_ramp: int = 6
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Points straddling every ramp band of every box (for sup-norm
-        measurement of sub-grid ramps)."""
+    def probe_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points straddling every ramp band of every box, _PROBES_PER_RAMP
+        inside each ramp (for sup-norm measurement of sub-grid ramps)."""
         def axis(p: Profile) -> np.ndarray:
             lo, hi = p.support
             return np.concatenate([
-                np.linspace(lo, p.lo, samples_per_ramp + 2)[1:-1],
-                np.linspace(p.hi, hi, samples_per_ramp + 2)[1:-1],
+                np.linspace(lo, p.lo, _PROBES_PER_RAMP + 2)[1:-1],
+                np.linspace(p.hi, hi, _PROBES_PER_RAMP + 2)[1:-1],
                 np.linspace(p.lo, p.hi, 4),
             ])
 

@@ -62,9 +62,9 @@ def pair_geodesics(qh: QhMetric, pairs) -> list[Geodesic]:
     return out
 
 
-def _cumlen(points: np.ndarray) -> np.ndarray:
-    seg = np.sqrt((np.diff(points, axis=0) ** 2).sum(1))
-    return np.concatenate([[0.0], np.cumsum(seg)])
+def _cumlen(steps: np.ndarray) -> np.ndarray:
+    """Length along a path from its start, at each node, from its steps."""
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 # -- ball separation ---------------------------------------------------------
@@ -121,7 +121,7 @@ def check_ball_separation(
             continue
         z_idx = np.linspace(1, n - 2, z_per_geodesic).astype(int)
         nx, ny = int(geo.nodes[0]), int(geo.nodes[-1])
-        cum = _cumlen(geo.polyline.points)
+        cum = _cumlen(geo.steps)
         for zi in np.unique(z_idx):
             nz = int(geo.nodes[zi])
             z_d = float(dvals[nz])
@@ -267,14 +267,15 @@ def record_uniformity(report: PropertyReport, pairs, curve
     """Sample the uniform-curve constants of one curve per distinct pair:
     A1 = length over chord, and A2 = max over the curve's points z of the
     smaller of the two sub-lengths over the boundary distance at z.
-    ``curve(x, y)`` gives the chord, the cumulative length along the curve
+    ``curve(x, y)`` gives the chord, the length of each step of the curve
     and the boundary distance at its points.  Sets ``report.constant`` to
     max(A1, A2) and returns (A1, A2)."""
     a1 = a2 = 0.0
     for x, y in pairs:
         if tuple(x) == tuple(y):
             continue
-        chord, cum, dvals = curve(x, y)
+        chord, steps, dvals = curve(x, y)
+        cum = _cumlen(steps)
         sub = np.minimum(cum, cum[-1] - cum)
         with np.errstate(divide="ignore"):
             r1, r2 = float(cum[-1]) / chord, float((sub / dvals).max())
@@ -296,7 +297,7 @@ def check_uniformity(qh: QhMetric, pairs, seed: int = 0) -> PropertyReport:
     def geodesic(x, y):
         _, geo = qh.distance(x, y, with_geodesic=True)
         chord = float(np.hypot(*(domain.position(x) - domain.position(y))))
-        return chord, _cumlen(geo.polyline.points), dvals[geo.nodes]
+        return chord, geo.steps, dvals[geo.nodes]
 
     a1, a2 = record_uniformity(report, pairs, geodesic)
     report.extra = {"A1": a1, "A2": a2, "doubly_john_A": a2}
@@ -386,15 +387,16 @@ def check_radially_hyperbolic(
 # -- geodesic tail diameter --------------------------------------------------
 
 
+_TAIL_M_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+
+
 def check_geodesic_tail_diameter(
-    qh: QhMetric, pairs, M_grid=None, tol: float = 0.05, seed: int = 0,
+    qh: QhMetric, pairs, tol: float = 0.05, seed: int = 0,
 ) -> PropertyReport:
-    """Minimal M in a grid such that every component of geodesic minus the
-    euclidean ball B(x, M delta(x,y)) has quasihyperbolic diameter at most
-    log 2 (plus tolerance)."""
+    """Minimal M in _TAIL_M_GRID such that every component of geodesic
+    minus the euclidean ball B(x, M delta(x,y)) has quasihyperbolic
+    diameter at most log 2 (plus tolerance)."""
     domain = qh.domain
-    if M_grid is None:
-        M_grid = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0]
     threshold = LOG2 * (1.0 + tol)
     data = []
     for x, y in pairs:
@@ -403,12 +405,12 @@ def check_geodesic_tail_diameter(
         _, geo = qh.distance(x, y, with_geodesic=True)
         delta = intrinsic_diameter_distance(domain, x, y, bound=geo.length)
         px = domain.position(x)
-        radii = np.sqrt(((geo.polyline.points - px) ** 2).sum(1))
+        radii = np.sqrt(((geo.points - px) ** 2).sum(1))
         data.append((geo, delta, radii))
     report = PropertyReport("geodesic_tail_diameter", float("inf"),
                             bound=threshold, seed=seed, resolution=domain.h)
     chosen = None
-    for M in M_grid:
+    for M in _TAIL_M_GRID:
         ok = True
         worst = 0.0
         for geo, delta, radii in data:
@@ -441,7 +443,7 @@ def midpoint_john_check(qh: QhMetric, pairs, A: float, tol: float = 0.2):
         if tuple(x) == tuple(y):
             continue
         _, geo = qh.distance(x, y, with_geodesic=True)
-        cum = _cumlen(geo.polyline.points)
+        cum = _cumlen(geo.steps)
         mid = int(np.searchsorted(cum, cum[-1] / 2))
         mid = min(mid, len(geo.nodes) - 1)
         dz = float(dvals[int(geo.nodes[mid])])

@@ -18,24 +18,14 @@ from .grid import Cell, GridDomain, Polyline, UnreachableError, _walk
 
 
 @dataclass
-class Geodesic:
-    """A discrete quasihyperbolic geodesic with cached summaries."""
+class Geodesic(Polyline):
+    """A discrete quasihyperbolic geodesic: a polyline and its k-length."""
 
-    nodes: np.ndarray  # graph node ids along the path
-    polyline: Polyline
     k_length: float
-
-    @property
-    def length(self) -> float:
-        return self.polyline.length
-
-    @property
-    def diameter(self) -> float:
-        return self.polyline.diameter
 
     def as_dict(self) -> dict:
         return {
-            "points": self.polyline.points.tolist(),
+            "points": self.points.tolist(),
             "euclidean_length": self.length,
             "euclidean_diameter": self.diameter,
             "k_length": self.k_length,
@@ -60,47 +50,30 @@ class QhMetric:
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
-        self._node_d = domain.node_dist()
-        # step_weights on the edge table, in place: len * (1/d + 1/d) * 0.5
-        # has the bits of len * 0.5 * (1/d + 1/d), halving being exact
-        self.edge_weights = domain.entry_sums(1.0 / self._node_d)
+        # len * (1/d(a) + 1/d(b)) / 2 per entry, in place
+        self.edge_weights = domain.entry_sums(1.0 / domain.node_dist())
         self.edge_weights *= domain.edges()[2]
         self.edge_weights *= 0.5
         self.engine = domain.graph(self.edge_weights)
         self._tree: GeodesicTree | None = None
-
-    # -- plumbing -----------------------------------------------------------
-
-    def node(self, x: Cell) -> int:
-        return self.domain.require_interior(x)
 
     def min_field(self, nodes, limit: float = np.inf) -> np.ndarray:
         """k(S, .) = min over sources; one multi-source Dijkstra, inf where
         it exceeds ``limit`` (every finite value is exact)."""
         return self.engine.min_from_set(nodes, limit)
 
-    def step_weights(self, lengths, a, b) -> np.ndarray:
-        """Quasihyperbolic length of steps a -> b of euclidean ``lengths``:
-        the edge weights' trapezoidal quadrature of 1/d."""
-        d = self._node_d
-        return lengths * 0.5 * (1.0 / d[a] + 1.0 / d[b])
-
-    def k_length_of(self, nodes: np.ndarray) -> float:
-        """Quasihyperbolic length of a node path (same quadrature as edges)."""
-        nodes = np.asarray(nodes, dtype=int)
-        if len(nodes) < 2:
-            return 0.0
-        steps = self.domain.step_lengths(nodes)
-        return float(self.step_weights(steps, nodes[:-1], nodes[1:]).sum())
+    def k_length_of(self, nodes) -> float:
+        """Quasihyperbolic length of a node path: its edges' weights."""
+        return float(self.engine.steps(nodes).sum())
 
     def geodesic_from_nodes(self, nodes) -> Geodesic:
-        nodes = np.asarray(nodes, dtype=int)
-        return Geodesic(nodes, self.domain.polyline(nodes), self.k_length_of(nodes))
+        line = self.domain.polyline(nodes)
+        return Geodesic(**vars(line), k_length=self.k_length_of(line.nodes))
 
     # -- metric queries -----------------------------------------------------
 
     def distance(self, x: Cell, y: Cell, with_geodesic: bool = False):
-        nx, ny = self.node(x), self.node(y)
+        nx, ny = map(self.domain.require_interior, (x, y))
         value = self.engine.distance(nx, ny)
         if not with_geodesic:
             return value

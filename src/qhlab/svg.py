@@ -157,7 +157,7 @@ def geodesic_layer(geodesics, name: str = "geodesics",
                    stroke: str = "#d62728") -> SvgLayer:
     layer = SvgLayer(name)
     for g in geodesics:
-        layer.polyline(g.polyline.points, stroke=stroke)
+        layer.polyline(g.points, stroke=stroke)
     return layer
 
 
@@ -167,7 +167,7 @@ def triangle_layer(qh, cells: tuple) -> SvgLayer:
     a, b, c = cells
     for x, y in ((a, b), (a, c), (b, c)):
         _, geo = qh.distance(x, y, with_geodesic=True)
-        layer.polyline(geo.polyline.points, stroke="#756bb1")
+        layer.polyline(geo.points, stroke="#756bb1")
     for x in cells:
         layer.circle((x[0] + 0.5) * qh.domain.h, (x[1] + 0.5) * qh.domain.h,
                      1.5 * qh.domain.h, fill="#54278f")

@@ -36,7 +36,7 @@ class DeformedMetric:
         tree = qh.radial_tree()
         self.rho = np.exp(-self.epsilon * tree.dist)
 
-        # _eps_steps on the edge table, in place (halving is exact)
+        # k-len * (rho(a) + rho(b)) / 2 per entry, in place
         self.edge_weights = self.domain.entry_sums(self.rho)
         self.edge_weights *= qh.edge_weights
         self.edge_weights *= 0.5
@@ -52,34 +52,10 @@ class DeformedMetric:
 
         self._k_rho_engine: _DijkstraCache | None = None
 
-    # -- step weights (the engines' quadrature) -----------------------------
-
-    def _eps_steps(self, k_steps, a, b) -> np.ndarray:
-        """d_eps length of steps a -> b of k-length ``k_steps``: the
-        trapezoidal average of the density at the ends."""
-        return k_steps * 0.5 * (self.rho[a] + self.rho[b])
-
-    def _k_rho_steps(self, eps_steps, a, b) -> np.ndarray:
-        """k_rho length of steps a -> b of d_eps length ``eps_steps``: the
-        harmonic mean of the density 1/d_rho at the ends."""
-        return eps_steps * 2.0 / (self.d_rho[a] + self.d_rho[b])
-
-    def path_lengths(self, nodes) -> tuple[float, float]:
-        """d_eps and k_rho lengths of a node path; each bounds the distance
-        of its ends in that metric."""
-        nodes = np.asarray(nodes, dtype=int)
-        a, b = nodes[:-1], nodes[1:]
-        k_steps = self.qh.step_weights(self.domain.step_lengths(nodes), a, b)
-        eps = self._eps_steps(k_steps, a, b)
-        return float(eps.sum()), float(self._k_rho_steps(eps, a, b).sum())
-
     # -- metric queries -----------------------------------------------------
 
-    def node(self, x) -> int:
-        return self.domain.require_interior(x)
-
     def distance(self, x, y, with_path: bool = False, bound: float = np.inf):
-        nx, ny = self.node(x), self.node(y)
+        nx, ny = map(self.domain.require_interior, (x, y))
         value = self.engine.distance(nx, ny, bound)
         if not with_path:
             return value
@@ -87,22 +63,19 @@ class DeformedMetric:
 
     def diameter_from(self, x) -> float:
         """Max deformed distance from x (the space is bounded)."""
-        dist, _ = self.engine.from_source(self.node(x))
+        dist, _ = self.engine.from_source(self.domain.require_interior(x))
         return float(dist[np.isfinite(dist)].max())
 
     # -- quasihyperbolic metric of the deformed space -----------------------
 
     def k_rho_engine(self) -> _DijkstraCache:
         if self._k_rho_engine is None:
-            # _k_rho_steps on the edge table, in place (doubling is exact)
+            # d_eps-len * 2 / (d_rho(a) + d_rho(b)) per entry, in place
             weights = self.domain.entry_sums(self.d_rho)
             np.divide(self.edge_weights, weights, out=weights)
             weights *= 2.0
             self._k_rho_engine = self.domain.graph(weights)
         return self._k_rho_engine
-
-    def k_rho(self, x, y, bound: float = np.inf) -> float:
-        return self.k_rho_engine().distance(self.node(x), self.node(y), bound)
 
 
 def build_deformation(qh: QhMetric, epsilon: float = 0.2) -> DeformedMetric:
@@ -127,12 +100,9 @@ def check_deformed_uniformity(
 
     def geodesic(x, y):
         _, geo = metric.qh.distance(x, y, with_geodesic=True)
-        bound = metric.path_lengths(geo.nodes)[0]
+        bound = metric.engine.steps(geo.nodes).sum()
         value, nodes = metric.distance(x, y, with_path=True, bound=bound)
-        # cumulative deformed length along the path: the path runs down the
-        # shortest-path tree of x, whose distance field is cached
-        cum = metric.engine.field(nodes[0], nodes[-1], bound)[0][nodes]
-        return value, cum, metric.d_rho[nodes]
+        return value, metric.engine.steps(nodes), metric.d_rho[nodes]
 
     a1, a2 = record_uniformity(report, pairs, geodesic)
     report.extra = {
@@ -156,7 +126,9 @@ def check_bilipschitz(
         if tuple(x) == tuple(y):
             continue
         k, geo = metric.qh.distance(x, y, with_geodesic=True)
-        kr = metric.k_rho(x, y, bound=metric.path_lengths(geo.nodes)[1])
+        k_rho = metric.k_rho_engine()
+        kr = k_rho.distance(geo.nodes[0], geo.nodes[-1],
+                            k_rho.steps(geo.nodes).sum())
         if k <= 0 or kr <= 0:
             continue
         ratio = max(kr / k, k / kr)

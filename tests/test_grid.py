@@ -185,8 +185,9 @@ def test_masked_geodesic_steps_over_a_one_cell_wall():
     mask[i, :] = False
     path = _masked_geodesic(dom, mask, a, b)
     assert path is not None
-    assert mask[tuple(path.cells.T)].all()
-    cols = path.cells[:, 0]
+    cells = dom.node_cells[path.nodes]
+    assert mask[tuple(cells.T)].all()
+    cols = cells[:, 0]
     assert ((cols[:-1] < i) & (cols[1:] > i)).any()
 
 
@@ -196,7 +197,7 @@ def test_masked_geodesic_full_mask_is_the_length_geodesic():
         a, b = sample_cells(dom, 2, seed=seed)
         path = _masked_geodesic(dom, dom.interior, a, b)
         _, want = intrinsic_distance(dom, a, b, with_path=True)
-        assert np.array_equal(path.cells, want.cells)
+        assert np.array_equal(path.nodes, want.nodes)
 
 
 # -- intrinsic diameter metric ----------------------------------------------
@@ -325,7 +326,9 @@ def _one_orientation_edges(dom):
 def test_engines_equal_undirected_search_of_one_orientation(rects, data):
     """The lambda and k engines' weights, from_source, bounded field and
     min_from_set are bitwise those of scipy's undirected search of a
-    one-orientation matrix of the same edges (dist and pred)."""
+    one-orientation matrix of the same edges (dist and pred); so are those
+    of unit weights, whose exact ties give most nodes several
+    shortest-path predecessors."""
     dom = _rect_union(rects, data)
     qh = QhMetric(dom)
     n = dom.n_nodes
@@ -333,8 +336,12 @@ def test_engines_equal_undirected_search_of_one_orientation(rects, data):
     src = data.draw(st.integers(0, n - 1))
     sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                  max_size=4))
-    for eng, w in ((dom.length_engine(), lengths),
-                   (qh.engine, qh.step_weights(lengths, ia, ib))):
+    # the trapezoidal quadrature of 1/d, written out per edge
+    inv_d = 1.0 / dom.node_dist()
+    k_weights = lengths * 0.5 * (inv_d[ia] + inv_d[ib])
+    unit = dom.graph(np.ones(2 * len(lengths)))
+    for eng, w in ((dom.length_engine(), lengths), (qh.engine, k_weights),
+                   (unit, np.ones(len(lengths)))):
         assert eng.matrix.nnz == 2 * len(w)
         for a, b in ((ia, ib), (ib, ia)):
             assert np.array_equal(np.asarray(eng.matrix[a, b]).ravel(), w)
@@ -375,6 +382,33 @@ def test_engine_serves_a_bounded_field_where_it_reached():
     assert np.isinf(eng.field(0, far, full[far])[0]).any()
     assert np.isfinite(eng.from_source(0)[0]).all()
     assert eng._limits == {0: np.inf} and len(eng._cache) == 1
+
+
+def test_steps_are_the_engine_weights_of_a_path():
+    """steps() reads each step's entry of the engine's matrix, in either
+    direction; a one-node path has none and a non-edge step raises."""
+    dom = gallery.slit_disk(1 / 32)
+    eng = QhMetric(dom).engine
+    nodes = eng.path(0, dom.n_nodes - 1)
+    a, b = np.asarray(nodes[:-1]), np.asarray(nodes[1:])
+    want = np.asarray(eng.matrix[a, b]).ravel()
+    assert np.array_equal(eng.steps(nodes), want)
+    assert np.array_equal(eng.steps(nodes[::-1]), want[::-1])
+    assert eng.steps(nodes[:1]).shape == (0,)
+    with pytest.raises(DomainError, match="not joined by an edge"):
+        eng.steps([nodes[0], nodes[3]])
+    with pytest.raises(DomainError):
+        eng.steps([nodes[0], nodes[0]])
+
+
+def test_one_node_paths_have_length_zero():
+    dom = gallery.disk(1 / 32)
+    x = dom.cell_at((0.3, 0.6))
+    _, geo = QhMetric(dom).distance(x, x, with_geodesic=True)
+    assert len(geo.nodes) == 1 and geo.length == 0.0 and geo.k_length == 0.0
+    value, lower, path = intrinsic_diameter_distance(dom, x, x, detail=True)
+    assert value == lower == path.length == path.diameter == 0.0
+    assert intrinsic_distance(dom, x, x, with_path=True)[1].length == 0.0
 
 
 def test_diameter_distance_convex_is_euclidean():

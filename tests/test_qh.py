@@ -209,9 +209,8 @@ def test_geodesic_length_within_whitney_cubes():
         for t in range(10):
             a, b = cells_of(dom, nodes[2 * t : 2 * t + 2])
             _, geo = qh.distance(a, b, with_geodesic=True)
-            cells = geo.polyline.cells
-            cube_ids = dec.cell_cube[tuple(cells.T)]
-            seg = np.sqrt((np.diff(geo.polyline.points, axis=0) ** 2).sum(1))
+            cube_ids = dec.cell_cube[tuple(dom.node_cells[geo.nodes].T)]
+            seg = np.sqrt((np.diff(geo.points, axis=0) ** 2).sum(1))
             for qid in np.unique(cube_ids):
                 inside = (cube_ids[:-1] == qid) | (cube_ids[1:] == qid)
                 q = dec.cubes[int(qid)]

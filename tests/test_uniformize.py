@@ -162,6 +162,26 @@ def test_deformed_uniformity_samples_equal_summed_edge_weights(fixture, h):
         assert s["A2"] == float((cone / metric.d_rho[nodes]).max())
 
 
+def test_steps_along_each_engines_path_sum_to_its_distance():
+    """For the lambda, k, d_eps and k_rho engines, the steps of the
+    engine's own path sum to its distance (to rounding), and their
+    cumulative sum is bitwise the search's field along the path."""
+    dom = gallery.dumbbell(1 / 64)
+    metric = build_deformation(QhMetric(dom), 0.2)
+    engines = (dom.length_engine(), metric.qh.engine, metric.engine,
+               metric.k_rho_engine())
+    picks = np.linspace(0, dom.n_nodes - 1, 6).astype(int)
+    for eng in engines:
+        for src, dst in zip(picks[::2], picks[1::2]):
+            nodes = eng.path(src, dst)
+            steps = eng.steps(nodes)
+            assert len(steps) == len(nodes) - 1 > 0
+            assert steps.sum() == pytest.approx(eng.distance(src, dst),
+                                                rel=1e-12)
+            cum = np.concatenate([[0.0], np.cumsum(steps)])
+            assert np.array_equal(cum, eng.from_source(src)[0][nodes])
+
+
 @pytest.mark.parametrize("fixture", ["disk", "dumbbell"])
 def test_d_rho_equals_virtual_node_reference(fixture):
     """d_rho bitwise equal to scipy's undirected search from a virtual node
@@ -174,7 +194,8 @@ def test_d_rho_equals_virtual_node_reference(fixture):
     rows = np.repeat(np.arange(n), np.diff(indptr))
     once = indices > rows
     ia, ib = rows[once], indices[once]
-    k = metric.qh.step_weights(lengths[once], ia, ib)
+    inv_d = 1.0 / dom.node_dist()
+    k = lengths[once] * 0.5 * (inv_d[ia] + inv_d[ib])
     eps = k * 0.5 * (metric.rho[ia] + metric.rho[ib])
     near = np.flatnonzero(dom.node_dist() <= dom.h)
     ref = sparse.csr_matrix(
