@@ -206,7 +206,7 @@ class CoreTentacleDecomposition:
       bq         - per band cube, cells of the 11/10*c0-dilated component
       comp_labels- component labels of the domain minus the pruned-band halos
       U_ids/V_ids- component ids relabeled thick/thin
-      U_cubes/V_cubes - per component, the band cubes whose halos bound it
+      V_cubes    - per thin component, the band cubes whose halos bound it
       groups     - tentacle groups (maximal distinct halo collections)
       Um         - band cubes not used by any group
     """
@@ -307,7 +307,6 @@ class CoreTentacleDecomposition:
         thin[0] = False
         self.U_ids: list[int] = np.flatnonzero(~thin).tolist()
         self.V_ids: list[int] = np.flatnonzero(thin).tolist()
-        self.U_cubes = [touch[lab] for lab in self.U_ids]
         self.V_cubes = [touch[lab] for lab in self.V_ids]
 
         self._group()
@@ -527,7 +526,7 @@ class CoreTentacleDecomposition:
         a, b = key
         ca = self.dec.cubes[a].center_cell()
         cb = self.dec.cubes[b].center_cell()
-        _, geo = self.qh.distance(ca, cb, with_geodesic=True)
+        geo = self.qh.geodesic(ca, cb)
         raw = self.dec.cell_cube[tuple(self.domain.node_cells[geo.nodes].T)]
         seq = raw[np.append(True, raw[1:] != raw[:-1])].tolist()
         # repair: 16-neighbor moves can hop over a face neighbor
@@ -600,7 +599,9 @@ def build_core_tentacle(
 def build_levels(dec: WhitneyDecomposition, qh: QhMetric, m_list,
                  c0: float = 10.0):
     """Yield (m, decomposition, or why it degenerates) per level of
-    ``m_list``, each built when reached; none is held while the next is."""
+    ``m_list``, each built when reached.  Iterating it, error_decay drops
+    each level once the next is built; report.run keeps every level in a
+    list, because its decompose and approx stages both read them."""
     for m in m_list:
         try:
             yield m, build_core_tentacle(dec, qh, m, c0)

@@ -421,18 +421,12 @@ def components(domain: GridDomain, forbidden: np.ndarray | None = None) -> np.nd
     return lut[raw]
 
 
-def intrinsic_distance(
-    domain: GridDomain, x: Cell, y: Cell, with_path: bool = False,
-    bound: float = np.inf,
-):
+def intrinsic_distance(domain: GridDomain, x: Cell, y: Cell,
+                       bound: float = np.inf) -> float:
     """Shortest euclidean path length inside the domain (lambda metric);
     ``bound``, the length of any x-y path, limits the search."""
     nx, ny = domain.require_interior(x), domain.require_interior(y)
-    eng = domain.length_engine()
-    value = eng.distance(nx, ny, bound)
-    if not with_path:
-        return value
-    return value, domain.polyline(eng.path(nx, ny, bound))
+    return domain.length_engine().distance(nx, ny, bound)
 
 
 def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
@@ -444,38 +438,23 @@ def _masked_geodesic(domain: GridDomain, mask: np.ndarray, x: Cell, y: Cell):
     can step over a one-cell-wide gap in the mask.  Its diameter therefore
     remains a certified upper bound for delta.
 
-    The search runs on the mask's own nodes: the edge table's rows of
-    masked nodes, keeping the entries whose end is masked, renumbered in
-    the same order, so each row is scanned as in the whole-domain table."""
-    indptr, indices, lengths = domain.edges()
+    The search runs on the length engine's submatrix of the masked nodes,
+    which keeps each row's entries in their order in the whole table."""
     node_ok = mask[tuple(domain.node_cells.T)]
     nx, ny = domain.require_interior(x), domain.require_interior(y)
     if not (node_ok[nx] and node_ok[ny]):
         return None
     nodes = np.flatnonzero(node_ok)
-    renumber = np.cumsum(node_ok, dtype=np.int32) - 1
-    # the entries of the masked rows, row after row
-    starts, counts = indptr[nodes], np.diff(indptr)[nodes]
-    ends = np.cumsum(counts)
-    entries = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-    keep = node_ok[indices[entries]]
-    kept_before = np.concatenate([[0], np.cumsum(keep)])
-    entries = entries[keep]
-    sub = _DijkstraCache(sparse.csr_matrix(
-        (lengths[entries], renumber[indices[entries]],
-         kept_before[np.concatenate([[0], ends])]),
-        shape=(len(nodes), len(nodes))))
+    sub = _DijkstraCache(domain.length_engine().matrix[nodes][:, nodes])
     try:
-        path = sub.path(renumber[nx], renumber[ny])
+        path = sub.path(*np.searchsorted(nodes, (nx, ny)))
     except UnreachableError:
         return None
     return domain.polyline(nodes[path])
 
 
-def intrinsic_diameter_distance(
-    domain: GridDomain, x: Cell, y: Cell, detail: bool = False,
-    bound: float = np.inf,
-):
+def intrinsic_diameter_distance(domain: GridDomain, x: Cell, y: Cell,
+                                detail: bool = False, bound: float = np.inf):
     """Min over in-domain paths of the path's euclidean diameter (delta metric).
 
     Binary search over candidate diameters D.  A path of diameter <= D stays
@@ -485,13 +464,9 @@ def intrinsic_diameter_distance(
     smallest feasible lens, a certified upper bound.  ``bound`` limits the
     lambda search as in ``intrinsic_distance``.
     """
-    domain.require_interior(x), domain.require_interior(y)
-    if tuple(x) == tuple(y):
-        return (0.0, 0.0, domain.polyline([domain.require_interior(x)])) if detail else 0.0
-    lam, lam_path = intrinsic_distance(domain, x, y, with_path=True,
-                                       bound=bound)
-    best_path = lam_path
-    best = lam_path.diameter
+    nx, ny = domain.require_interior(x), domain.require_interior(y)
+    best_path = domain.polyline(domain.length_engine().path(nx, ny, bound))
+    best = best_path.diameter
     px, py = domain.position(x), domain.position(y)
     centers = (domain.node_cells + 0.5) * domain.h
     dxf = np.full(domain.shape, np.inf)

@@ -23,6 +23,7 @@ from .properties import PropertyReport
 
 MOMENT_TOL = 1e-10
 _ETA = 0.25  # least share of a cube the norm_equivalence_check sets cover
+_NORM_CUBES, _NORM_PAIRS = 20, 8  # its cubes, and its (E, F) pairs per cube
 
 
 @dataclass
@@ -159,8 +160,8 @@ def poly_difference_norm(p1: PolyApprox, p2: PolyApprox,
     return float((np.abs(diff) ** p).sum() * spacing ** 2) ** (1.0 / p)
 
 
-def norm_equivalence_check(dec, k: int, p: float, n_cubes: int = 20,
-                           n_pairs: int = 8, seed: int = 0) -> PropertyReport:
+def norm_equivalence_check(dec, k: int, p: float,
+                           seed: int = 0) -> PropertyReport:
     """Measured constant in ||P||_Lp(E) <= C ||P||_Lp(F) over random subsets
     E, F of Whitney cubes with |E|, |F| > eta |Q| (eta = _ETA), for random
     degree-(k-1) polynomials."""
@@ -168,13 +169,13 @@ def norm_equivalence_check(dec, k: int, p: float, n_cubes: int = 20,
     dom = dec.domain
     rep = PropertyReport("norm_equivalence", 1.0, seed=seed, resolution=dom.h)
     unflagged = [q.index for q in dec.cubes if not q.flagged and q.size >= 2]
-    idx = rng.choice(len(unflagged), size=min(n_cubes, len(unflagged)),
+    idx = rng.choice(len(unflagged), size=min(_NORM_CUBES, len(unflagged)),
                      replace=False)
     for qi in (unflagged[i] for i in idx):
         cells = dec.cube_cells(qi)
         nq = len(cells)
         keep = max(int(np.ceil(_ETA * nq)) + 1, 1)
-        for _ in range(n_pairs):
+        for _ in range(_NORM_PAIRS):
             e = cells[rng.choice(nq, size=min(nq, keep + rng.integers(0, nq - keep + 1)), replace=False)]
             f = cells[rng.choice(nq, size=min(nq, keep + rng.integers(0, nq - keep + 1)), replace=False)]
             coeffs = {a: float(rng.normal()) for a in multi_indices(k - 1)}

@@ -53,13 +53,13 @@ def sample_pairs(domain: GridDomain, n: int, seed: int):
     ]
 
 
+def distinct(pairs) -> list:
+    """The pairs of two different cells: every checker samples those only."""
+    return [(x, y) for x, y in pairs if tuple(x) != tuple(y)]
+
+
 def pair_geodesics(qh: QhMetric, pairs) -> list[Geodesic]:
-    out = []
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
-        out.append(qh.distance(x, y, with_geodesic=True)[1])
-    return out
+    return [qh.geodesic(x, y) for x, y in distinct(pairs)]
 
 
 def _cumlen(steps: np.ndarray) -> np.ndarray:
@@ -217,11 +217,10 @@ def check_gehring_hayman(
     domain = qh.domain
     report = PropertyReport(f"gehring_hayman_{mode}", 1.0, seed=seed,
                             resolution=domain.h)
-    for x, y in pairs:
-        if tuple(x) != tuple(y):
-            _, geo = qh.distance(x, y, with_geodesic=True)
-            _record_shortness(report, geo, x, y, mode,
-                              _intrinsic(domain, x, y, mode, geo.length))
+    for x, y in distinct(pairs):
+        geo = qh.geodesic(x, y)
+        _record_shortness(report, geo, x, y, mode,
+                          _intrinsic(domain, x, y, mode, geo.length))
     return report
 
 
@@ -241,9 +240,7 @@ def check_local_gehring_hayman(
         1.0, bound=c, seed=seed, resolution=domain.h)
 
     qualifying = 0
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
+    for x, y in distinct(pairs):
         denom = _intrinsic(domain, x, y, mode)
         if alternate:
             dx, dy = domain.boundary_distance(x), domain.boundary_distance(y)
@@ -252,8 +249,7 @@ def check_local_gehring_hayman(
             ok = _capital(domain, x, y, denom) <= R
         if ok:
             qualifying += 1
-            _, geo = qh.distance(x, y, with_geodesic=True)
-            _record_shortness(report, geo, x, y, mode, denom)
+            _record_shortness(report, qh.geodesic(x, y), x, y, mode, denom)
     report.extra["qualifying_pairs"] = qualifying
     report.passed = report.constant <= c
     return report
@@ -271,9 +267,7 @@ def record_uniformity(report: PropertyReport, pairs, curve
     and the boundary distance at its points.  Sets ``report.constant`` to
     max(A1, A2) and returns (A1, A2)."""
     a1 = a2 = 0.0
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
+    for x, y in distinct(pairs):
         chord, steps, dvals = curve(x, y)
         cum = _cumlen(steps)
         sub = np.minimum(cum, cum[-1] - cum)
@@ -295,7 +289,7 @@ def check_uniformity(qh: QhMetric, pairs, seed: int = 0) -> PropertyReport:
     report = PropertyReport("uniformity", 0.0, seed=seed, resolution=domain.h)
 
     def geodesic(x, y):
-        _, geo = qh.distance(x, y, with_geodesic=True)
+        geo = qh.geodesic(x, y)
         chord = float(np.hypot(*(domain.position(x) - domain.position(y))))
         return chord, geo.steps, dvals[geo.nodes]
 
@@ -399,10 +393,8 @@ def check_geodesic_tail_diameter(
     domain = qh.domain
     threshold = LOG2 * (1.0 + tol)
     data = []
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
-        _, geo = qh.distance(x, y, with_geodesic=True)
+    for x, y in distinct(pairs):
+        geo = qh.geodesic(x, y)
         delta = intrinsic_diameter_distance(domain, x, y, bound=geo.length)
         px = domain.position(x)
         radii = np.sqrt(((geo.points - px) ** 2).sum(1))
@@ -439,10 +431,8 @@ def midpoint_john_check(qh: QhMetric, pairs, A: float, tol: float = 0.2):
     domain = qh.domain
     dvals = domain.node_dist()
     out = []
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
-        _, geo = qh.distance(x, y, with_geodesic=True)
+    for x, y in distinct(pairs):
+        geo = qh.geodesic(x, y)
         cum = _cumlen(geo.steps)
         mid = int(np.searchsorted(cum, cum[-1] / 2))
         mid = min(mid, len(geo.nodes) - 1)

@@ -72,12 +72,13 @@ class QhMetric:
 
     # -- metric queries -----------------------------------------------------
 
-    def distance(self, x: Cell, y: Cell, with_geodesic: bool = False):
+    def distance(self, x: Cell, y: Cell) -> float:
         nx, ny = map(self.domain.require_interior, (x, y))
-        value = self.engine.distance(nx, ny)
-        if not with_geodesic:
-            return value
-        return value, self.geodesic_from_nodes(self.engine.path(nx, ny))
+        return self.engine.distance(nx, ny)
+
+    def geodesic(self, x: Cell, y: Cell) -> Geodesic:
+        nx, ny = map(self.domain.require_interior, (x, y))
+        return self.geodesic_from_nodes(self.engine.path(nx, ny))
 
     def radial_tree(self) -> GeodesicTree:
         if self._tree is None:

@@ -23,6 +23,8 @@ LEVEL_COLORS = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a",
     "#66a61e", "#e6ab02", "#a6761d", "#666666",
 )
+PIXELS = 720  # a figure's width or height, whichever is longer
+GEODESIC_STROKE = "#d62728"
 
 
 @dataclass
@@ -55,11 +57,11 @@ class SvgLayer:
 
 
 def emit_svg(layers: list[SvgLayer], path, extent: tuple[float, float],
-             header: dict | None = None, pixels: int = 720) -> None:
+             header: dict | None = None) -> None:
     """Write a standalone SVG file; an empty layer list yields a valid
     (blank) document.  ``extent`` is the physical (width, height)."""
     w, h = extent
-    scale = pixels / max(w, h, 1e-12)
+    scale = PIXELS / max(w, h, 1e-12)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -153,11 +155,10 @@ def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
     return [core, haloes, band, thick, thin, tentacles]
 
 
-def geodesic_layer(geodesics, name: str = "geodesics",
-                   stroke: str = "#d62728") -> SvgLayer:
-    layer = SvgLayer(name)
+def geodesic_layer(geodesics) -> SvgLayer:
+    layer = SvgLayer("geodesics")
     for g in geodesics:
-        layer.polyline(g.points, stroke=stroke)
+        layer.polyline(g.points, stroke=GEODESIC_STROKE)
     return layer
 
 
@@ -166,8 +167,7 @@ def triangle_layer(qh, cells: tuple) -> SvgLayer:
     layer = SvgLayer("delta_triangle")
     a, b, c = cells
     for x, y in ((a, b), (a, c), (b, c)):
-        _, geo = qh.distance(x, y, with_geodesic=True)
-        layer.polyline(geo.points, stroke="#756bb1")
+        layer.polyline(qh.geodesic(x, y).points, stroke="#756bb1")
     for x in cells:
         layer.circle((x[0] + 0.5) * qh.domain.h, (x[1] + 0.5) * qh.domain.h,
                      1.5 * qh.domain.h, fill="#54278f")

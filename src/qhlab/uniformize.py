@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import DomainError, _DijkstraCache
-from .properties import PropertyReport, record_uniformity
+from .properties import PropertyReport, distinct, record_uniformity
 from .qh import QhMetric
 
 
@@ -54,12 +54,9 @@ class DeformedMetric:
 
     # -- metric queries -----------------------------------------------------
 
-    def distance(self, x, y, with_path: bool = False, bound: float = np.inf):
+    def distance(self, x, y) -> float:
         nx, ny = map(self.domain.require_interior, (x, y))
-        value = self.engine.distance(nx, ny, bound)
-        if not with_path:
-            return value
-        return value, np.asarray(self.engine.path(nx, ny, bound))
+        return self.engine.distance(nx, ny)
 
     def diameter_from(self, x) -> float:
         """Max deformed distance from x (the space is bounded)."""
@@ -99,10 +96,12 @@ def check_deformed_uniformity(
                             resolution=metric.domain.h)
 
     def geodesic(x, y):
-        _, geo = metric.qh.distance(x, y, with_geodesic=True)
+        geo = metric.qh.geodesic(x, y)
+        src, dst = geo.nodes[0], geo.nodes[-1]
         bound = metric.engine.steps(geo.nodes).sum()
-        value, nodes = metric.distance(x, y, with_path=True, bound=bound)
-        return value, metric.engine.steps(nodes), metric.d_rho[nodes]
+        nodes = np.asarray(metric.engine.path(src, dst, bound))
+        return (metric.engine.distance(src, dst, bound),
+                metric.engine.steps(nodes), metric.d_rho[nodes])
 
     a1, a2 = record_uniformity(report, pairs, geodesic)
     report.extra = {
@@ -122,10 +121,9 @@ def check_bilipschitz(
     length of the pair's k-geodesic."""
     report = PropertyReport("bilipschitz", 1.0, seed=seed,
                             resolution=metric.domain.h)
-    for x, y in pairs:
-        if tuple(x) == tuple(y):
-            continue
-        k, geo = metric.qh.distance(x, y, with_geodesic=True)
+    for x, y in distinct(pairs):
+        # k is the search's: the geodesic's k_length can differ in last bits
+        k, geo = metric.qh.distance(x, y), metric.qh.geodesic(x, y)
         k_rho = metric.k_rho_engine()
         kr = k_rho.distance(geo.nodes[0], geo.nodes[-1],
                             k_rho.steps(geo.nodes).sum())

@@ -196,8 +196,76 @@ def test_masked_geodesic_full_mask_is_the_length_geodesic():
     for seed in range(6):
         a, b = sample_cells(dom, 2, seed=seed)
         path = _masked_geodesic(dom, dom.interior, a, b)
-        _, want = intrinsic_distance(dom, a, b, with_path=True)
-        assert np.array_equal(path.nodes, want.nodes)
+        want = dom.length_engine().path(*map(dom.require_interior, (a, b)))
+        assert np.array_equal(path.nodes, want)
+
+
+def _masked_reference(dom, mask, a, b) -> float:
+    """Shortest length from a to b over the edge table's entries whose two
+    ends are masked (inf when none joins them)."""
+    indptr, indices, lengths = dom.edges()
+    ok = mask[tuple(dom.node_cells.T)]
+    rows = np.repeat(np.arange(dom.n_nodes), np.diff(indptr))
+    keep = ok[rows] & ok[indices]
+    table = sparse.csr_matrix((lengths[keep], (rows[keep], indices[keep])),
+                              shape=(dom.n_nodes, dom.n_nodes))
+    na, nb = dom.require_interior(a), dom.require_interior(b)
+    return float(csgraph.dijkstra(table, indices=na)[nb])
+
+
+def _lens(dom, x, y, radius) -> np.ndarray:
+    """Interior cells within ``radius`` of both x and y, as
+    intrinsic_diameter_distance builds its masks."""
+    centers = (dom.node_cells + 0.5) * dom.h
+    near = np.ones(dom.n_nodes, dtype=bool)
+    for end in (x, y):
+        near &= np.hypot(*(centers - dom.position(end)).T) <= radius
+    mask = np.zeros(dom.shape, dtype=bool)
+    mask[tuple(dom.node_cells[near].T)] = True
+    return mask
+
+
+@pytest.mark.parametrize("name", ["disk", "slit_disk", "comb"])
+def test_masked_geodesic_on_lens_masks(name, monkeypatch):
+    """On lens masks -- those intrinsic_diameter_distance searches, lenses
+    of radius a little above the chord, and each with one endpoint
+    unmasked -- the path lies in the mask, walks edges of the length
+    engine and matches a reference Dijkstra over the edge table's entries
+    whose two ends are masked; None comes back exactly when an endpoint
+    is unmasked or the reference finds no path."""
+    dom = gallery.make(name, 1 / 64)
+    searched = []
+    original = grid._masked_geodesic
+
+    def recorded(domain, mask, x, y):
+        searched.append((mask, x, y))
+        return original(domain, mask, x, y)
+
+    monkeypatch.setattr(grid, "_masked_geodesic", recorded)
+    masks = []
+    for seed in range(8):
+        x, y = sample_cells(dom, 2, seed=seed)
+        intrinsic_diameter_distance(dom, x, y)
+        chord = float(np.hypot(*(dom.position(x) - dom.position(y))))
+        for scale in (1.0, 1.02, 1.1, 1.5):
+            masks.append((_lens(dom, x, y, scale * chord), x, y))
+        unmasked = masks[-1][0].copy()
+        unmasked[y] = False
+        masks.append((unmasked, x, y))
+    masks += searched
+    found = 0
+    for mask, x, y in masks:
+        path = original(dom, mask, x, y)
+        want = _masked_reference(dom, mask, x, y)
+        assert (path is None) == (not (mask[x] and mask[y])
+                                  or not np.isfinite(want))
+        if path is None:
+            continue
+        found += 1
+        assert mask[tuple(dom.node_cells[path.nodes].T)].all()
+        dom.length_engine().steps(path.nodes)
+        assert path.length == pytest.approx(want, rel=1e-12)
+    assert found >= 8 and found < len(masks)
 
 
 # -- intrinsic diameter metric ----------------------------------------------
@@ -404,11 +472,11 @@ def test_steps_are_the_engine_weights_of_a_path():
 def test_one_node_paths_have_length_zero():
     dom = gallery.disk(1 / 32)
     x = dom.cell_at((0.3, 0.6))
-    _, geo = QhMetric(dom).distance(x, x, with_geodesic=True)
+    geo = QhMetric(dom).geodesic(x, x)
     assert len(geo.nodes) == 1 and geo.length == 0.0 and geo.k_length == 0.0
     value, lower, path = intrinsic_diameter_distance(dom, x, x, detail=True)
     assert value == lower == path.length == path.diameter == 0.0
-    assert intrinsic_distance(dom, x, x, with_path=True)[1].length == 0.0
+    assert len(path.nodes) == 1 and intrinsic_distance(dom, x, x) == 0.0
 
 
 def test_diameter_distance_convex_is_euclidean():

@@ -195,6 +195,35 @@ def test_bounded_searches_change_no_checker_output(name, monkeypatch):
     assert _checker_outputs(name) == got
 
 
+def test_equal_cell_pairs_change_no_checker_output():
+    """Pairs of one cell, interleaved into ``pairs``, are dropped by every
+    pair-taking checker and by pair_geodesics."""
+    qh = QhMetric(gallery.dumbbell(1 / 64))
+    deformed = build_deformation(qh, 0.2)
+    pairs = sample_pairs(qh.domain, 5, seed=3)
+    padded = [p for x, y in pairs for p in ((x, x), (x, y), (y, y))]
+    checkers = [
+        *(lambda ps, m=mode: check_gehring_hayman(qh, ps, m)
+          for mode in MODES),
+        # R at which some of the pairs qualify and some do not
+        *(lambda ps, m=mode, alt=alt, R=R: check_local_gehring_hayman(
+            qh, ps, c=4.0, R=R, mode=m, alternate=alt)
+          for mode in MODES for alt, R in ((False, 3.0), (True, 20.0))),
+        lambda ps: check_uniformity(qh, ps),
+        lambda ps: check_geodesic_tail_diameter(qh, ps),
+        lambda ps: check_deformed_uniformity(deformed, ps),
+        lambda ps: check_bilipschitz(deformed, ps),
+    ]
+    for checker in checkers:
+        want = checker(pairs).as_dict()
+        assert want["n_samples"] > 0
+        assert checker(padded).as_dict() == want
+    assert midpoint_john_check(qh, padded, 2.0) == \
+        midpoint_john_check(qh, pairs, 2.0)
+    assert [g.as_dict() for g in pair_geodesics(qh, padded)] == \
+        [g.as_dict() for g in pair_geodesics(qh, pairs)]
+
+
 def test_uniformity_disk_modest_constants(disk_qh):
     pairs = sample_pairs(disk_qh.domain, 15, seed=13)
     rep = check_uniformity(disk_qh, pairs)

@@ -55,7 +55,7 @@ def test_geodesic_realizes_value_and_subpath_optimality():
     for t in range(10):
         a, b = int(nodes[2 * t]), int(nodes[2 * t + 1])
         ca, cb = cells_of(dom, [a, b])
-        k, geo = qh.distance(ca, cb, with_geodesic=True)
+        k, geo = qh.distance(ca, cb), qh.geodesic(ca, cb)
         assert geo.k_length == pytest.approx(k, rel=1e-9)
         if len(geo.nodes) > 2:
             cut = rng.integers(1, len(geo.nodes) - 1)
@@ -208,7 +208,7 @@ def test_geodesic_length_within_whitney_cubes():
         nodes = sample_nodes(dom, 20, seed=41)
         for t in range(10):
             a, b = cells_of(dom, nodes[2 * t : 2 * t + 2])
-            _, geo = qh.distance(a, b, with_geodesic=True)
+            geo = qh.geodesic(a, b)
             cube_ids = dec.cell_cube[tuple(dom.node_cells[geo.nodes].T)]
             seg = np.sqrt((np.diff(geo.points, axis=0) ** 2).sum(1))
             for qid in np.unique(cube_ids):
