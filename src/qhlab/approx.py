@@ -128,9 +128,6 @@ def seminorm(jets: Jet, sel: np.ndarray, k: int, p: float,
 @dataclass
 class Approximant:
     m: int
-    k: int
-    p: float
-    grid: EvalGrid
     jets: Jet = dfield(repr=False, default=None)  # u_m and derivatives
     sum_jet: Jet = dfield(repr=False, default=None)
     polynomials: dict = dfield(default_factory=dict)
@@ -141,17 +138,12 @@ class Approximant:
         return {a: u.jets[a] - self.jets[a] for a in self.jets}
 
 
-def _donor_cube(hat, ct: CoreTentacleDecomposition) -> int:
-    """Cube whose polynomial a psi or phi hat carries."""
-    return hat.key if hat.kind == "psi" else ct.groups[hat.key].assigned_cube
-
-
-def _donors(polys: dict, pou: PartitionOfUnity,
-            ct: CoreTentacleDecomposition) -> tuple[np.ndarray, PolyStack]:
+def _donors(polys: dict, pou: PartitionOfUnity
+            ) -> tuple[np.ndarray, PolyStack]:
     """Per hat, the position of its donor polynomial in ``polys`` (-1 for
     xi hats), and the stacked polynomials."""
     at = {q: i for i, q in enumerate(polys)}
-    which = np.array([-1 if hat.kind == "xi" else at[_donor_cube(hat, ct)]
+    which = np.array([at[hat.donor] if hat.donor >= 0 else -1
                       for hat in pou.hats])
     return which, PolyStack(list(polys.values()))
 
@@ -173,14 +165,12 @@ def assemble(u: SampledFunction, pou: PartitionOfUnity,
     """Evaluate u_m and its derivatives up to order k on the grid: each
     chunk of (hat, point) pairs from ``pou.hat_jets`` is multiplied by the
     hats' donor jets (u itself for xi hats) and added into S and N."""
-    k = u.k
-    alphas = multi_indices(k)
-    grid = u.grid
-    x, y = grid.x, grid.y
+    alphas = multi_indices(u.k)
+    x, y = u.grid.x, u.grid.y
 
-    cubes = [_donor_cube(hat, ct) for hat in pou.hats if hat.kind != "xi"]
+    cubes = [hat.donor for hat in pou.hats if hat.donor >= 0]
     polys = {q: u.cube_polynomial(ct.dec, q) for q in dict.fromkeys(cubes)}
-    which, stack = _donors(polys, pou, ct)
+    which, stack = _donors(polys, pou)
 
     S = jet_zero(x.shape, alphas)  # accumulated in hat order, as sum_jet
     N = jet_zero(x.shape, alphas)
@@ -193,7 +183,7 @@ def assemble(u: SampledFunction, pou: PartitionOfUnity,
         err_sel[pts[(which[hats] >= 0) & (hj[(0, 0)] > 0)]] = True
     um = jet_quotient(N, S, alphas)
 
-    out = Approximant(ct.m, k, u.p, grid, um, S, polys, {}, err_sel)
+    out = Approximant(ct.m, um, S, polys, {}, err_sel)
     for a in alphas:
         out.sup_norms[a] = float(np.abs(um[a]).max())
     return out
@@ -226,7 +216,7 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
                       replace=False)
     worst = 0.0
     top = [a for a in alphas if sum(a) == k]
-    which, stack = _donors(approx.polynomials, pou, ct)
+    which, stack = _donors(approx.polynomials, pou)
     for q in pick:
         ref = approx.polynomials[q]
         sel = u.grid.region(_cells_mask(ct.domain.shape, ct.bq[q]))
@@ -274,11 +264,12 @@ def error_localization(u: SampledFunction, approx: Approximant) -> float:
 
 # error_decay's tail at level m lies outside the core at level _ALPHA_TAIL*m
 _ALPHA_TAIL = 0.6
+# error_decay's evaluation grid: each domain cell split _REFINE x _REFINE
+_REFINE = 2
 
 
 def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
-                m_list, refine: int = 2,
-                qh: QhMetric | None = None,
+                m_list, qh: QhMetric | None = None,
                 dec: WhitneyDecomposition | None = None,
                 levels=None) -> PropertyReport:
     """Per-level error, tail seminorm, and sup-norms of the approximant on
@@ -289,7 +280,7 @@ def error_decay(field: AnalyticField, domain: GridDomain, k: int, p: float,
     dec = dec or whitney_decompose(domain)
     if levels is None:
         levels = build_levels(dec, qh or QhMetric(domain), m_list)
-    grid = EvalGrid(domain, refine)
+    grid = EvalGrid(domain, _REFINE)
     u = SampledFunction(grid, field, k, p)
     total = seminorm(u.jets, None, k, p, grid.cell_area)
     rep = PropertyReport("error_decay", 0.0, resolution=domain.h)

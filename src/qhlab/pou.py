@@ -35,9 +35,9 @@ each chunk is folded in one pass, rank by rank (the r-th box acting on each
 box-by-box loop.  ``sum_jet``, the approximant's assembly and a single
 set bump all take the engine's chunks, and sums over hats are accumulated
 with ``np.add.at`` in hat order.
-``measured_sup`` probes a hat once for every alpha and keeps the sups in a
-memo owned by the partition, keyed by hat position and normalization, which
-a new partition starts empty.
+``measured_sup`` probes a normalized hat once for every alpha and keeps the
+sups in a memo owned by the partition, keyed by hat position, which a new
+partition starts empty.
 """
 
 from __future__ import annotations
@@ -126,12 +126,6 @@ class Profile:
     w_lo: float
     w_hi: float
 
-    def eval(self, t: np.ndarray, d: int) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return _plateau(t.ravel(), self.lo, self.hi, self.w_lo, self.w_hi,
-                        self.w_lo**d, (-1.0 / self.w_hi) ** d,
-                        d).reshape(t.shape)
-
     @property
     def support(self) -> tuple[float, float]:
         return (self.lo - self.w_lo, self.hi + self.w_hi)
@@ -144,11 +138,6 @@ class BoxBump:
 
     px: Profile
     py: Profile
-
-    def jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS) -> Jet:
-        vx = {d: self.px.eval(x, d) for d in {a[0] for a in alphas}}
-        vy = {d: self.py.eval(y, d) for d in {a[1] for a in alphas}}
-        return {a: vx[a[0]] * vy[a[1]] for a in alphas}
 
     @property
     def support(self) -> tuple[float, float, float, float]:
@@ -239,7 +228,7 @@ _PROBES_PER_RAMP = 6  # Hat.probe_points inside each ramp band, per axis
 class _Profiles:
     """The distinct profiles of one axis of a box list: parameters, supports
     and ramp scales as arrays, and each box's profile index.  The ramp
-    scales are the Python powers ``Profile.eval`` takes, so that every value
+    scales are Python powers of each profile's widths, so that every value
     is bitwise the one a box-by-box evaluation computes."""
 
     def __init__(self, profiles: list[Profile]):
@@ -258,8 +247,7 @@ class _Profiles:
         """Every used profile on the distinct coordinates of the points t
         strictly inside its support, with one ``_plateau`` call per order:
         the value of profile p at t[i] is values[d][start[p] + at[i]].
-        None if that is more than ``most`` values, as for scattered points
-        whose coordinates seldom repeat."""
+        None if that is more than ``most`` values (see ``_hat_jets``)."""
         coords = np.unique(t)
         lo = np.searchsorted(coords, self.support[used, 0], side="right")
         hi = np.searchsorted(coords, self.support[used, 1], side="left")
@@ -356,9 +344,11 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
     holding about ``_POINT_BLOCK`` candidate pairs, sorted by hat, then
     point, then box, and folded whole by ``_fold``.  Each profile is evaluated
     once on the distinct coordinates inside its support, and the pairs
-    gather their box factors from these profile tables; on an axis where
-    such a table would outgrow the candidate pairs (scattered points, such
-    as probe points), each pair's factor is evaluated directly.
+    gather their box factors from these profile tables.  On an axis where
+    such a table would outgrow the candidate pairs (points whose coordinates
+    seldom repeat, spread far beyond a few small boxes), each pair's factor
+    is evaluated directly; grid and probe points share their coordinates,
+    and on the gallery fixtures they never take that path.
     """
     if not len(x):
         return
@@ -467,25 +457,17 @@ class SetBump:
         """1 - prod(1 - b) over the boxes at every point."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        idx, local = self.local_jet(x.ravel(), y.ravel(), alphas)
-        out = _one_minus(jet_one(x.size, alphas))
-        for a in alphas:
-            out[a][idx] = local[a]
-        return {a: v.reshape(x.shape) for a, v in out.items()}
-
-    def local_jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS
-                  ) -> tuple[np.ndarray, Jet]:
-        """Indices of the 1-D points inside the bbox and the jet there."""
+        fx, fy = x.ravel(), y.ravel()
         x0, x1, y0, y1 = self.bbox
-        idx = np.flatnonzero((x > x0) & (x < x1) & (y > y0) & (y < y1))
-        out = _one_minus(jet_one(len(idx), alphas))
+        idx = np.flatnonzero((fx > x0) & (fx < x1) & (fy > y0) & (fy < y1))
+        out = _one_minus(jet_one(x.size, alphas))
         table = _HatBoxes([self.boxes])
         s = table.support  # buckets of the narrowest support side
         cell = min((s[:, 1] - s[:, 0]).min(), (s[:, 3] - s[:, 2]).min())
-        for _, pts, hj in _hat_jets(table, x[idx], y[idx], alphas, cell):
+        for _, pts, hj in _hat_jets(table, fx[idx], fy[idx], alphas, cell):
             for a in alphas:
-                out[a][pts] = hj[a]
-        return idx, out
+                out[a][idx[pts]] = hj[a]
+        return {a: v.reshape(x.shape) for a, v in out.items()}
 
 
 @dataclass
@@ -494,6 +476,7 @@ class Hat:
 
     kind: str  # "psi" | "phi" | "xi"
     key: int  # cube index / group position / thick-component position
+    donor: int  # cube whose polynomial a psi or phi hat carries; -1 for xi
     bump: SetBump
     allowed_rects: list[tuple[float, float, float, float]]  # for (iv) checks
 
@@ -525,15 +508,14 @@ def _rects_physical(rects, h: float) -> list[tuple[float, float, float, float]]:
             for r in rects]
 
 
-def _uniform_bump(rects, delta: float) -> SetBump:
-    boxes = [
+def _uniform_boxes(rects, delta: float) -> list[BoxBump]:
+    return [
         BoxBump(Profile(x0, x1, delta, delta), Profile(y0, y1, delta, delta))
         for x0, x1, y0, y1 in rects
     ]
-    return SetBump(boxes)
 
 
-def _clipped_bump(rects, ramp: float, allowed, h: float) -> SetBump:
+def _clipped_boxes(rects, ramp: float, allowed, h: float) -> list[BoxBump]:
     """Per-side ramps clipped to the allowed outer box, never exceeding it by
     more than half a domain cell, and never thinner than h/4."""
     ax0, ax1, ay0, ay1 = allowed
@@ -546,7 +528,7 @@ def _clipped_bump(rects, ramp: float, allowed, h: float) -> SetBump:
             Profile(x0, x1, w(x0 - ax0), w(ax1 - x1)),
             Profile(y0, y1, w(y0 - ay0), w(ay1 - y1)),
         ))
-    return SetBump(boxes)
+    return boxes
 
 
 class PartitionOfUnity:
@@ -559,51 +541,43 @@ class PartitionOfUnity:
         self.domain = ct.domain
         self.alphas = multi_indices(kmax)
         self.delta = 2.0 ** (-ct.m) / 100.0
-        h = self.domain.h
-        dec = ct.dec
-        self.hats: list[Hat] = []
+        h, d = self.domain.h, self.delta
 
-        def cube_hat(kind: str, key: int, q: int) -> Hat:
-            cube = dec.cubes[q]
-            ramp = 0.05 * ct.c0 * cube.l
+        def cube_part(q: int):
+            """Boxes of cube q's blocking neighborhood, with ramps clipped to
+            its 11/10-dilated box, and that box."""
+            cube = ct.dec.cubes[q]
             allowed = cube.box(h, 1.1 * ct.c0)
             rects = _rects_physical(cell_rectangles(ct.halo[q]), h)
-            return Hat(kind, key, _clipped_bump(rects, ramp, allowed, h),
-                       [allowed])
+            return (_clipped_boxes(rects, 0.05 * ct.c0 * cube.l, allowed, h),
+                    [allowed])
 
-        def grown(rects):
-            d = self.delta
-            return [(x0 - d, x1 + d, y0 - d, y1 + d)
-                    for x0, x1, y0, y1 in rects]
-
-        for q in ct.Um:
-            self.hats.append(cube_hat("psi", q, q))
-
-        delta_box = self.delta / np.sqrt(2.0)
-        for gi, g in enumerate(ct.groups):
-            boxes: list[BoxBump] = []
-            allowed = []
-            for q in sorted(g.cubes):
-                hat_q = cube_hat("phi", gi, q)
-                boxes.extend(hat_q.bump.boxes)
-                allowed += hat_q.allowed_rects
-            for vpos in g.members:
-                rects = _rects_physical(mask_rectangles(
-                    ct.component_mask(ct.V_ids[vpos])), h)
-                boxes.extend(_uniform_bump(rects, delta_box).boxes)
-                allowed += grown(rects)
-            self.hats.append(Hat("phi", gi, SetBump(boxes), allowed))
-
-        for ui, lab in enumerate(ct.U_ids):
+        def component_part(label: int):
+            """Boxes of a component's rectangles, and the rectangles grown
+            by delta."""
             rects = _rects_physical(
-                mask_rectangles(ct.component_mask(lab)), h)
-            self.hats.append(Hat("xi", ui, _uniform_bump(rects, delta_box),
-                                 grown(rects)))
+                mask_rectangles(ct.component_mask(label)), h)
+            return (_uniform_boxes(rects, d / np.sqrt(2.0)),
+                    [(x0 - d, x1 + d, y0 - d, y1 + d)
+                     for x0, x1, y0, y1 in rects])
+
+        def new_hat(kind: str, key: int, donor: int, parts) -> Hat:
+            return Hat(kind, key, donor,
+                       SetBump([b for boxes, _ in parts for b in boxes]),
+                       [r for _, allowed in parts for r in allowed])
+
+        self.hats = [new_hat("psi", q, q, [cube_part(q)]) for q in ct.Um]
+        for gi, g in enumerate(ct.groups):
+            parts = [cube_part(q) for q in sorted(g.cubes)]
+            parts += [component_part(ct.V_ids[v]) for v in g.members]
+            self.hats.append(new_hat("phi", gi, g.assigned_cube, parts))
+        self.hats += [new_hat("xi", ui, -1, [component_part(lab)])
+                      for ui, lab in enumerate(ct.U_ids)]
 
         self._positions = {id(hat): i for i, hat in enumerate(self.hats)}
         self._boxes: _HatBoxes | None = None  # built at the first evaluation
-        # measured_sup memo: (hat position, normalized) -> {alpha: sup}
-        self._sups: dict[tuple[int, bool], dict] = {}
+        # measured_sup memo: hat position -> {alpha: sup}
+        self._sups: dict[int, dict] = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -626,29 +600,20 @@ class PartitionOfUnity:
             self._boxes = _HatBoxes([hat.bump.boxes for hat in self.hats])
         return _hat_jets(self._boxes, x, y, alphas, self.domain.h)
 
-    def normalized_jet(self, hat: Hat, x, y, sum_jet: Jet | None = None,
-                       alphas=None) -> Jet:
-        alphas = alphas or self.alphas
-        if sum_jet is None:
-            sum_jet = self.sum_jet(x, y, alphas)
-        return jet_quotient(hat.jet(x, y, alphas), sum_jet, alphas)
-
     # -- measurements -------------------------------------------------------
 
-    def measured_sup(self, hat: Hat, alpha: tuple[int, int],
-                     normalized: bool = True) -> float:
-        """sup |grad^alpha| over ramp-straddling probe points (accurate even
-        when ramps are narrower than any evaluation grid).  One probe gives
-        the sups of every alpha; they are kept for the partition's life."""
+    def measured_sup(self, hat: Hat, alpha: tuple[int, int]) -> float:
+        """sup |grad^alpha (hat / S)| over ramp-straddling probe points
+        (accurate even when ramps are narrower than any evaluation grid).
+        One probe gives every alpha's sup, kept for the partition's life."""
         pos = self._positions.get(id(hat))
         if pos is None:
             raise DomainError("hat is not a member of this partition")
-        key = (pos, normalized)
-        if key not in self._sups:
-            self._sups[key] = self._probe_sups(hat, normalized)
-        return self._sups[key][alpha]
+        if pos not in self._sups:
+            self._sups[pos] = self._probe_sups(hat)
+        return self._sups[pos][alpha]
 
-    def _probe_sups(self, hat: Hat, normalized: bool) -> dict:
+    def _probe_sups(self, hat: Hat) -> dict:
         x, y = hat.probe_points()
         ok = self.domain.interior[
             np.clip((x / self.domain.h).astype(int), 0,
@@ -659,10 +624,8 @@ class PartitionOfUnity:
         x, y = x[ok], y[ok]
         if not len(x):
             return {a: 0.0 for a in self.alphas}
-        if normalized:
-            jet = self.normalized_jet(hat, x, y, alphas=self.alphas)
-        else:
-            jet = hat.jet(x, y, self.alphas)
+        jet = jet_quotient(hat.jet(x, y, self.alphas),
+                           self.sum_jet(x, y, self.alphas), self.alphas)
         return {a: float(np.abs(jet[a]).max()) for a in self.alphas}
 
     def support_violation(self, hat: Hat, x: np.ndarray, y: np.ndarray,

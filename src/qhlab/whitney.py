@@ -62,9 +62,6 @@ class WhitneyDecomposition:
             self.cell_cube[q.cell_slices()] = q.index
         self._adjacency: list[set[int]] | None = None
 
-    def __len__(self) -> int:
-        return len(self.cubes)
-
     @property
     def adjacency(self) -> list[set[int]]:
         """Face-adjacency (shared edge segment) between distinct cubes."""

@@ -23,7 +23,7 @@ from qhlab.decomposition import (
 )
 from qhlab.grid import DomainError, intrinsic_distance
 from qhlab.poly import chaining_check, fit_polynomial
-from qhlab.pou import build_partition
+from qhlab.pou import build_partition, jet_quotient
 from qhlab.properties import (
     check_ball_separation,
     check_gehring_hayman,
@@ -247,8 +247,7 @@ def test_criterion_6_partition_of_unity(disk256):
     S = pou.sum_jet(x, y)
     total = np.zeros(len(x))
     for hat in pou.hats:
-        total += pou.normalized_jet(hat, x, y, sum_jet=S,
-                                    alphas=[(0, 0)])[(0, 0)]
+        total += jet_quotient(hat.jet(x, y, [(0, 0)]), S, [(0, 0)])[(0, 0)]
     sum_dev = float(np.abs(total - 1.0).max())
     support_bad = sum(
         pou.support_violation(hat, x, y,

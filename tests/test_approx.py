@@ -236,9 +236,11 @@ def _reference_assemble(u, part, ct):
     sel = np.zeros(len(x), dtype=bool)
     polys = {}
     for hat in part.hats:
-        idx, hj = hat.bump.local_jet(x, y, alphas)
+        x0, x1, y0, y1 = hat.bump.bbox
+        idx = np.flatnonzero((x > x0) & (x < x1) & (y > y0) & (y < y1))
         if not len(idx):
             continue
+        hj = hat.jet(x[idx], y[idx], alphas)
         if hat.kind == "xi":
             fj = {a: u.jets[a][idx] for a in alphas}
         else:

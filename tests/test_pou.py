@@ -53,17 +53,25 @@ def test_ramp_derivative_maxima_finite():
     assert all(np.isfinite(m) and m > 0 for m in maxima[1:])
 
 
+def _profile_jet(prof: Profile, t, d: int) -> np.ndarray:
+    """prof^(d) at t, through a one-box SetBump whose y profile has its
+    plateau at y = 0."""
+    t = np.asarray(t, dtype=float)
+    box = BoxBump(prof, Profile(-1.0, 1.0, 0.5, 0.5))
+    return SetBump([box]).jet(t, np.zeros_like(t))[(d, 0)]
+
+
 def test_profile_plateau_and_support():
     prof = Profile(0.2, 0.6, 0.1, 0.05)
     t = np.array([0.05, 0.15, 0.2, 0.4, 0.6, 0.63, 0.7])
-    v = prof.eval(t, 0)
+    v = _profile_jet(prof, t, 0)
     assert v[0] == 0.0
     assert 0 < v[1] < 1
     assert v[2] == 1.0 and v[3] == 1.0 and v[4] == 1.0
     assert 0 < v[5] < 1
     assert v[6] == 0.0
     # derivatives vanish on the plateau and outside the support
-    d1 = prof.eval(t, 1)
+    d1 = _profile_jet(prof, t, 1)
     assert d1[2] == d1[3] == d1[4] == 0.0
     assert d1[0] == d1[6] == 0.0
     assert prof.support == (pytest.approx(0.1), pytest.approx(0.65))
@@ -73,12 +81,12 @@ def test_box_bump_tensor_jet():
     bump = BoxBump(Profile(0.0, 0.5, 0.1, 0.1), Profile(0.0, 0.5, 0.1, 0.1))
     x = np.array([0.25, -0.05, 0.55])
     y = np.array([0.25, 0.25, -0.05])
-    j = bump.jet(x, y)
+    j = SetBump([bump]).jet(x, y)
     assert j[(0, 0)][0] == 1.0
     assert 0 < j[(0, 0)][1] < 1
     assert j[(0, 0)][2] == pytest.approx(
-        bump.px.eval(np.array([0.55]), 0)[0]
-        * bump.py.eval(np.array([-0.05]), 0)[0])
+        _profile_jet(bump.px, [0.55], 0)[0]
+        * _profile_jet(bump.py, [-0.05], 0)[0])
     # mixed derivative on the plateau is zero
     assert j[(1, 1)][0] == 0.0
 
@@ -132,6 +140,16 @@ def test_partition_families(disk_pou):
     assert kinds["psi"] == len(ct.Um)
     assert kinds["xi"] == len(ct.U_ids)
     assert kinds.get("phi", 0) == len(ct.groups)
+    for hat in pou.hats:
+        assert hat.donor == _donor(ct, hat), (hat.kind, hat.key)
+
+
+def _donor(ct, hat):
+    """The cube whose polynomial the hat carries: a psi hat's own cube, a
+    phi hat's group's assigned cube, and none (-1) for a xi hat."""
+    if hat.kind == "phi":
+        return ct.groups[hat.key].assigned_cube
+    return hat.key if hat.kind == "psi" else -1
 
 
 def test_hat_sum_at_least_one(disk_pou):
@@ -145,7 +163,7 @@ def test_normalized_sum_is_one(disk_pou):
     S = pou.sum_jet(x, y)
     total = np.zeros(len(x))
     for hat in pou.hats:
-        nj = pou.normalized_jet(hat, x, y, sum_jet=S, alphas=[(0, 0)])
+        nj = jet_quotient(hat.jet(x, y, [(0, 0)]), S, [(0, 0)])
         val = nj[(0, 0)]
         assert val.min() >= -1e-12 and val.max() <= 1.0 + 1e-12
         total += val
@@ -178,8 +196,10 @@ def test_derivative_sup_scales_with_level():
     for m in (6, 7):
         pou = build_partition(build_core_tentacle(dec, qh, m))
         psi = [h for h in pou.hats if h.kind == "psi"]
-        sups.append(max(pou.measured_sup(h, (1, 0), normalized=False)
-                        for h in psi[:40]))
+        sups.append(max(
+            np.abs(h.jet(*_probe_points(pou, h), pou.alphas)[(1, 0)]).max(
+                initial=0.0)
+            for h in psi[:40]))
     # raw ramp slope doubles with each level
     assert sups[1] > 1.5 * sups[0]
 
@@ -208,6 +228,8 @@ def test_dumbbell_phi_hat():
     y = (cells[:, 1] + 0.5) * dom.h
     vals = phis[0].jet(x, y, alphas=[(0, 0)])[(0, 0)]
     assert vals.max() == pytest.approx(1.0)
+    for hat in pou.hats:
+        assert hat.donor == _donor(ct, hat), (hat.kind, hat.key)
 
 
 # -- the box-bump engine against a box-by-box reference -----------------------
@@ -298,19 +320,21 @@ def test_set_bump_jet_bitwise_equals_box_loop(boxes, points, fractions,
         assert got[a].tobytes() == want[a].tobytes(), a
 
 
-def test_set_bump_local_jet_matches_jet():
+def test_set_bump_jet_prefilters_by_bbox_and_keeps_shape():
     boxes = [BoxBump(Profile(0.1, 0.3, 0.05, 0.1), Profile(0.2, 0.4, 0.1, 0.02)),
              BoxBump(Profile(0.25, 0.5, 0.1, 0.1), Profile(0.3, 0.6, 0.05, 0.05))]
     rng = np.random.default_rng(1)
     x, y = rng.uniform(-0.2, 1.0, (2, 500))
     bump = SetBump(boxes)
-    idx, local = bump.local_jet(x, y)
     full = bump.jet(x, y)
     b = bump.bbox
-    assert np.array_equal(
-        idx, np.flatnonzero((x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3])))
+    outside = ~((x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3]))
+    assert 0 < outside.sum() < len(x)
+    want = _reference_jet(boxes, x, y, ALPHAS)
+    untouched = _untouched(outside.sum(), ALPHAS)
     for a in ALPHAS:
-        assert local[a].tobytes() == full[a][idx].tobytes()
+        assert full[a].tobytes() == want[a].tobytes()
+        assert full[a][outside].tobytes() == untouched[a].tobytes()
     grid = bump.jet(x.reshape(20, 25), y.reshape(20, 25))
     assert grid[(1, 2)].shape == (20, 25)
     assert grid[(1, 2)].ravel().tobytes() == full[(1, 2)].tobytes()
@@ -337,33 +361,36 @@ def small_ct():
     return build_core_tentacle(whitney_decompose(dom), QhMetric(dom), 6)
 
 
-def _probe_jet(part, hat, normalized):
+def _probe_points(part, hat):
+    """The hat's probe points in an interior cell of the domain."""
     x, y = hat.probe_points()
     dom = part.domain
     i = np.clip((x / dom.h).astype(int), 0, dom.shape[0] - 1)
     j = np.clip((y / dom.h).astype(int), 0, dom.shape[1] - 1)
     keep = dom.interior[i, j]
-    x, y = x[keep], y[keep]
-    if normalized:
-        return part.normalized_jet(hat, x, y)
-    return hat.jet(x, y, part.alphas)
+    return x[keep], y[keep]
+
+
+def _probe_jet(part, hat):
+    """The normalized hat's jet at its probe points."""
+    x, y = _probe_points(part, hat)
+    return jet_quotient(hat.jet(x, y, part.alphas),
+                        part.sum_jet(x, y, part.alphas), part.alphas)
 
 
 @settings(max_examples=10, deadline=None)
-@given(order=st.permutations(range(3 * 10 * 2)))
+@given(order=st.permutations(range(3 * 10)))
 def test_measured_sup_is_max_of_the_probe_jet_in_any_call_order(small_ct,
                                                                 order):
     part = build_partition(small_ct)  # a fresh, empty memo
     hats = part.hats[::len(part.hats) // 3][:3]
-    calls = [(h, a, nz) for h in hats for a in part.alphas
-             for nz in (True, False)]
+    calls = [(h, a) for h in hats for a in part.alphas]
     assert len(calls) == len(order)
-    jets = {(id(h), nz): _probe_jet(part, h, nz) for h in hats
-            for nz in (True, False)}
+    jets = {id(h): _probe_jet(part, h) for h in hats}
     for c in order:
-        hat, a, nz = calls[c]
-        want = float(np.abs(jets[id(hat), nz][a]).max())
-        assert part.measured_sup(hat, a, normalized=nz) == want
+        hat, a = calls[c]
+        want = float(np.abs(jets[id(hat)][a]).max())
+        assert part.measured_sup(hat, a) == want
 
 
 def test_measured_sup_rejects_a_foreign_hat(small_ct):
@@ -440,6 +467,48 @@ def test_hat_jets_bitwise_equal_box_loop_hat_by_hat(hats, fractions, alphas,
         for a in alphas:
             assert np.isfinite(jet[a]).all(), a
             assert jet[a].tobytes() == want[a].tobytes(), a
+
+
+def _separated_box(x0, y0):
+    """A 0.05-wide box with ramps 0.01 at (x0, y0)."""
+    return BoxBump(Profile(x0, x0 + 0.05, 0.01, 0.01),
+                   Profile(y0, y0 + 0.05, 0.01, 0.01))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scattered_points_take_the_per_pair_fallback(seed):
+    """Scattered points seldom share a coordinate, so a profile table over
+    a support's strip would outgrow the candidate pairs: every axis falls
+    back to evaluating each pair's factor, on the engine's path and on a
+    set bump's, and the jets stay bitwise the box loop's."""
+    hats = [[_separated_box(0.1, 0.1), _separated_box(0.3, 0.6)],
+            [_separated_box(0.55, 0.2)],
+            [_separated_box(0.8, 0.8), _separated_box(0.7, 0.4)]]
+    x, y = np.random.default_rng(seed).uniform(0.0, 1.0, (2, 2000))
+    tables = []
+    table = pou_module._Profiles.table
+
+    def spy(self, *args):
+        tables.append(table(self, *args))
+        return tables[-1]
+
+    with mock.patch.object(pou_module._Profiles, "table", spy):
+        chunks = list(_hat_jets(_HatBoxes(hats), x, y, ALPHAS, 1 / 128))
+        bumps = [SetBump(hats[h]).jet(x, y) for h in (0, 2)]
+    assert len(tables) == 2 + 2 * len(bumps)
+    assert all(t is None for t in tables)
+    got = _jets_by_hat(chunks, ALPHAS)
+    assert len(got) == len(hats)
+    everywhere = np.arange(len(x))
+    for h, hat in enumerate(hats):
+        jet = _hat_jet_at(got, h, everywhere, ALPHAS)
+        want = _reference_jet(hat, x, y, ALPHAS)
+        for a in ALPHAS:
+            assert jet[a].tobytes() == want[a].tobytes(), (h, a)
+    for h, bump in zip((0, 2), bumps):
+        want = _reference_jet(hats[h], x, y, ALPHAS)
+        for a in ALPHAS:
+            assert bump[a].tobytes() == want[a].tobytes(), (h, a)
 
 
 def _in_bbox(hat, x, y):
