@@ -147,14 +147,6 @@ def _window_cut(domain: GridDomain, halo: np.ndarray
     return raw, n, lab0, lo
 
 
-def _unpack_trails(rows: np.ndarray, ncols: int) -> np.ndarray:
-    """Column bits of packed trail rows (last axis: 64-bit words, column t
-    is bit t & 63 of word t >> 6) as booleans over the columns."""
-    octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(octets, axis=-1, bitorder="little")
-    return bits[..., :ncols].astype(bool)
-
-
 def dilated_component_cells(
     domain: GridDomain, dec: WhitneyDecomposition, qidx: int, scale: float
 ) -> np.ndarray:
@@ -209,6 +201,7 @@ class CoreTentacleDecomposition:
       V_cubes    - per thin component, the band cubes whose halos bound it
       groups     - tentacle groups (maximal distinct halo collections)
       Um         - band cubes not used by any group
+      trails()   - per graph node, the band cubes its radial geodesic meets
     """
 
     def __init__(
@@ -225,8 +218,7 @@ class CoreTentacleDecomposition:
         self.domain = dec.domain
         self.m = int(m)
         self.c0 = float(c0)
-        self._trails: np.ndarray | None = None
-        self._trail_cols: dict[int, int] | None = None
+        self._trails: list[tuple[int, ...]] | None = None
         self._chain_cache: dict[tuple[int, int], list[int]] = {}
         self._build()
 
@@ -349,7 +341,7 @@ class CoreTentacleDecomposition:
         # band enumeration: ascending cube index; the j-th cube generates
         # the union of the thin families it bounds
         seen: dict[frozenset[int], int] = {}
-        for j, qj in enumerate(sorted(self.P)):
+        for j, qj in enumerate(self.P):
             fams = [vc for vc in self.V_cubes if qj in vc]
             if fams:
                 seen.setdefault(frozenset().union(*fams), j)
@@ -448,50 +440,24 @@ class CoreTentacleDecomposition:
             "unused_band_cubes": self.Um,
         }
 
-    # -- blocking (exposed for tests) ---------------------------------------
-
-    def blocks(self, qidx: int, cells: np.ndarray) -> tuple[bool, bool]:
-        """Does removing the cube's closed halo separate the cell set from
-        the base point?  Returns (blocked, degenerate); degenerate means the
-        set lies entirely inside the removed closure (by convention not
-        blocked)."""
-        if not len(cells):
-            raise DomainError("blocking query against an empty cell set")
-        raw, _, lab0 = self._halo_cut([qidx])
-        cut = _cut_off(raw, lab0, tuple(cells.T)) if lab0 else None
-        return (False, True) if cut is None else (cut, False)
-
     # -- trails and covers --------------------------------------------------
 
-    def _trail_matrix(self) -> tuple[np.ndarray, dict[int, int]]:
-        """Packed bitset per node of band cubes its radial path passes."""
+    def trails(self) -> list[tuple[int, ...]]:
+        """Per graph node, the band cubes its radial geodesic meets, in path
+        order; a band cube's trail is the nodes whose tuple lists it.  A node
+        that adds no cube shares its parent's tuple."""
         if self._trails is None:
-            dom = self.domain
             tree = self.qh.radial_tree()
-            cols = {q: t for t, q in enumerate(sorted(self.P1))}
-            words = max(1, (len(cols) + 63) // 64)
-            T = np.zeros((dom.n_nodes, words), dtype=np.uint64)
-            cube_of_node = self.dec.cell_cube[tuple(dom.node_cells.T)]
-            order = np.argsort(tree.dist, kind="stable")
-            pred = tree.pred
-            for v in order:
-                p = pred[v]
-                if p >= 0:
-                    T[v] |= T[p]
-                q = int(cube_of_node[v])
-                if q in cols:
-                    t = cols[q]
-                    T[v, t >> 6] |= np.uint64(1 << (t & 63))
-            self._trails = T
-            self._trail_cols = cols
-        return self._trails, self._trail_cols
-
-    def trail_nodes(self, qidx: int) -> np.ndarray:
-        """Node mask of the trail of a band cube (points whose radial
-        geodesic meets the cube)."""
-        T, cols = self._trail_matrix()
-        t = cols[qidx]
-        return (T[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1) > 0
+            band = set(self.P1)
+            cube_of = self.dec.cell_cube[tuple(self.domain.node_cells.T)]
+            cube_of, pred = cube_of.tolist(), tree.pred.tolist()
+            trails: list[tuple[int, ...]] = [()] * len(pred)
+            for v in np.argsort(tree.dist, kind="stable").tolist():
+                t = trails[pred[v]] if pred[v] >= 0 else ()
+                q = cube_of[v]
+                trails[v] = t + (q,) if q in band and q not in t else t
+            self._trails = trails
+        return self._trails
 
     def cover(self, qidx: int) -> tuple[list[int], list[int], np.ndarray]:
         """Cover of a band cube's neighborhood: core cubes meeting it plus
@@ -503,14 +469,12 @@ class CoreTentacleDecomposition:
         cubes_here = self.dec.cell_cube[cells[:, 0], cells[:, 1]]
         direct = np.unique(cubes_here[self._in_w1[cubes_here]]).tolist()
         nodes = self._nodes(cells)
-        T, cols = self._trail_matrix()
-        rows = T[nodes]
-        # column t of the trail matrix is the t-th band cube in index order
-        hit = _unpack_trails(np.bitwise_or.reduce(rows, axis=0), len(cols))
-        band = sorted(cols)
-        via = [band[t] for t in np.flatnonzero(hit)]
+        trails = self.trails()
+        rows = [trails[v] for v in nodes.tolist()]
+        via = sorted(set().union(*rows))
         cube_of = self.dec.cell_cube[tuple(dom.node_cells[nodes].T)]
-        covered = self._in_w1[cube_of] | (rows != 0).any(axis=1)
+        covered = self._in_w1[cube_of] | np.array([bool(r) for r in rows],
+                                                  dtype=bool)
         uncovered = dom.node_cells[nodes[~covered]]
         return direct, via, uncovered
 
@@ -564,7 +528,7 @@ class CoreTentacleDecomposition:
         """Pairs qa < qb of pruned band cubes with overlapping neighborhoods
         bq: the off-diagonal nonzeros of B B^T for the sparse band x cell
         incidence matrix B."""
-        band = sorted(self.P)
+        band = self.P
         if not band:
             return []
         ny = self.domain.shape[1]
@@ -653,15 +617,9 @@ def verify_distance_lemmas(ct: CoreTentacleDecomposition) -> PropertyReport:
     cubes with overlapping neighborhoods; group cubes against their assigned
     cube."""
     rep = PropertyReport("distance_lemmas", 0.0, resolution=ct.domain.h)
-    T, cols = ct._trail_matrix()
-
-    # column co-occurrence over radial trails, from the unique trail rows
-    ncols = len(cols)
-    co = np.zeros((ncols, ncols), dtype=bool)
-    for row in np.unique(T, axis=0):
-        idx = np.flatnonzero(_unpack_trails(row, ncols))
-        if len(idx) > 1:
-            co[np.ix_(idx, idx)] = True
+    # band cube pairs (qa < qb) on one radial trail, from the distinct trails
+    linked = {pair for row in set(ct.trails())
+              for pair in combinations(sorted(row), 2)}
 
     # (class, second cube) queries by first cube: trail-linked covering
     # pairs, overlapping band neighborhoods, group cubes to assigned cube
@@ -669,7 +627,7 @@ def verify_distance_lemmas(ct: CoreTentacleDecomposition) -> PropertyReport:
     for q in ct.P:
         _, via, _ = ct.cover(q)
         for qa, qb in combinations(via, 2):
-            if co[cols[qa], cols[qb]]:
+            if (qa, qb) in linked:
                 queries[qa].append((0, qb))
     for qa, qb in ct.band_overlap_pairs():
         queries[qa].append((1, qb))

@@ -350,6 +350,8 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
     is evaluated directly; grid and probe points share their coordinates,
     and on the gallery fixtures they never take that path.
     """
+    if (0, 0) not in alphas:  # every product after the first reads values
+        raise DomainError(f"hat jets need the (0, 0) entry, got {alphas}")
     if not len(x):
         return
     orders = sorted({c for a in alphas for c in a})

@@ -87,16 +87,6 @@ class WhitneyDecomposition:
         return np.argwhere(np.ones((q.size, q.size), dtype=bool)) + q.corner
 
 
-def center_distance(domain: GridDomain, i0: int, j0: int, size: int) -> float:
-    """Rasterized dist(Q, boundary): the d field at the block's center cell."""
-    ci, cj = i0 + size // 2, j0 + size // 2
-    if size > 1:
-        ci, cj = min(ci, domain.shape[0] - 1), min(cj, domain.shape[1] - 1)
-    if not domain.interior[ci, cj]:
-        return 0.0
-    return float(domain.dist[ci, cj])
-
-
 def whitney_decompose(domain: GridDomain) -> WhitneyDecomposition:
     interior = domain.interior
     size_top = 1 << int(np.ceil(np.log2(max(domain.shape))))
@@ -125,7 +115,8 @@ def whitney_decompose(domain: GridDomain) -> WhitneyDecomposition:
             full = bool(all_int[lvl][bi, bj])
         else:
             full = False
-        d = center_distance(domain, i0, j0, size) if full else 0.0
+        # rasterized dist(Q, boundary): the d field at a full block's centre
+        d = float(domain.dist[i0 + size // 2, j0 + size // 2]) if full else 0.0
         if full and size * h * SQRT2 <= d and size < size_top:
             cubes.append(WhitneyCube(len(cubes), (i0, j0), size, size * h, d, False))
             continue

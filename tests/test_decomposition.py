@@ -1,5 +1,6 @@
 """Tests for the core/tentacle decomposition and its verification passes."""
 
+import functools
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from qhlab.decomposition import (
     Rect,
     _cells_mask,
     _cut_off,
-    _unpack_trails,
     _window_cut,
     build_core_tentacle,
     chain_pair_classes,
@@ -157,20 +157,21 @@ def test_dumbbell_blocking(dumbbell_ctx):
     dom, qh, dec, ct = dumbbell_ctx
     cells = np.argwhere(dom.interior)
     far = cells[(cells[:, 0] + 0.5) * dom.h > 0.65]
-    blockers = [q for q in ct.P1 if ct.blocks(q, far)[0]]
+    cuts = [ct._halo_cut([q]) for q in ct.P1]
+    blockers = [q for q, (raw, _, lab0) in zip(ct.P1, cuts)
+                if lab0 and _cut_off(raw, lab0, tuple(far.T))]
     assert blockers, "some band cube separates the far chamber"
-    # cells next to the base point are never blocked off
-    near = np.array([list(dom.x0)])
-    assert not any(ct.blocks(q, near)[0] for q in ct.P1[:10])
-    with pytest.raises(DomainError):
-        ct.blocks(ct.P1[0], np.empty((0, 2), dtype=int))
+    # the base point's cell is never blocked off
+    near = tuple(np.array([dom.x0]).T)
+    for raw, _, lab0 in cuts[:10]:
+        assert lab0 and _cut_off(raw, lab0, near) is False
 
 
 def test_blocking_degenerate_inside_halo(dumbbell_ctx):
     dom, qh, dec, ct = dumbbell_ctx
     q = ct.P1[0]
-    blocked, degenerate = ct.blocks(q, ct.halo[q])
-    assert degenerate and not blocked
+    raw, _, lab0 = ct._halo_cut([q])
+    assert lab0 and _cut_off(raw, lab0, tuple(ct.halo[q].T)) is None
 
 
 def test_tentacle_mask_disjoint_from_core_component(dumbbell_ctx):
@@ -182,11 +183,34 @@ def test_tentacle_mask_disjoint_from_core_component(dumbbell_ctx):
 
 def test_trail_contains_own_cube(ct6):
     dom = ct6.domain
+    trails = ct6.trails()
     for q in ct6.P1[:10]:
-        mask = ct6.trail_nodes(q)
         cells = ct6.dec.cube_cells(q)
         nodes = dom.cell_node[cells[:, 0], cells[:, 1]]
-        assert mask[nodes[nodes >= 0]].all()
+        assert all(q in trails[v] for v in nodes[nodes >= 0])
+
+
+def _band_on_path(ct, node):
+    """The distinct band cubes along a node's radial path, in path order."""
+    path = ct.qh.radial_tree().path_nodes(node)
+    cubes = ct.dec.cell_cube[tuple(ct.domain.node_cells[path].T)].tolist()
+    band = set(ct.P1)
+    return tuple(dict.fromkeys(q for q in cubes if q in band))
+
+
+def test_trails_are_the_band_cubes_on_each_radial_path(ct6, dumbbell_ctx):
+    for ct in (ct6, dumbbell_ctx[3]):
+        trails = ct.trails()
+        assert len(trails) == ct.domain.n_nodes
+        assert any(trails)
+        for v in range(0, ct.domain.n_nodes, 7):
+            assert trails[v] == _band_on_path(ct, v), v
+
+
+def test_band_lists_ascending(ct6, ct7, dumbbell_ctx):
+    for ct in (ct6, ct7, dumbbell_ctx[3]):
+        assert ct.P1 == sorted(set(ct.P1))
+        assert ct.P == sorted(set(ct.P))
 
 
 def test_cover_at_resolved_levels(ct6, ct7, dumbbell_ctx):
@@ -329,8 +353,9 @@ def test_mask_rectangles_equal_greedy_cover(mask):
     assert all(isinstance(r, Rect) for r in rects)
 
 
-def _reference_cover(ct, qidx):
-    """Per-column loop over the trail matrix, as cover() is specified."""
+def _reference_cover(ct, qidx, on_path):
+    """cover() as specified, walking each node's radial path
+    (``on_path(node)``: the band cubes on it) instead of the trails."""
     dom = ct.domain
     cells = ct.bq[qidx]
     cubes_here = np.unique(ct.dec.cell_cube[cells[:, 0], cells[:, 1]])
@@ -338,21 +363,21 @@ def _reference_cover(ct, qidx):
     direct = sorted(int(c) for c in cubes_here if int(c) in w1set)
     nodes = dom.cell_node[cells[:, 0], cells[:, 1]]
     nodes = nodes[nodes >= 0]
-    T, cols = ct._trail_matrix()
-    rows = T[nodes]
-    via = [q for q, t in cols.items()
-           if (rows[:, t >> 6] >> np.uint64(t & 63) & np.uint64(1)).any()]
+    rows = [on_path(v) for v in nodes.tolist()]
+    via = set().union(*rows)
     cube_of = ct.dec.cell_cube[tuple(dom.node_cells[nodes].T)]
-    covered = np.isin(cube_of, list(w1set)) | (rows != 0).any(axis=1)
+    on_trail = np.array([len(r) > 0 for r in rows], dtype=bool)
+    covered = np.isin(cube_of, list(w1set)) | on_trail
     return direct, sorted(via), dom.node_cells[nodes[~covered]]
 
 
-def test_cover_matches_per_column_reference(ct6):
+def test_cover_matches_radial_path_reference(ct6):
     ct = ct6
     assert ct.P
+    on_path = functools.cache(lambda v: _band_on_path(ct, v))
     for q in ct.P:
         direct, via, uncovered = ct.cover(q)
-        ref_direct, ref_via, ref_uncovered = _reference_cover(ct, q)
+        ref_direct, ref_via, ref_uncovered = _reference_cover(ct, q, on_path)
         assert direct == ref_direct
         assert via == ref_via
         assert all(type(v) is int for v in direct + via)
@@ -414,19 +439,6 @@ def test_band_overlap_pairs_equal_dense_and(ct6, ct7, dumbbell_ctx):
         ref = _band_pairs_dense(ct)
         assert ref
         assert ct.band_overlap_pairs() == ref
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=arrays(np.uint64, st.tuples(st.integers(1, 6), st.integers(1, 3))),
-       data=st.data())
-def test_unpack_trails_equals_bit_loop(rows, data):
-    ncols = data.draw(st.integers(1, 64 * rows.shape[1]))
-    ref = np.zeros((len(rows), ncols), dtype=bool)
-    for r, row in enumerate(rows.tolist()):
-        for t in range(ncols):
-            ref[r, t] = (row[t >> 6] >> (t & 63)) & 1
-    assert np.array_equal(_unpack_trails(rows, ncols), ref)
-    assert np.array_equal(_unpack_trails(rows[0], ncols), ref[0])
 
 
 def _prune_reference(ct):

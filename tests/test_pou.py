@@ -399,6 +399,25 @@ def test_measured_sup_rejects_a_foreign_hat(small_ct):
         first.measured_sup(second.hats[0], (1, 0))
 
 
+@pytest.mark.parametrize("n_boxes", [1, 2])
+def test_jets_without_the_value_entry_are_rejected(small_ct, n_boxes):
+    """Every product after a hat's first box reads the (0, 0) entries, so a
+    list of alphas without it is refused, with one acting box or two."""
+    side = Profile(0.2, 0.25, 0.05, 0.05)
+    boxes = [BoxBump(Profile(0.3, 0.4, 0.05, 0.05), side),
+             BoxBump(Profile(0.35, 0.45, 0.05, 0.05), side)][:n_boxes]
+    x, y = np.array([0.37]), np.array([0.22])
+    assert SetBump(boxes).jet(x, y, [(0, 0), (1, 0)]).keys() == {(0, 0), (1, 0)}
+    with pytest.raises(DomainError):
+        SetBump(boxes).jet(x, y, [(1, 0)])
+    part = build_partition(small_ct)
+    px, py = _probe_points(part, part.hats[0])
+    with pytest.raises(DomainError):
+        part.sum_jet(px, py, [(1, 0)])
+    with pytest.raises(DomainError):
+        list(part.hat_jets(px, py, [(1, 0)]))
+
+
 # -- the multi-hat engine, hat by hat, against the box-by-box reference -------
 
 def _untouched(n, alphas):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhlab import gallery
 from qhlab.grid import GridDomain
@@ -27,6 +28,23 @@ def check_invariants(dom, dec):
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_invariants_gallery(name):
     dom = gallery.make(name, 1 / 128)
+    check_invariants(dom, whitney_decompose(dom))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rects=st.lists(st.tuples(st.integers(0, 28), st.integers(0, 28),
+                                st.integers(1, 16), st.integers(1, 16)),
+                      min_size=1, max_size=5),
+       data=st.data())
+def test_invariants_on_rectangle_unions(rects, data):
+    """The invariants on the component of a drawn cell in a union of
+    random rectangles, one-cell-wide ones included."""
+    bitmap = np.zeros((32, 32), dtype=bool)
+    for i0, j0, ni, nj in rects:
+        bitmap[i0 : i0 + ni, j0 : j0 + nj] = True
+    cells = np.argwhere(bitmap)
+    x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
+    dom = GridDomain(bitmap, 1 / 32, x0, trim=True)
     check_invariants(dom, whitney_decompose(dom))
 
 
