@@ -29,7 +29,7 @@ from .fixtures import AnalyticField, multi_indices
 from .grid import DomainError, GridDomain
 from .pou import PartitionOfUnity, Jet, add_jet, build_partition, \
     jet_product, jet_quotient, jet_zero
-from .poly import PolyApprox, PolyStack, _points_of_cells, fit_polynomial
+from .poly import PolyApprox, PolyStack, _points_of_cells, fit_polynomials
 from .properties import PropertyReport
 from .qh import QhMetric
 from .whitney import WhitneyDecomposition, whitney_decompose
@@ -88,29 +88,40 @@ class SampledFunction:
             self.jets[alpha] = self.field.derivative(
                 alpha, self.grid.x, self.grid.y)
 
-    def cube_polynomial(self, dec: WhitneyDecomposition, q: int
-                        ) -> PolyApprox:
-        """The field's degree-(k-1) fit on Whitney cube q.  Its derivative
-        averages read one sample of the field at the domain's interior
-        cell centres, through the cube's cell slices raveled in
-        ``cube_cells`` order, so every fit is bitwise the one the field's
-        own evaluation at the cube's cells gives."""
-        cube = dec.cubes[q]
-        key = (cube.corner, cube.size)
-        if key not in self._fits:
-            dom = self.grid.domain
-            if self._cell_jets is None:
-                cx, cy = _points_of_cells(np.argwhere(dom.interior), dom.h)
-                self._cell_jets = {}
-                for a in multi_indices(self.k):
-                    self._cell_jets[a] = np.zeros(dom.shape)
-                    self._cell_jets[a][dom.interior] = self.field.derivative(
-                        a, cx, cy)
-            cells = cube.cell_slices()
-            self._fits[key] = fit_polynomial(
-                self.field, dec.cube_cells(q), self.k, dom.h,
-                {a: v[cells].ravel() for a, v in self._cell_jets.items()})
-        return self._fits[key]
+    def cube_polynomials(self, dec: WhitneyDecomposition, cubes
+                         ) -> dict[int, PolyApprox]:
+        """The field's degree-(k-1) fits on the Whitney cubes ``cubes``, by
+        cube index in the order given.  The cubes not fitted yet are fitted
+        together, one ``fit_polynomials`` call per cube size: each cube's
+        derivative averages read one sample of the field at the domain's
+        interior cell centres, gathered from its cell block in
+        ``cube_cells`` order, so every fit is bitwise the one
+        ``fit_polynomial`` gives on the cube's cells."""
+        keys = {q: (dec.cubes[q].corner, dec.cubes[q].size) for q in cubes}
+        corners: dict[int, dict] = {}  # size -> corners still to fit
+        for corner, size in keys.values():
+            if (corner, size) not in self._fits:
+                corners.setdefault(size, {})[corner] = None
+        dom = self.grid.domain
+        if corners and self._cell_jets is None:
+            cx, cy = _points_of_cells(np.argwhere(dom.interior), dom.h)
+            self._cell_jets = {}
+            for a in multi_indices(self.k):
+                self._cell_jets[a] = np.zeros(dom.shape)
+                self._cell_jets[a][dom.interior] = self.field.derivative(
+                    a, cx, cy)
+        for size, todo in corners.items():
+            block = np.arange(size)
+            corner = np.array(list(todo))
+            rows = corner[:, 0, None, None] + block[:, None]
+            cols = corner[:, 1, None, None] + block
+            cells = np.stack(np.broadcast_arrays(rows, cols), axis=-1)
+            samples = {a: v[rows, cols].reshape(len(corner), -1)
+                       for a, v in self._cell_jets.items()}
+            fits = fit_polynomials(cells.reshape(len(corner), -1, 2),
+                                   samples, self.k, dom.h)
+            self._fits.update(((c, size), fit) for c, fit in zip(todo, fits))
+        return {q: self._fits[key] for q, key in keys.items()}
 
 
 def seminorm(jets: Jet, sel: np.ndarray, k: int, p: float,
@@ -169,7 +180,7 @@ def assemble(u: SampledFunction, pou: PartitionOfUnity,
     x, y = u.grid.x, u.grid.y
 
     cubes = [hat.donor for hat in pou.hats if hat.donor >= 0]
-    polys = {q: u.cube_polynomial(ct.dec, q) for q in dict.fromkeys(cubes)}
+    polys = u.cube_polynomials(ct.dec, dict.fromkeys(cubes))
     which, stack = _donors(polys, pou)
 
     S = jet_zero(x.shape, alphas)  # accumulated in hat order, as sum_jet

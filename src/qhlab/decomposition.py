@@ -39,31 +39,64 @@ class Rect(NamedTuple):
     nj: int
 
 
-def mask_rectangles(mask: np.ndarray) -> list[Rect]:
-    """Exact cover of a boolean mask by maximal-run rectangles, sorted.
+def rectangle_cover(cell_sets: list[np.ndarray], shape: tuple[int, int]
+                    ) -> tuple[np.ndarray, ...]:
+    """Exact cover of each (n, 2) set of distinct cells of a bitmap of the
+    given shape by maximal-run rectangles.
 
-    Horizontal runs per row, merged vertically while runs coincide: each
-    rectangle is a chain of identical (j0, j1) runs in consecutive rows.
+    Each set's rows are cut into horizontal runs, merged vertically while
+    runs coincide: each rectangle is a chain of identical (j0, j1) runs in
+    consecutive rows.  Returns (set, i0, j0, ni, nj) arrays, the set as its
+    position in ``cell_sets``, sorted by set, then i0, then j0.  The sets
+    are covered in array passes over batches of about one bitmap's worth
+    of cells, so no temporary outgrows a few masks of the bitmap.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return []
-    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask
-    step = np.diff(padded, axis=1)
-    rows, j0 = np.nonzero(step == 1)  # row-major: the k-th start and the
-    _, j1 = np.nonzero(step == -1)  # k-th end bound the same run
-    order = np.lexsort((rows, j1, j0))
-    rows, j0, j1 = rows[order], j0[order], j1[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = ((j0[1:] != j0[:-1]) | (j1[1:] != j1[:-1])
-                 | (rows[1:] != rows[:-1] + 1))
-    starts = np.flatnonzero(first)
-    ni = np.diff(np.append(starts, len(rows)))
-    i0, j0, nj = rows[starts], j0[starts], (j1 - j0)[starts]
-    order = np.lexsort((j0, i0))
-    return [Rect(*map(int, r))
-            for r in zip(i0[order], j0[order], ni[order], nj[order])]
+    most = shape[0] * shape[1]
+    out, first, held = [], 0, 0
+    for k, cells in enumerate(cell_sets):
+        if held and held + len(cells) > most:
+            out.append(_cover_batch(cell_sets[first:k], first, shape))
+            first, held = k, 0
+        held += len(cells)
+    out.append(_cover_batch(cell_sets[first:], first, shape))
+    return tuple(np.concatenate(a) for a in zip(*out))
+
+
+def _cover_batch(cell_sets: list[np.ndarray], first: int,
+                 shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """``rectangle_cover`` of a batch of sets, numbered from ``first``."""
+    sizes = [len(c) for c in cell_sets]
+    if not sum(sizes):
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(5))
+    cells = np.concatenate(cell_sets)
+    # each cell's position in copies of the bitmap laid end to end, one per
+    # set, each row and each copy followed by a blank one: a run is a
+    # stretch of consecutive positions
+    height, width = shape[0] + 1, shape[1] + 1
+    at = np.repeat(np.arange(len(sizes)) * height, sizes)
+    at += cells[:, 0]
+    at *= width
+    at += cells[:, 1]
+    at.sort(kind="stable")
+    start = np.append(True, at[1:] != at[:-1] + 1)
+    first_at, last_at = at[start], at[np.append(start[1:], True)]
+    row, j0, j1 = first_at // width, first_at % width, last_at % width + 1
+    # rectangles: chains of identical runs in consecutive rows
+    by = np.lexsort((row, j1, j0))
+    row, j0, j1 = row[by], j0[by], j1[by]
+    start = np.append(True, (j0[1:] != j0[:-1]) | (j1[1:] != j1[:-1])
+                      | (row[1:] != row[:-1] + 1))
+    ni = np.diff(np.append(np.flatnonzero(start), len(row)))
+    row, j0, nj = row[start], j0[start], (j1 - j0)[start]
+    by = np.argsort(row * width + j0)
+    row, j0, ni, nj = row[by], j0[by], ni[by], nj[by]
+    return row // height + first, row % height, j0, ni, nj
+
+
+def mask_rectangles(mask: np.ndarray) -> list[Rect]:
+    """``rectangle_cover`` of a boolean mask's cells, as a sorted list."""
+    cover = rectangle_cover([np.argwhere(mask)], np.shape(mask))
+    return list(map(Rect, *(a.tolist() for a in cover[1:])))
 
 
 def _cells_mask(shape, *cell_arrays: np.ndarray) -> np.ndarray:
@@ -73,17 +106,6 @@ def _cells_mask(shape, *cell_arrays: np.ndarray) -> np.ndarray:
         if len(cells):
             out[cells[:, 0], cells[:, 1]] = True
     return out
-
-
-def cell_rectangles(cells: np.ndarray) -> list[Rect]:
-    """``mask_rectangles`` of a cell set, covered on its bounding window and
-    given in the cells of the whole bitmap."""
-    if not len(cells):
-        return []
-    lo = cells.min(axis=0)
-    window = _cells_mask(tuple(cells.max(axis=0) - lo + 1), cells - lo)
-    return [r._replace(i0=r.i0 + int(lo[0]), j0=r.j0 + int(lo[1]))
-            for r in mask_rectangles(window)]
 
 
 # offsets of the 8 neighbors of a cell

@@ -52,7 +52,7 @@ class PolyApprox:
 def _derivative(coeffs, tx, ty, alpha, scale_power) -> np.ndarray:
     """grad^alpha of sum c_beta t^beta at normalized points, divided by
     ``scale_power`` (the scale to the power |alpha|); the coefficients and
-    scale power are numbers or per-point arrays."""
+    scale power are numbers or arrays that broadcast against the points."""
     out = np.zeros(np.shape(tx), dtype=float)
     a1, a2 = alpha
     for (b1, b2), c in coeffs.items():
@@ -90,43 +90,53 @@ class PolyStack:
 
 def _points_of_cells(cells: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     cells = np.asarray(cells)
-    return (cells[:, 0] + 0.5) * spacing, (cells[:, 1] + 0.5) * spacing
+    return (cells[..., 0] + 0.5) * spacing, (cells[..., 1] + 0.5) * spacing
 
 
-def fit_polynomial(field, cells: np.ndarray, k: int, spacing: float,
-                   samples: dict | None = None) -> PolyApprox:
+def fit_polynomial(field, cells: np.ndarray, k: int,
+                   spacing: float) -> PolyApprox:
     """Fit the degree-(k-1) polynomial matching all averaged derivatives of
-    the field over the cell set (cells at the given grid spacing).
-
-    ``field`` provides ``derivative(alpha, px, py)``; ``samples``, if given,
-    holds those derivatives at the cell centres (alpha -> values in cell
-    order) and is read instead.  Solved top-down: coefficients of degree k-1
-    come directly from the top-order derivative averages; each lower order
-    then subtracts the known higher terms.
-    """
+    the field over the cell set (cells at the given grid spacing): the
+    derivatives of order <= min(k, field order) sampled at the cell centres,
+    solved as a batch of one by ``fit_polynomials``."""
     cells = np.asarray(cells)
     if len(cells) == 0:
         raise DomainError("cannot fit a polynomial on an empty cell set")
     px, py = _points_of_cells(cells, spacing)
-    if samples is None:
-        samples = {alpha: field.derivative(alpha, px, py)
-                   for alpha in multi_indices(min(k, field.order))}
-    cx, cy = float(px.mean()), float(py.mean())
-    scale = float(max(px.max() - px.min(), py.max() - py.min(), spacing))
-    tx, ty = (px - cx) / scale, (py - cy) / scale
+    samples = {alpha: field.derivative(alpha, px, py)[None]
+               for alpha in multi_indices(min(k, field.order))}
+    return fit_polynomials(cells[None], samples, k, spacing)[0]
+
+
+def fit_polynomials(cells: np.ndarray, samples: dict, k: int,
+                    spacing: float) -> list[PolyApprox]:
+    """The fits of ``fit_polynomial`` on n cell sets of c cells each, solved
+    together: ``cells`` is (n, c, 2) and ``samples`` maps each alpha with
+    |alpha| <= k-1 (and those of order k whose residuals are reported) to
+    the (n, c) field derivatives at the cells' centres.
+
+    Solved top-down: coefficients of degree k-1 come directly from the
+    top-order derivative averages; each lower order then subtracts the
+    known higher terms.  Every set is solved row by row with the operations
+    of a one-set solve (row means, Python powers of each scale), so a fit
+    does not depend on the batch it is made in.
+    """
+    px, py = _points_of_cells(cells, spacing)
+    cx, cy = px.mean(axis=1), py.mean(axis=1)
+    scale = np.maximum(np.maximum(px.max(axis=1) - px.min(axis=1),
+                                  py.max(axis=1) - py.min(axis=1)), spacing)
+    tx = (px - cx[:, None]) / scale[:, None]
+    ty = (py - cy[:, None]) / scale[:, None]
+    power = [np.array([s ** n for s in scale.tolist()]) for n in range(k + 1)]
 
     # averaged field derivatives, expressed in normalized coordinates
-    avg_u = {
-        alpha: float(samples[alpha].mean()) * scale ** (alpha[0] + alpha[1])
-        for alpha in multi_indices(k - 1)
-    }
+    avg_u = {alpha: samples[alpha].mean(axis=1) * power[sum(alpha)]
+             for alpha in multi_indices(k - 1)}
     # normalized monomial moments avg of t^beta, needed up to degree k-1
-    mom = {
-        (a, b): float((tx ** a * ty ** b).mean())
-        for (a, b) in multi_indices(k - 1)
-    }
+    mom = {(a, b): (tx ** a * ty ** b).mean(axis=1)
+           for (a, b) in multi_indices(k - 1)}
 
-    coeffs: dict[tuple[int, int], float] = {}
+    coeffs: dict[tuple[int, int], np.ndarray] = {}
     for order in range(k - 1, -1, -1):
         for alpha in [m for m in multi_indices(k - 1) if sum(m) == order]:
             a1, a2 = alpha
@@ -137,19 +147,33 @@ def fit_polynomial(field, cells: np.ndarray, k: int, spacing: float,
                 if b1 >= a1 and b2 >= a2 and (b1, b2) != alpha:
                     f = (factorial(b1) // factorial(b1 - a1)) * \
                         (factorial(b2) // factorial(b2 - a2))
-                    rhs -= c * f * mom[(b1 - a1, b2 - a2)]
+                    rhs = rhs - c * f * mom[(b1 - a1, b2 - a2)]
             coeffs[alpha] = rhs / (factorial(a1) * factorial(a2))
 
-    poly = PolyApprox(coeffs, (cx, cy), scale, k, cells)
     # residuals: |alpha| <= k-1 asserted, |alpha| = k reported only
-    for alpha in multi_indices(min(k, field.order)):
-        res = float((samples[alpha] - poly.derivative(alpha, px, py)).mean())
-        den = abs(avg_u.get(alpha, 0.0)) / scale ** sum(alpha) + 1.0
-        poly.moment_residuals[alpha] = res / den
-        if sum(alpha) <= k - 1 and abs(res / den) > MOMENT_TOL:
+    columns = {b: c[:, None] for b, c in coeffs.items()}
+    residuals = {}
+    for alpha in [a for a in multi_indices(k) if a in samples]:
+        n = sum(alpha)
+        res = (samples[alpha] - _derivative(columns, tx, ty, alpha,
+                                            power[n][:, None])).mean(axis=1)
+        den = np.abs(avg_u.get(alpha, 0.0)) / power[n] + 1.0
+        residuals[alpha] = res / den
+        bad = np.flatnonzero(np.abs(residuals[alpha]) > MOMENT_TOL)
+        if n <= k - 1 and len(bad):
+            i = bad[0]
+            lo = cells[i].min(axis=0)
+            size = int((cells[i].max(axis=0) - lo).max()) + 1
             raise DomainError(
-                f"moment condition {alpha} violated: residual {res:.2e}")
-    return poly
+                f"moment condition {alpha} violated on the cells at corner "
+                f"{tuple(lo.tolist())}, size {size}: residual {res[i]:.2e}")
+
+    rows = zip(np.column_stack([*coeffs.values()]).tolist(), cx.tolist(),
+               cy.tolist(), scale.tolist(),
+               np.column_stack([*residuals.values()]).tolist())
+    return [PolyApprox(dict(zip(coeffs, c)), (x, y), s, k, cells[i],
+                       dict(zip(residuals, r)))
+            for i, (c, x, y, s, r) in enumerate(rows)]
 
 
 def poly_difference_norm(p1: PolyApprox, p2: PolyApprox,

@@ -22,12 +22,19 @@ Three bump families mirror the cover:
   xi   - per thick component U: 1 on U, supported in B(U, 2^-m/100).
 The normalized partition divides each raw bump by the total sum.
 
+A partition's boxes are arrays of profile parameters, built for all hats
+of a level in array passes: the rectangle covers of every cube's blocking
+neighborhood and of every component (``rectangle_cover``), and the ramp
+widths clipped elementwise (``SetBump.boxes`` gives them back as
+``BoxBump`` objects).
+
 Evaluation engine (``_hat_jets``): all hats of a partition are evaluated
 at once over a table of (hat, point, box) pairs, the point strictly inside
 the box support.  The points are bucketed by domain cell, so finding the
-pairs costs what the pairs found cost.  Each distinct profile is evaluated
-once on the points' distinct coordinates inside its support, with one
-``_plateau`` call per derivative order for all profiles, and every pair
+pairs costs what the pairs found cost.  The distinct profiles of each axis
+are found by sorting the boxes' parameter rows (``_Profiles``); each is
+evaluated once on the points' distinct coordinates inside its support, with
+one ``_plateau`` call per derivative order for all profiles, and every pair
 gathers its box factors from these profile tables.  The table is built in
 chunks of whole (hat, point) groups, about ``_POINT_BLOCK`` pairs each, and
 each chunk is folded in one pass, rank by rank (the r-th box acting on each
@@ -43,13 +50,12 @@ partition starts empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
-from .decomposition import (CoreTentacleDecomposition, cell_rectangles,
-                            mask_rectangles)
+from .decomposition import CoreTentacleDecomposition, rectangle_cover
 from .fixtures import multi_indices
 from .grid import DomainError
 
@@ -145,6 +151,16 @@ class BoxBump:
         return (sx[0], sx[1], sy[0], sy[1])
 
 
+def _supports(params: np.ndarray) -> np.ndarray:
+    """(n, 4) supports (x0, x1, y0, y1) of box parameter rows (lo, hi,
+    w_lo, w_hi of the x profile, then of the y profile), as
+    ``BoxBump.support`` computes them."""
+    return np.column_stack([params[:, 0] - params[:, 2],
+                            params[:, 1] + params[:, 3],
+                            params[:, 4] - params[:, 6],
+                            params[:, 5] + params[:, 7]])
+
+
 @lru_cache(maxsize=None)
 def _leibniz(alphas: tuple) -> tuple:
     """Per alpha, the terms (c, beta, alpha - beta) of the Leibniz rule."""
@@ -226,21 +242,25 @@ _PROBES_PER_RAMP = 6  # Hat.probe_points inside each ramp band, per axis
 
 
 class _Profiles:
-    """The distinct profiles of one axis of a box list: parameters, supports
-    and ramp scales as arrays, and each box's profile index.  The ramp
-    scales are Python powers of each profile's widths, so that every value
+    """The distinct profiles of one axis of a box list, found from its
+    (n, 4) parameter rows (lo, hi, w_lo, w_hi): parameters, supports and
+    ramp scales as arrays, and each box's profile index.  The ramp scales
+    are Python powers of each distinct profile's widths, so that every value
     is bitwise the one a box-by-box evaluation computes."""
 
-    def __init__(self, profiles: list[Profile]):
-        ids: dict[Profile, int] = {}
-        self.of_box = np.array([ids.setdefault(p, len(ids))
-                                for p in profiles], dtype=np.int64)
-        distinct = list(ids)
-        self.params = tuple(np.array([getattr(p, f) for p in distinct])
-                            for f in ("lo", "hi", "w_lo", "w_hi"))
-        self.support = np.array([p.support for p in distinct])
-        self.scales = [(np.array([p.w_lo**d for p in distinct]),
-                        np.array([(-1.0 / p.w_hi) ** d for p in distinct]))
+    def __init__(self, params: np.ndarray):
+        # the rows sorted, each distinct one numbered in that order
+        by = np.lexsort(params.T[::-1])
+        ordered = params[by]
+        new = np.ones(len(by), dtype=bool)
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        self.of_box = np.empty(len(by), dtype=np.int64)
+        self.of_box[by] = np.cumsum(new) - 1
+        self.params = tuple(ordered[new].T)
+        lo, hi, w_lo, w_hi = self.params
+        self.support = np.column_stack([lo - w_lo, hi + w_hi])
+        self.scales = [(np.array([w ** d for w in w_lo.tolist()]),
+                        np.array([(-1.0 / w) ** d for w in w_hi.tolist()]))
                        for d in range(KMAX + 1)]
 
     def table(self, t: np.ndarray, used: np.ndarray, orders, most: int):
@@ -287,15 +307,15 @@ class _Profiles:
 
 
 class _HatBoxes:
-    """The boxes of a sequence of hats, hat after hat and each hat's boxes
-    in list order: each box's hat, support and per-axis profile index."""
+    """The boxes of a sequence of hats, given as each hat's box parameter
+    rows (see ``SetBump``), hat after hat: each box's hat, support and
+    per-axis profile index."""
 
-    def __init__(self, hats: list[list[BoxBump]]):
-        boxes = [b for hat in hats for b in hat]
+    def __init__(self, hats: list[np.ndarray]):
+        params = np.concatenate(hats)
         self.hat = np.repeat(np.arange(len(hats)), [len(h) for h in hats])
-        self.support = np.array([b.support for b in boxes])
-        self.axes = (_Profiles([b.px for b in boxes]),
-                     _Profiles([b.py for b in boxes]))
+        self.support = _supports(params)
+        self.axes = (_Profiles(params[:, :4]), _Profiles(params[:, 4:]))
 
 
 def _bucket_runs(support: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -430,8 +450,8 @@ def _fold(hat, point, one_minus_box, alphas):
     ends = np.cumsum(np.bincount(rank))
     gid = gid[by]
     comp = one_minus_box(by)
-    acc = jet_product(jet_one(len(heads), alphas),
-                      {a: c[:ends[0]] for a, c in comp.items()}, alphas)
+    # rank 0 times the constant 1, each entry from 0.0 as jet_product sums
+    acc = {a: 0.0 + c[:ends[0]] for a, c in comp.items()}
     for r0, r1 in zip(ends[:-1], ends[1:]):
         dst = gid[r0:r1]
         prod = jet_product({a: acc[a][dst] for a in alphas},
@@ -445,15 +465,26 @@ class SetBump:
     """Smooth bump equal to 1 on a cell set, supported in its dilation:
     1 - prod(1 - b) over its boxes, evaluated by the partition's engine
     (``_hat_jets``) as a partition of one hat, whose jets are bitwise
-    those of a box-by-box loop."""
+    those of a box-by-box loop.  The boxes are given by their (n, 8)
+    parameter rows: lo, hi, w_lo, w_hi of the x profile, then of the y
+    profile."""
 
-    def __init__(self, boxes: list[BoxBump]):
-        if not boxes:
+    def __init__(self, params: np.ndarray):
+        if not len(params):
             raise DomainError("bump over an empty rectangle list")
-        self.boxes = boxes
-        sups = np.array([b.support for b in boxes])
-        self.bbox = (sups[:, 0].min(), sups[:, 1].max(),
-                     sups[:, 2].min(), sups[:, 3].max())
+        self.params = params
+
+    @cached_property
+    def bbox(self) -> tuple:
+        """(x0, x1, y0, y1) of the union of the box supports."""
+        s = _supports(self.params)
+        return (s[:, 0].min(), s[:, 1].max(), s[:, 2].min(), s[:, 3].max())
+
+    @property
+    def boxes(self) -> list[BoxBump]:
+        """The boxes, one ``BoxBump`` per parameter row."""
+        return [BoxBump(Profile(*r[:4]), Profile(*r[4:]))
+                for r in self.params.tolist()]
 
     def jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS) -> Jet:
         """1 - prod(1 - b) over the boxes at every point."""
@@ -463,7 +494,7 @@ class SetBump:
         x0, x1, y0, y1 = self.bbox
         idx = np.flatnonzero((fx > x0) & (fx < x1) & (fy > y0) & (fy < y1))
         out = _one_minus(jet_one(x.size, alphas))
-        table = _HatBoxes([self.boxes])
+        table = _HatBoxes([self.params])
         s = table.support  # buckets of the narrowest support side
         cell = min((s[:, 1] - s[:, 0]).min(), (s[:, 3] - s[:, 2]).min())
         for _, pts, hj in _hat_jets(table, fx[idx], fy[idx], alphas, cell):
@@ -480,7 +511,7 @@ class Hat:
     key: int  # cube index / group position / thick-component position
     donor: int  # cube whose polynomial a psi or phi hat carries; -1 for xi
     bump: SetBump
-    allowed_rects: list[tuple[float, float, float, float]]  # for (iv) checks
+    allowed_rects: np.ndarray  # rows (x0, x1, y0, y1), for (iv) checks
 
     def jet(self, x, y, alphas=ALPHAS) -> Jet:
         return self.bump.jet(x, y, alphas)
@@ -504,33 +535,49 @@ class Hat:
         return np.concatenate(xs), np.concatenate(ys)
 
 
-def _rects_physical(rects, h: float) -> list[tuple[float, float, float, float]]:
-    """(x0, x1, y0, y1) of cell rectangles."""
-    return [(r.i0 * h, (r.i0 + r.ni) * h, r.j0 * h, (r.j0 + r.nj) * h)
-            for r in rects]
+def _split(rows: np.ndarray, owner: np.ndarray, n: int) -> list:
+    """The rows of each of n owners, from rows sorted by owner."""
+    return np.split(rows, np.searchsorted(owner, np.arange(1, n)))
 
 
-def _uniform_boxes(rects, delta: float) -> list[BoxBump]:
-    return [
-        BoxBump(Profile(x0, x1, delta, delta), Profile(y0, y1, delta, delta))
-        for x0, x1, y0, y1 in rects
-    ]
+def _cube_boxes(ct: CoreTentacleDecomposition, cubes: list[int]) -> list:
+    """Per cube, the boxes of its blocking neighborhood's rectangles, with
+    per-side ramps clipped to its 11/10-dilated box, never exceeding it by
+    more than half a domain cell and never thinner than h/4; and that box
+    as the one row of the allowed region."""
+    if not cubes:
+        return []
+    h = ct.domain.h
+    owner, i0, j0, ni, nj = rectangle_cover([ct.halo[q] for q in cubes],
+                                            ct.domain.shape)
+    allowed = np.array([ct.dec.cubes[q].box(h, 1.1 * ct.c0) for q in cubes])
+    ramp = np.array([0.05 * ct.c0 * ct.dec.cubes[q].l for q in cubes])[owner]
+
+    def w(gap):
+        return np.maximum(np.minimum(ramp, gap + 0.5 * h), 0.25 * h)
+
+    x0, x1, y0, y1 = i0 * h, (i0 + ni) * h, j0 * h, (j0 + nj) * h
+    ax0, ax1, ay0, ay1 = allowed[owner].T
+    params = np.column_stack([x0, x1, w(x0 - ax0), w(ax1 - x1),
+                              y0, y1, w(y0 - ay0), w(ay1 - y1)])
+    return list(zip(_split(params, owner, len(cubes)), allowed[:, None]))
 
 
-def _clipped_boxes(rects, ramp: float, allowed, h: float) -> list[BoxBump]:
-    """Per-side ramps clipped to the allowed outer box, never exceeding it by
-    more than half a domain cell, and never thinner than h/4."""
-    ax0, ax1, ay0, ay1 = allowed
-    boxes = []
-    for x0, x1, y0, y1 in rects:
-        def w(gap):
-            return max(min(ramp, gap + 0.5 * h), 0.25 * h)
-
-        boxes.append(BoxBump(
-            Profile(x0, x1, w(x0 - ax0), w(ax1 - x1)),
-            Profile(y0, y1, w(y0 - ay0), w(ay1 - y1)),
-        ))
-    return boxes
+def _component_boxes(ct: CoreTentacleDecomposition, labels: list[int],
+                     delta: float) -> list:
+    """Per component label, the boxes of its rectangles with ramps
+    delta/sqrt(2), and the rectangles grown by delta as its allowed
+    region."""
+    h = ct.domain.h
+    owner, i0, j0, ni, nj = rectangle_cover(
+        [np.argwhere(ct.component_mask(lab)) for lab in labels],
+        ct.domain.shape)
+    x0, x1, y0, y1 = i0 * h, (i0 + ni) * h, j0 * h, (j0 + nj) * h
+    ramp = np.full(len(x0), delta / np.sqrt(2.0))
+    params = np.column_stack([x0, x1, ramp, ramp, y0, y1, ramp, ramp])
+    grown = np.column_stack([x0 - delta, x1 + delta, y0 - delta, y1 + delta])
+    return list(zip(_split(params, owner, len(labels)),
+                    _split(grown, owner, len(labels))))
 
 
 class PartitionOfUnity:
@@ -543,37 +590,26 @@ class PartitionOfUnity:
         self.domain = ct.domain
         self.alphas = multi_indices(kmax)
         self.delta = 2.0 ** (-ct.m) / 100.0
-        h, d = self.domain.h, self.delta
-
-        def cube_part(q: int):
-            """Boxes of cube q's blocking neighborhood, with ramps clipped to
-            its 11/10-dilated box, and that box."""
-            cube = ct.dec.cubes[q]
-            allowed = cube.box(h, 1.1 * ct.c0)
-            rects = _rects_physical(cell_rectangles(ct.halo[q]), h)
-            return (_clipped_boxes(rects, 0.05 * ct.c0 * cube.l, allowed, h),
-                    [allowed])
-
-        def component_part(label: int):
-            """Boxes of a component's rectangles, and the rectangles grown
-            by delta."""
-            rects = _rects_physical(
-                mask_rectangles(ct.component_mask(label)), h)
-            return (_uniform_boxes(rects, d / np.sqrt(2.0)),
-                    [(x0 - d, x1 + d, y0 - d, y1 + d)
-                     for x0, x1, y0, y1 in rects])
+        cubes = list(dict.fromkeys(
+            [*ct.Um, *(q for g in ct.groups for q in sorted(g.cubes))]))
+        labels = list(dict.fromkeys(
+            [*(ct.V_ids[v] for g in ct.groups for v in g.members),
+             *ct.U_ids]))
+        cube_part = dict(zip(cubes, _cube_boxes(ct, cubes)))
+        component_part = dict(zip(labels,
+                                  _component_boxes(ct, labels, self.delta)))
 
         def new_hat(kind: str, key: int, donor: int, parts) -> Hat:
             return Hat(kind, key, donor,
-                       SetBump([b for boxes, _ in parts for b in boxes]),
-                       [r for _, allowed in parts for r in allowed])
+                       SetBump(np.concatenate([b for b, _ in parts])),
+                       np.concatenate([a for _, a in parts]))
 
-        self.hats = [new_hat("psi", q, q, [cube_part(q)]) for q in ct.Um]
+        self.hats = [new_hat("psi", q, q, [cube_part[q]]) for q in ct.Um]
         for gi, g in enumerate(ct.groups):
-            parts = [cube_part(q) for q in sorted(g.cubes)]
-            parts += [component_part(ct.V_ids[v]) for v in g.members]
+            parts = [cube_part[q] for q in sorted(g.cubes)]
+            parts += [component_part[ct.V_ids[v]] for v in g.members]
             self.hats.append(new_hat("phi", gi, g.assigned_cube, parts))
-        self.hats += [new_hat("xi", ui, -1, [component_part(lab)])
+        self.hats += [new_hat("xi", ui, -1, [component_part[lab]])
                       for ui, lab in enumerate(ct.U_ids)]
 
         self._positions = {id(hat): i for i, hat in enumerate(self.hats)}
@@ -599,7 +635,7 @@ class PartitionOfUnity:
         (hat, point) pairs where some box of the hat acts (elsewhere the
         jet is 0).  See ``_hat_jets``."""
         if self._boxes is None:
-            self._boxes = _HatBoxes([hat.bump.boxes for hat in self.hats])
+            self._boxes = _HatBoxes([hat.bump.params for hat in self.hats])
         return _hat_jets(self._boxes, x, y, alphas, self.domain.h)
 
     # -- measurements -------------------------------------------------------

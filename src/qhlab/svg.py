@@ -13,8 +13,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .decomposition import (CoreTentacleDecomposition, cell_rectangles,
-                            mask_rectangles)
+from .decomposition import (CoreTentacleDecomposition, mask_rectangles,
+                            rectangle_cover)
 from .grid import GridDomain
 from .whitney import WhitneyDecomposition
 
@@ -81,8 +81,9 @@ def emit_svg(layers: list[SvgLayer], path, extent: tuple[float, float],
 
 
 def _draw_rects(layer: SvgLayer, rects, h: float, **style) -> None:
-    for r in rects:
-        layer.rect(r.i0 * h, r.j0 * h, r.ni * h, r.nj * h, **style)
+    """Cell rectangles (i0, j0, ni, nj) at grid spacing h."""
+    for i0, j0, ni, nj in rects:
+        layer.rect(i0 * h, j0 * h, ni * h, nj * h, **style)
 
 
 def _draw_mask(layer: SvgLayer, mask: np.ndarray, h: float, **style) -> None:
@@ -135,9 +136,9 @@ def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
                   fill="#2171b5", opacity=0.5, stroke="#08306b")
 
     haloes = SvgLayer("haloes")
-    for i in ct.P:
-        _draw_rects(haloes, cell_rectangles(ct.halo[i]), h,
-                    fill="#9ecae1", opacity=0.35)
+    cover = rectangle_cover([ct.halo[i] for i in ct.P], ct.domain.shape)
+    _draw_rects(haloes, zip(*(a.tolist() for a in cover[1:])), h,
+                fill="#9ecae1", opacity=0.35)
 
     thick = SvgLayer("components_thick")
     thin = SvgLayer("components_thin")

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qhlab import fixtures, gallery
+from qhlab import fixtures, gallery, poly
 from qhlab.grid import DomainError, GridDomain
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
@@ -258,16 +258,22 @@ def _reference_assemble(u, part, ct):
     return jet_quotient(N, S, alphas), S, sel, polys
 
 
-@pytest.mark.parametrize("name, levels", [("disk", (6, 7)),
-                                          ("dumbbell", (7,))])
-def test_assemble_bitwise_equals_per_hat_assembly(name, levels):
+@pytest.mark.parametrize("name, levels, k", [
+    pytest.param("disk", (6, 7), 2, id="disk-levels0"),
+    pytest.param("dumbbell", (7,), 2, id="dumbbell-levels1"),
+    pytest.param("disk", (6,), 1, id="disk-k1"),
+    pytest.param("dumbbell", (7,), 3, id="dumbbell-k3")])
+def test_assemble_bitwise_equals_per_hat_assembly(name, levels, k):
+    """Degree k-1 donor fits (batched per cube size) and the assembled jets
+    equal the per-hat, per-cube reference bitwise."""
     dom = gallery.make(name, 1 / 128)
     qh, dec = QhMetric(dom), whitney_decompose(dom)
-    field = fixtures.radial_power(fixtures.boundary_point(dom), 1.6, order=2)
-    u = SampledFunction(EvalGrid(dom, 2), field, 2, 1.5)
+    field = fixtures.radial_power(fixtures.boundary_point(dom), 1.6,
+                                  order=max(k, 2))
+    u = SampledFunction(EvalGrid(dom, 2), field, k, 1.5)
     for m in levels:  # one u: its donor fits are shared across the levels
         ct = build_core_tentacle(dec, qh, m)
-        part = build_partition(ct, kmax=2)
+        part = build_partition(ct, kmax=k)
         ap = assemble(u, part, ct)
         jets, S, sel, polys = _reference_assemble(u, part, ct)
         for a in jets:
@@ -281,6 +287,22 @@ def test_assemble_bitwise_equals_per_hat_assembly(name, levels):
             assert got.scale == want.scale and got.k == want.k
             assert got.moment_residuals == want.moment_residuals
             assert np.array_equal(got.cells, want.cells)
-        got_S = part.sum_jet(u.grid.x, u.grid.y, multi_indices(2))
+        got_S = part.sum_jet(u.grid.x, u.grid.y, multi_indices(k))
         for a in S:
             assert got_S[a].tobytes() == S[a].tobytes()
+
+
+def test_moment_violation_names_the_cube(monkeypatch):
+    """The batched fit's moment check raises for the first violating cube
+    of a batch, naming its corner and size."""
+    dom = gallery.disk(1 / 32)
+    dec = whitney_decompose(dom)
+    u = SampledFunction(EvalGrid(dom, 1), fixtures.smooth_background(2), 2,
+                        1.5)
+    cubes = [q.index for q in dec.cubes if q.size == 2][:3]
+    first = dec.cubes[cubes[0]]
+    monkeypatch.setattr(poly, "MOMENT_TOL", -1.0)
+    with pytest.raises(DomainError, match=(
+            rf"moment condition \(0, 0\) violated on the cells at corner "
+            rf"\({first.corner[0]}, {first.corner[1]}\), size 2: residual")):
+        u.cube_polynomials(dec, cubes)

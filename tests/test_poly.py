@@ -1,7 +1,11 @@
 """Tests for the averaged-derivative polynomial fits and their constants."""
 
+import functools
+
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from qhlab import fixtures, gallery
 from qhlab.grid import DomainError
@@ -12,6 +16,7 @@ from qhlab.poly import (
     MOMENT_TOL,
     chaining_check,
     fit_polynomial,
+    fit_polynomials,
     norm_equivalence_check,
 )
 
@@ -85,6 +90,65 @@ def test_empty_set_rejected():
     f = fixtures.smooth_background()
     with pytest.raises(DomainError):
         fit_polynomial(f, np.empty((0, 2), dtype=int), 2, H)
+
+
+def _bits(values: dict) -> tuple:
+    return tuple(values), np.array(list(values.values())).tobytes()
+
+
+@functools.cache
+def _poly_radial_jets(k: int) -> dict:
+    """Lambdified derivatives of order <= k of c . (x^a y^b, a + b <= 2)
+    + |(x, y) - (bx, by)|^s, in x, y, c0..c5, bx, by and s."""
+    x, y, bx, by, s = sp.symbols("x y bx by s", real=True)
+    c = sp.symbols("c0:6", real=True)
+    expr = sum(ci * x**a1 * y**a2
+               for ci, (a1, a2) in zip(c, fixtures.multi_indices(2)))
+    expr += ((x - bx)**2 + (y - by)**2) ** (s / 2)
+    return {a: sp.lambdify((x, y, *c, bx, by, s),
+                           sp.diff(expr, x, a[0], y, a[1]), "numpy")
+            for a in fixtures.multi_indices(k)}
+
+
+class _PolyRadial:
+    """A polynomial-plus-radial field of order k with numeric parameters."""
+
+    def __init__(self, k: int, params: tuple):
+        self.order, self.params = k, params
+
+    def derivative(self, alpha, px, py):
+        out = _poly_radial_jets(self.order)[alpha](px, py, *self.params)
+        return np.broadcast_to(np.asarray(out, dtype=float),
+                               np.shape(px)).copy()
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(1, 3),
+       blocks=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 56),
+                                 st.integers(0, 56)), min_size=1, max_size=12),
+       coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       b=st.tuples(st.integers(-8, 72), st.integers(-8, 72)),
+       s=st.floats(0.5, 3.0))
+def test_batched_fits_equal_one_block_fits(k, blocks, coeffs, b, s):
+    """Square blocks of one size fitted together, from one evaluation of a
+    polynomial-plus-radial field at all their cells, give bitwise the
+    one-block fits.  The radial centre b sits on a cell corner, never at a
+    cell centre."""
+    h = 1 / 64
+    field = _PolyRadial(k, (*coeffs, b[0] * h, b[1] * h, s))
+    for size in {size for size, _, _ in blocks}:
+        corners = np.array([(i, j) for n, i, j in blocks if n == size])
+        cells = corners[:, None] + np.argwhere(np.ones((size, size), bool))
+        px, py = (cells[..., 0] + 0.5) * h, (cells[..., 1] + 0.5) * h
+        samples = {a: field.derivative(a, px, py)
+                   for a in fixtures.multi_indices(k)}
+        for got, block in zip(fit_polynomials(cells, samples, k, h), cells):
+            want = fit_polynomial(field, block, k, h)
+            assert _bits(got.coeffs) == _bits(want.coeffs)
+            assert _bits(got.moment_residuals) == _bits(want.moment_residuals)
+            assert np.array([*got.center, got.scale]).tobytes() == \
+                np.array([*want.center, want.scale]).tobytes()
+            assert np.array_equal(got.cells, block) and got.k == k
 
 
 def test_scale_invariant_conditioning():

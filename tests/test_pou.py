@@ -1,5 +1,6 @@
 """Tests for the closed-form smooth partition of unity."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from qhlab.grid import DomainError
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import (_cells_mask, build_core_tentacle,
-                                 cell_rectangles, mask_rectangles)
+                                 mask_rectangles, rectangle_cover)
 from qhlab.fixtures import multi_indices
 from qhlab.pou import (
     ALPHAS,
@@ -27,6 +28,14 @@ from qhlab.pou import (
     jet_zero,
     ramp_derivative_maxima,
 )
+
+
+def box_params(boxes):
+    """The (n, 8) parameter rows of a ``BoxBump`` list, as ``SetBump`` and
+    the engine take them."""
+    return np.array([(b.px.lo, b.px.hi, b.px.w_lo, b.px.w_hi,
+                      b.py.lo, b.py.hi, b.py.w_lo, b.py.w_hi)
+                     for b in boxes], dtype=float).reshape(-1, 8)
 
 
 def test_ramp_endpoints_and_monotonicity():
@@ -58,7 +67,7 @@ def _profile_jet(prof: Profile, t, d: int) -> np.ndarray:
     plateau at y = 0."""
     t = np.asarray(t, dtype=float)
     box = BoxBump(prof, Profile(-1.0, 1.0, 0.5, 0.5))
-    return SetBump([box]).jet(t, np.zeros_like(t))[(d, 0)]
+    return SetBump(box_params([box])).jet(t, np.zeros_like(t))[(d, 0)]
 
 
 def test_profile_plateau_and_support():
@@ -81,7 +90,7 @@ def test_box_bump_tensor_jet():
     bump = BoxBump(Profile(0.0, 0.5, 0.1, 0.1), Profile(0.0, 0.5, 0.1, 0.1))
     x = np.array([0.25, -0.05, 0.55])
     y = np.array([0.25, 0.25, -0.05])
-    j = SetBump([bump]).jet(x, y)
+    j = SetBump(box_params([bump])).jet(x, y)
     assert j[(0, 0)][0] == 1.0
     assert 0 < j[(0, 0)][1] < 1
     assert j[(0, 0)][2] == pytest.approx(
@@ -313,7 +322,7 @@ def test_set_bump_jet_bitwise_equals_box_loop(boxes, points, fractions,
     x = np.concatenate([ex, ix, px, [-1.0, 3.0]])
     y = np.concatenate([ey, iy, py, [0.5, 0.5]])
     with mock.patch.object(pou_module, "_POINT_BLOCK", block):
-        got = SetBump(boxes).jet(x, y, alphas)
+        got = SetBump(box_params(boxes)).jet(x, y, alphas)
     want = _reference_jet(boxes, x, y, alphas)
     for a in alphas:
         assert np.isfinite(got[a]).all(), a
@@ -325,7 +334,7 @@ def test_set_bump_jet_prefilters_by_bbox_and_keeps_shape():
              BoxBump(Profile(0.25, 0.5, 0.1, 0.1), Profile(0.3, 0.6, 0.05, 0.05))]
     rng = np.random.default_rng(1)
     x, y = rng.uniform(-0.2, 1.0, (2, 500))
-    bump = SetBump(boxes)
+    bump = SetBump(box_params(boxes))
     full = bump.jet(x, y)
     b = bump.bbox
     outside = ~((x > b[0]) & (x < b[1]) & (y > b[2]) & (y < b[3]))
@@ -344,13 +353,26 @@ def test_set_bump_jet_prefilters_by_bbox_and_keeps_shape():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(
-    st.integers(60, 120), st.integers(60, 120)))
-def test_windowed_cells_rects_equal_full_mask(seed, shape):
+    st.integers(60, 120), st.integers(60, 120)), n_sets=st.integers(1, 4),
+    side=st.integers(1, 40))
+def test_windowed_cells_rects_equal_full_mask(seed, shape, n_sets, side):
+    """The rectangles of several cell sets covered at once, each set's
+    cells shuffled, are each set's cover of its full mask: in one batch,
+    and in batches of about one bitmap's worth of cells (a side x side
+    bitmap holding every set)."""
     rng = np.random.default_rng(seed)
-    offset = rng.integers(0, np.array(shape) - 40)  # a 40x40 window
-    cells = np.unique(rng.integers(0, 40, (rng.integers(1, 40), 2)) + offset,
-                      axis=0)
-    assert cell_rectangles(cells) == mask_rectangles(_cells_mask(shape, cells))
+    sets = [rng.permutation(np.unique(rng.integers(
+        0, side, (rng.integers(1, 40), 2)), axis=0)) for _ in range(n_sets)]
+    want = [(o, *r) for o, c in enumerate(sets)
+            for r in mask_rectangles(_cells_mask((side, side), c))]
+    got = rectangle_cover(sets, (side, side))
+    assert list(zip(*(a.tolist() for a in got))) == want
+    offset = rng.integers(0, np.array(shape) - 40)
+    got = rectangle_cover([c + offset for c in sets], shape)
+    assert list(zip(*(a.tolist() for a in got))) == [
+        (o, i0 + offset[0], j0 + offset[1], ni, nj)
+        for o, i0, j0, ni, nj in want]
+    assert [len(a) for a in rectangle_cover([], shape)] == [0] * 5
 
 
 # -- measured sups ------------------------------------------------------------
@@ -407,9 +429,10 @@ def test_jets_without_the_value_entry_are_rejected(small_ct, n_boxes):
     boxes = [BoxBump(Profile(0.3, 0.4, 0.05, 0.05), side),
              BoxBump(Profile(0.35, 0.45, 0.05, 0.05), side)][:n_boxes]
     x, y = np.array([0.37]), np.array([0.22])
-    assert SetBump(boxes).jet(x, y, [(0, 0), (1, 0)]).keys() == {(0, 0), (1, 0)}
+    bump = SetBump(box_params(boxes))
+    assert bump.jet(x, y, [(0, 0), (1, 0)]).keys() == {(0, 0), (1, 0)}
     with pytest.raises(DomainError):
-        SetBump(boxes).jet(x, y, [(1, 0)])
+        bump.jet(x, y, [(1, 0)])
     part = build_partition(small_ct)
     px, py = _probe_points(part, part.hats[0])
     with pytest.raises(DomainError):
@@ -477,7 +500,8 @@ def test_hat_jets_bitwise_equal_box_loop_hat_by_hat(hats, fractions, alphas,
     x = np.concatenate([ex, ix, ex[::2], ix, [-1.0, 3.0]])
     y = np.concatenate([ey, iy, ey[::2], iy[::-1], [0.5, 0.5]])
     with mock.patch.object(pou_module, "_POINT_BLOCK", block):
-        chunks = list(_hat_jets(_HatBoxes(hats), x, y, alphas, cell))
+        chunks = list(_hat_jets(_HatBoxes([box_params(h) for h in hats]),
+                                x, y, alphas, cell))
     got = _jets_by_hat(chunks, alphas)
     everywhere = np.arange(len(x))
     for h, hat in enumerate(hats):
@@ -512,8 +536,9 @@ def test_scattered_points_take_the_per_pair_fallback(seed):
         return tables[-1]
 
     with mock.patch.object(pou_module._Profiles, "table", spy):
-        chunks = list(_hat_jets(_HatBoxes(hats), x, y, ALPHAS, 1 / 128))
-        bumps = [SetBump(hats[h]).jet(x, y) for h in (0, 2)]
+        chunks = list(_hat_jets(_HatBoxes([box_params(h) for h in hats]),
+                                x, y, ALPHAS, 1 / 128))
+        bumps = [SetBump(box_params(hats[h])).jet(x, y) for h in (0, 2)]
     assert len(tables) == 2 + 2 * len(bumps)
     assert all(t is None for t in tables)
     got = _jets_by_hat(chunks, ALPHAS)
@@ -548,14 +573,82 @@ def _check_every_hat(part, x, y, hats=None):
             assert jet[a].tobytes() == want[a].tobytes(), (i, a)
 
 
-@pytest.mark.parametrize("name, m", [("disk", 6), ("disk", 7),
-                                     ("dumbbell", 7)])
+@functools.cache
+def _level(name, m):
+    """The level-m decomposition of a fixture at h = 1/128, and its
+    partition for order 2."""
+    dom = gallery.make(name, 1 / 128)
+    ct = build_core_tentacle(whitney_decompose(dom), QhMetric(dom), m)
+    return ct, build_partition(ct, kmax=2)
+
+
+_LEVELS = [("disk", 6), ("disk", 7), ("dumbbell", 7)]
+
+
+def _reference_parts(ct):
+    """Per hat, its boxes and allowed rectangles built one rectangle at a
+    time: a cube's boxes cover its halo with per-side ramps
+    max(min(ramp, gap + h/2), h/4), the gap measured to its 11/10-dilated
+    box; a component's boxes cover it with ramps delta/sqrt(2), allowed
+    where grown by delta.  Hats come psi, then phi, then xi."""
+    h, d = ct.domain.h, 2.0 ** (-ct.m) / 100.0
+
+    def rects(mask):
+        return [(r.i0 * h, (r.i0 + r.ni) * h, r.j0 * h, (r.j0 + r.nj) * h)
+                for r in mask_rectangles(mask)]
+
+    def cube_part(q):
+        cube = ct.dec.cubes[q]
+        allowed = ax0, ax1, ay0, ay1 = cube.box(h, 1.1 * ct.c0)
+        ramp = 0.05 * ct.c0 * cube.l
+
+        def w(gap):
+            return max(min(ramp, gap + 0.5 * h), 0.25 * h)
+
+        return ([BoxBump(Profile(x0, x1, w(x0 - ax0), w(ax1 - x1)),
+                         Profile(y0, y1, w(y0 - ay0), w(ay1 - y1)))
+                 for x0, x1, y0, y1 in rects(
+                     _cells_mask(ct.domain.shape, ct.halo[q]))], [allowed])
+
+    def component_part(lab):
+        r, w = rects(ct.component_mask(lab)), d / np.sqrt(2.0)
+        return ([BoxBump(Profile(x0, x1, w, w), Profile(y0, y1, w, w))
+                 for x0, x1, y0, y1 in r],
+                [(x0 - d, x1 + d, y0 - d, y1 + d) for x0, x1, y0, y1 in r])
+
+    hats = [[cube_part(q)] for q in ct.Um]
+    hats += [[cube_part(q) for q in sorted(g.cubes)]
+             + [component_part(ct.V_ids[v]) for v in g.members]
+             for g in ct.groups]
+    hats += [[component_part(lab)] for lab in ct.U_ids]
+    return [([b for boxes, _ in parts for b in boxes],
+             [r for _, allowed in parts for r in allowed]) for parts in hats]
+
+
+@pytest.mark.parametrize("name, m", _LEVELS)
+def test_box_lists_equal_per_rectangle_reference(name, m):
+    ct, part = _level(name, m)
+    want = _reference_parts(ct)
+    assert len(part.hats) == len(want)
+    for hat, (boxes, allowed) in zip(part.hats, want):
+        assert hat.bump.boxes == boxes
+        assert all(type(b) is BoxBump for b in hat.bump.boxes)
+        assert box_params(hat.bump.boxes).tobytes() == \
+            box_params(boxes).tobytes()
+        sups = np.array([b.support for b in boxes])
+        bbox = (sups[:, 0].min(), sups[:, 1].max(),
+                sups[:, 2].min(), sups[:, 3].max())
+        assert np.array(hat.bump.bbox).tobytes() == np.array(bbox).tobytes()
+        assert np.array(hat.allowed_rects).tobytes() == \
+            np.array(allowed).tobytes()
+
+
+@pytest.mark.parametrize("name, m", _LEVELS)
 def test_every_hat_at_grid_and_probe_points(name, m):
     from qhlab.approx import EvalGrid
 
-    dom = gallery.make(name, 1 / 128)
-    ct = build_core_tentacle(whitney_decompose(dom), QhMetric(dom), m)
-    part = build_partition(ct, kmax=2)
+    ct, part = _level(name, m)
+    dom = ct.domain
     kinds = {h.kind for h in part.hats}
     assert kinds == ({"psi", "phi", "xi"} if name == "dumbbell"
                      else {"psi", "xi"})
