@@ -18,7 +18,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field as dfield
 from functools import cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -28,15 +27,6 @@ from .grid import (DomainError, GridDomain, components, _STRUCT8,
 from .properties import PropertyReport
 from .qh import QhMetric, search_limits
 from .whitney import WhitneyDecomposition
-
-
-class Rect(NamedTuple):
-    """Cell rectangle: first row and column, and its extent in cells."""
-
-    i0: int
-    j0: int
-    ni: int
-    nj: int
 
 
 def rectangle_cover(cell_sets: list[np.ndarray], shape: tuple[int, int]
@@ -91,12 +81,6 @@ def _cover_batch(cell_sets: list[np.ndarray], first: int,
     by = np.argsort(row * width + j0)
     row, j0, ni, nj = row[by], j0[by], ni[by], nj[by]
     return row // height + first, row % height, j0, ni, nj
-
-
-def mask_rectangles(mask: np.ndarray) -> list[Rect]:
-    """``rectangle_cover`` of a boolean mask's cells, as a sorted list."""
-    cover = rectangle_cover([np.argwhere(mask)], np.shape(mask))
-    return list(map(Rect, *(a.tolist() for a in cover[1:])))
 
 
 def _cells_mask(shape, *cell_arrays: np.ndarray) -> np.ndarray:

@@ -22,11 +22,12 @@ Three bump families mirror the cover:
   xi   - per thick component U: 1 on U, supported in B(U, 2^-m/100).
 The normalized partition divides each raw bump by the total sum.
 
-A partition's boxes are arrays of profile parameters, built for all hats
-of a level in array passes: the rectangle covers of every cube's blocking
-neighborhood and of every component (``rectangle_cover``), and the ramp
-widths clipped elementwise (``SetBump.boxes`` gives them back as
-``BoxBump`` objects).
+A box is one row of 8 profile parameters: lo, hi, w_lo, w_hi of its x
+profile (0 -> 1 over [lo - w_lo, lo], 1 on [lo, hi], 1 -> 0 over
+[hi, hi + w_hi]), then of its y profile.  A hat's boxes are an (n, 8)
+array (``SetBump.boxes``), built for all hats of a level in array passes:
+the rectangle covers of every cube's blocking neighborhood and of every
+component (``rectangle_cover``), and the ramp widths clipped elementwise.
 
 Evaluation engine (``_hat_jets``): all hats of a partition are evaluated
 at once over a table of (hat, point, box) pairs, the point strictly inside
@@ -122,43 +123,12 @@ def _plateau(t, lo, hi, w_lo, w_hi, up_scale, down_scale, d: int
     return np.where(t >= hi, ramps[n:] * down_scale, out)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """1-D plateau profile: 0 -> 1 over [lo-w_lo, lo], 1 on [lo, hi],
-    1 -> 0 over [hi, hi+w_hi]."""
-
-    lo: float
-    hi: float
-    w_lo: float
-    w_hi: float
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo - self.w_lo, self.hi + self.w_hi)
-
-
-@dataclass(frozen=True)
-class BoxBump:
-    """Tensor-product bump: plateau on [lo,hi]^2 rectangle with per-side
-    ramps; value and all derivatives up to KMAX are closed-form."""
-
-    px: Profile
-    py: Profile
-
-    @property
-    def support(self) -> tuple[float, float, float, float]:
-        sx, sy = self.px.support, self.py.support
-        return (sx[0], sx[1], sy[0], sy[1])
-
-
-def _supports(params: np.ndarray) -> np.ndarray:
-    """(n, 4) supports (x0, x1, y0, y1) of box parameter rows (lo, hi,
-    w_lo, w_hi of the x profile, then of the y profile), as
-    ``BoxBump.support`` computes them."""
-    return np.column_stack([params[:, 0] - params[:, 2],
-                            params[:, 1] + params[:, 3],
-                            params[:, 4] - params[:, 6],
-                            params[:, 5] + params[:, 7]])
+def _supports(rows: np.ndarray) -> np.ndarray:
+    """Supports of parameter rows, axis by axis: (n, 4) profile rows (lo,
+    hi, w_lo, w_hi) give (n, 2) rows (lo - w_lo, hi + w_hi), and (n, 8) box
+    rows give (x0, x1, y0, y1)."""
+    lo, hi, w_lo, w_hi = (rows[:, k::4] for k in range(4))
+    return np.stack([lo - w_lo, hi + w_hi], axis=2).reshape(len(rows), -1)
 
 
 @lru_cache(maxsize=None)
@@ -256,9 +226,10 @@ class _Profiles:
         new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
         self.of_box = np.empty(len(by), dtype=np.int64)
         self.of_box[by] = np.cumsum(new) - 1
-        self.params = tuple(ordered[new].T)
-        lo, hi, w_lo, w_hi = self.params
-        self.support = np.column_stack([lo - w_lo, hi + w_hi])
+        distinct = ordered[new]
+        self.params = tuple(distinct.T)
+        self.support = _supports(distinct)
+        w_lo, w_hi = self.params[2:]
         self.scales = [(np.array([w ** d for w in w_lo.tolist()]),
                         np.array([(-1.0 / w) ** d for w in w_hi.tolist()]))
                        for d in range(KMAX + 1)]
@@ -307,15 +278,14 @@ class _Profiles:
 
 
 class _HatBoxes:
-    """The boxes of a sequence of hats, given as each hat's box parameter
-    rows (see ``SetBump``), hat after hat: each box's hat, support and
-    per-axis profile index."""
+    """The boxes of a sequence of hats, given as each hat's (n, 8) box rows,
+    hat after hat: each box's hat, support and per-axis profile index."""
 
     def __init__(self, hats: list[np.ndarray]):
-        params = np.concatenate(hats)
+        boxes = np.concatenate(hats)
         self.hat = np.repeat(np.arange(len(hats)), [len(h) for h in hats])
-        self.support = _supports(params)
-        self.axes = (_Profiles(params[:, :4]), _Profiles(params[:, 4:]))
+        self.support = _supports(boxes)
+        self.axes = (_Profiles(boxes[:, :4]), _Profiles(boxes[:, 4:]))
 
 
 def _bucket_runs(support: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -465,26 +435,19 @@ class SetBump:
     """Smooth bump equal to 1 on a cell set, supported in its dilation:
     1 - prod(1 - b) over its boxes, evaluated by the partition's engine
     (``_hat_jets``) as a partition of one hat, whose jets are bitwise
-    those of a box-by-box loop.  The boxes are given by their (n, 8)
-    parameter rows: lo, hi, w_lo, w_hi of the x profile, then of the y
-    profile."""
+    those of a box-by-box loop.  ``boxes`` holds the boxes' (n, 8)
+    parameter rows."""
 
-    def __init__(self, params: np.ndarray):
-        if not len(params):
+    def __init__(self, boxes: np.ndarray):
+        if not len(boxes):
             raise DomainError("bump over an empty rectangle list")
-        self.params = params
+        self.boxes = boxes
 
     @cached_property
     def bbox(self) -> tuple:
         """(x0, x1, y0, y1) of the union of the box supports."""
-        s = _supports(self.params)
+        s = _supports(self.boxes)
         return (s[:, 0].min(), s[:, 1].max(), s[:, 2].min(), s[:, 3].max())
-
-    @property
-    def boxes(self) -> list[BoxBump]:
-        """The boxes, one ``BoxBump`` per parameter row."""
-        return [BoxBump(Profile(*r[:4]), Profile(*r[4:]))
-                for r in self.params.tolist()]
 
     def jet(self, x: np.ndarray, y: np.ndarray, alphas=ALPHAS) -> Jet:
         """1 - prod(1 - b) over the boxes at every point."""
@@ -494,7 +457,7 @@ class SetBump:
         x0, x1, y0, y1 = self.bbox
         idx = np.flatnonzero((fx > x0) & (fx < x1) & (fy > y0) & (fy < y1))
         out = _one_minus(jet_one(x.size, alphas))
-        table = _HatBoxes([self.params])
+        table = _HatBoxes([self.boxes])
         s = table.support  # buckets of the narrowest support side
         cell = min((s[:, 1] - s[:, 0]).min(), (s[:, 3] - s[:, 2]).min())
         for _, pts, hj in _hat_jets(table, fx[idx], fy[idx], alphas, cell):
@@ -518,21 +481,18 @@ class Hat:
 
     def probe_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Points straddling every ramp band of every box, _PROBES_PER_RAMP
-        inside each ramp (for sup-norm measurement of sub-grid ramps)."""
-        def axis(p: Profile) -> np.ndarray:
-            lo, hi = p.support
-            return np.concatenate([
-                np.linspace(lo, p.lo, _PROBES_PER_RAMP + 2)[1:-1],
-                np.linspace(p.hi, hi, _PROBES_PER_RAMP + 2)[1:-1],
-                np.linspace(p.lo, p.hi, 4),
-            ])
+        inside each ramp (for sup-norm measurement of sub-grid ramps): per
+        box, the ij grid of its x and y probe coordinates, box after box."""
+        def axis(rows: np.ndarray) -> np.ndarray:
+            (s0, s1), (lo, hi) = _supports(rows).T, rows[:, :2].T
+            n = _PROBES_PER_RAMP + 2
+            return np.hstack([np.linspace(s0, lo, n, axis=1)[:, 1:-1],
+                              np.linspace(hi, s1, n, axis=1)[:, 1:-1],
+                              np.linspace(lo, hi, 4, axis=1)])
 
-        xs, ys = [], []
-        for box in self.bump.boxes:
-            mx, my = np.meshgrid(axis(box.px), axis(box.py), indexing="ij")
-            xs.append(mx.ravel())
-            ys.append(my.ravel())
-        return np.concatenate(xs), np.concatenate(ys)
+        ax, ay = axis(self.bump.boxes[:, :4]), axis(self.bump.boxes[:, 4:])
+        k = ax.shape[1]
+        return np.repeat(ax, k, axis=1).ravel(), np.tile(ay, k).ravel()
 
 
 def _split(rows: np.ndarray, owner: np.ndarray, n: int) -> list:
@@ -635,7 +595,7 @@ class PartitionOfUnity:
         (hat, point) pairs where some box of the hat acts (elsewhere the
         jet is 0).  See ``_hat_jets``."""
         if self._boxes is None:
-            self._boxes = _HatBoxes([hat.bump.params for hat in self.hats])
+            self._boxes = _HatBoxes([hat.bump.boxes for hat in self.hats])
         return _hat_jets(self._boxes, x, y, alphas, self.domain.h)
 
     # -- measurements -------------------------------------------------------

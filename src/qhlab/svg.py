@@ -13,8 +13,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .decomposition import (CoreTentacleDecomposition, mask_rectangles,
-                            rectangle_cover)
+from .decomposition import CoreTentacleDecomposition, rectangle_cover
 from .grid import GridDomain
 from .whitney import WhitneyDecomposition
 
@@ -80,26 +79,21 @@ def emit_svg(layers: list[SvgLayer], path, extent: tuple[float, float],
         fh.write("\n".join(lines) + "\n")
 
 
-def _draw_rects(layer: SvgLayer, rects, h: float, **style) -> None:
-    """Cell rectangles (i0, j0, ni, nj) at grid spacing h."""
-    for i0, j0, ni, nj in rects:
-        layer.rect(i0 * h, j0 * h, ni * h, nj * h, **style)
-
-
-def _draw_mask(layer: SvgLayer, mask: np.ndarray, h: float, **style) -> None:
-    _draw_rects(layer, mask_rectangles(mask), h, **style)
-
-
-def _mask_layer(name: str, mask: np.ndarray, h: float, **style) -> SvgLayer:
+def _cover_layer(name: str, cell_sets: list[np.ndarray],
+                 shape: tuple[int, int], h: float, **style) -> SvgLayer:
+    """The ``rectangle_cover`` of each (n, 2) cell set of a bitmap of the
+    given shape, set by set, at grid spacing h."""
     layer = SvgLayer(name)
-    _draw_mask(layer, mask, h, **style)
+    cover = rectangle_cover(cell_sets, shape)
+    for i0, j0, ni, nj in zip(*(a.tolist() for a in cover[1:])):
+        layer.rect(i0 * h, j0 * h, ni * h, nj * h, **style)
     return layer
 
 
 def domain_layers(domain: GridDomain) -> list[SvgLayer]:
     """Interior fill plus the base point marker."""
-    fill = _mask_layer("interior", domain.interior, domain.h,
-                       fill="#dddddd")
+    fill = _cover_layer("interior", [np.argwhere(domain.interior)],
+                        domain.shape, domain.h, fill="#dddddd")
     marker = SvgLayer("base_point")
     marker.circle((domain.x0[0] + 0.5) * domain.h,
                   (domain.x0[1] + 0.5) * domain.h, 2 * domain.h,
@@ -126,8 +120,9 @@ def whitney_layers(dec: WhitneyDecomposition) -> list[SvgLayer]:
 
 def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
     """Core, band cubes, haloes, thick/thin components, tentacle outlines."""
-    dec, h = ct.dec, ct.domain.h
-    core = _mask_layer("core", ct.core_mask, h, fill="#c6dbef")
+    dec, h, shape = ct.dec, ct.domain.h, ct.domain.shape
+    core = _cover_layer("core", [np.argwhere(ct.core_mask)], shape, h,
+                        fill="#c6dbef")
 
     band = SvgLayer("band")
     for i in ct.P:
@@ -135,24 +130,19 @@ def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
         band.rect(q.corner[0] * h, q.corner[1] * h, q.l, q.l,
                   fill="#2171b5", opacity=0.5, stroke="#08306b")
 
-    haloes = SvgLayer("haloes")
-    cover = rectangle_cover([ct.halo[i] for i in ct.P], ct.domain.shape)
-    _draw_rects(haloes, zip(*(a.tolist() for a in cover[1:])), h,
-                fill="#9ecae1", opacity=0.35)
-
-    thick = SvgLayer("components_thick")
-    thin = SvgLayer("components_thin")
-    for lab in ct.U_ids:
-        _draw_mask(thick, ct.comp_labels == lab, h,
-                   fill="#a1d99b", opacity=0.5)
-    for lab in ct.V_ids:
-        _draw_mask(thin, ct.comp_labels == lab, h,
-                   fill="#fdae6b", opacity=0.6)
-
-    tentacles = SvgLayer("tentacles")
-    for g in ct.groups:
-        _draw_mask(tentacles, ct.tentacle_mask(g), h,
-                   stroke="#d62728", stroke_width=0.003)
+    haloes = _cover_layer("haloes", [ct.halo[i] for i in ct.P], shape, h,
+                          fill="#9ecae1", opacity=0.35)
+    thick = _cover_layer(
+        "components_thick",
+        [np.argwhere(ct.component_mask(lab)) for lab in ct.U_ids], shape, h,
+        fill="#a1d99b", opacity=0.5)
+    thin = _cover_layer(
+        "components_thin",
+        [np.argwhere(ct.component_mask(lab)) for lab in ct.V_ids], shape, h,
+        fill="#fdae6b", opacity=0.6)
+    tentacles = _cover_layer(
+        "tentacles", [np.argwhere(ct.tentacle_mask(g)) for g in ct.groups],
+        shape, h, stroke="#d62728", stroke_width=0.003)
     return [core, haloes, band, thick, thin, tentacles]
 
 

@@ -14,13 +14,12 @@ from qhlab.grid import DomainError, GridDomain, _STRUCT8, components
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import (
-    Rect,
     _cells_mask,
     _cut_off,
     _window_cut,
     build_core_tentacle,
     chain_pair_classes,
-    mask_rectangles,
+    rectangle_cover,
     verify_bounded_overlap,
     verify_chain_overlap,
     verify_cover,
@@ -297,11 +296,18 @@ def test_as_dict_roundtrip(ct6, dumbbell_ctx):
         assert back["V_components"] == len(ct.V_ids)
 
 
+def _mask_rects(mask):
+    """The rectangles (i0, j0, ni, nj) of ``rectangle_cover`` on a mask's
+    cells as one set."""
+    cover = rectangle_cover([np.argwhere(mask)], mask.shape)
+    return list(zip(*(a.tolist() for a in cover[1:])))
+
+
 def test_mask_rectangles_exact_cover():
     rng = np.random.default_rng(5)
     for _ in range(20):
         mask = rng.random((17, 23)) < 0.4
-        rects = mask_rectangles(mask)
+        rects = _mask_rects(mask)
         rebuilt = np.zeros_like(mask)
         count = np.zeros(mask.shape, dtype=int)
         for i0, j0, ni, nj in rects:
@@ -309,8 +315,8 @@ def test_mask_rectangles_exact_cover():
             count[i0:i0 + ni, j0:j0 + nj] += 1
         assert np.array_equal(rebuilt, mask)
         assert count.max(initial=0) <= 1  # disjoint
-    assert mask_rectangles(np.zeros((4, 4), dtype=bool)) == []
-    assert mask_rectangles(np.ones((3, 2), dtype=bool)) == [(0, 0, 3, 2)]
+    assert _mask_rects(np.zeros((4, 4), dtype=bool)) == []
+    assert _mask_rects(np.ones((3, 2), dtype=bool)) == [(0, 0, 3, 2)]
 
 
 def _greedy_rectangles(mask):
@@ -348,9 +354,7 @@ def _greedy_rectangles(mask):
 @settings(max_examples=200, deadline=None)
 @given(mask=arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24))))
 def test_mask_rectangles_equal_greedy_cover(mask):
-    rects = mask_rectangles(mask)
-    assert rects == _greedy_rectangles(mask)
-    assert all(isinstance(r, Rect) for r in rects)
+    assert _mask_rects(mask) == _greedy_rectangles(mask)
 
 
 def _reference_cover(ct, qidx, on_path):

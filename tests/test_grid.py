@@ -323,7 +323,8 @@ def _rect_union(rects, data) -> GridDomain:
 @given(rects=RECTS, data=st.data())
 def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, data):
     """On a connected union of random rectangles: |x-y| <= delta <= lambda,
-    and criterion 2's bound k >= log(1 + lambda/(d^d)) with 2% slack."""
+    and criterion 2's bounds k >= log(1 + lambda/(d^d)) and
+    k >= |log(d(x)/d(y))|, each with 2% slack."""
     dom = _rect_union(rects, data)
     qh = QhMetric(dom)
     nodes = data.draw(st.lists(st.integers(0, dom.n_nodes - 1),
@@ -337,6 +338,8 @@ def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, data):
         k = qh.distance(x, y)
         dmin = min(dom.boundary_distance(x), dom.boundary_distance(y))
         assert k >= np.log1p(lam / dmin) - 0.02 * k - 1e-12
+        ratio = dom.boundary_distance(x) / dom.boundary_distance(y)
+        assert k >= abs(np.log(ratio)) - 0.02 * k - 1e-12
 
 
 @settings(max_examples=40, deadline=None)

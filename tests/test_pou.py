@@ -1,23 +1,24 @@
 """Tests for the closed-form smooth partition of unity."""
 
 import functools
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from qhlab import gallery, pou as pou_module
-from qhlab.grid import DomainError
+from qhlab.grid import DomainError, GridDomain
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import (_cells_mask, build_core_tentacle,
-                                 mask_rectangles, rectangle_cover)
+                                 rectangle_cover, verify_bounded_overlap,
+                                 verify_tiling)
 from qhlab.fixtures import multi_indices
 from qhlab.pou import (
     ALPHAS,
-    BoxBump,
-    Profile,
     SetBump,
     _HatBoxes,
     _hat_jets,
@@ -30,12 +31,41 @@ from qhlab.pou import (
 )
 
 
+class Profile(NamedTuple):
+    """1-D plateau profile: 0 -> 1 over [lo-w_lo, lo], 1 on [lo, hi],
+    1 -> 0 over [hi, hi+w_hi]."""
+
+    lo: float
+    hi: float
+    w_lo: float
+    w_hi: float
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.lo - self.w_lo, self.hi + self.w_hi)
+
+
+class BoxBump(NamedTuple):
+    """Tensor-product box: an x and a y profile."""
+
+    px: Profile
+    py: Profile
+
+    @property
+    def support(self) -> tuple[float, float, float, float]:
+        return (*self.px.support, *self.py.support)
+
+
 def box_params(boxes):
     """The (n, 8) parameter rows of a ``BoxBump`` list, as ``SetBump`` and
     the engine take them."""
-    return np.array([(b.px.lo, b.px.hi, b.px.w_lo, b.px.w_hi,
-                      b.py.lo, b.py.hi, b.py.w_lo, b.py.w_hi)
-                     for b in boxes], dtype=float).reshape(-1, 8)
+    return np.array([(*b.px, *b.py) for b in boxes],
+                    dtype=float).reshape(-1, 8)
+
+
+def box_list(rows):
+    """The ``BoxBump`` list of (n, 8) parameter rows."""
+    return [BoxBump(Profile(*r[:4]), Profile(*r[4:])) for r in rows.tolist()]
 
 
 def test_ramp_endpoints_and_monotonicity():
@@ -351,6 +381,12 @@ def test_set_bump_jet_prefilters_by_bbox_and_keeps_shape():
 
 # -- rectangle covers ---------------------------------------------------------
 
+def _mask_rects(mask):
+    """The rectangles (i0, j0, ni, nj) of a mask's cover, as a list."""
+    cover = rectangle_cover([np.argwhere(mask)], mask.shape)
+    return list(zip(*(a.tolist() for a in cover[1:])))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(
     st.integers(60, 120), st.integers(60, 120)), n_sets=st.integers(1, 4),
@@ -364,7 +400,7 @@ def test_windowed_cells_rects_equal_full_mask(seed, shape, n_sets, side):
     sets = [rng.permutation(np.unique(rng.integers(
         0, side, (rng.integers(1, 40), 2)), axis=0)) for _ in range(n_sets)]
     want = [(o, *r) for o, c in enumerate(sets)
-            for r in mask_rectangles(_cells_mask((side, side), c))]
+            for r in _mask_rects(_cells_mask((side, side), c))]
     got = rectangle_cover(sets, (side, side))
     assert list(zip(*(a.tolist() for a in got))) == want
     offset = rng.integers(0, np.array(shape) - 40)
@@ -568,7 +604,8 @@ def _check_every_hat(part, x, y, hats=None):
         hat = part.hats[i]
         idx = _in_bbox(hat, x, y)
         jet = _hat_jet_at(got, i, idx, part.alphas)
-        want = _reference_jet(hat.bump.boxes, x[idx], y[idx], part.alphas)
+        want = _reference_jet(box_list(hat.bump.boxes), x[idx], y[idx],
+                              part.alphas)
         for a in part.alphas:
             assert jet[a].tobytes() == want[a].tobytes(), (i, a)
 
@@ -594,8 +631,8 @@ def _reference_parts(ct):
     h, d = ct.domain.h, 2.0 ** (-ct.m) / 100.0
 
     def rects(mask):
-        return [(r.i0 * h, (r.i0 + r.ni) * h, r.j0 * h, (r.j0 + r.nj) * h)
-                for r in mask_rectangles(mask)]
+        return [(i0 * h, (i0 + ni) * h, j0 * h, (j0 + nj) * h)
+                for i0, j0, ni, nj in _mask_rects(mask)]
 
     def cube_part(q):
         cube = ct.dec.cubes[q]
@@ -631,10 +668,8 @@ def test_box_lists_equal_per_rectangle_reference(name, m):
     want = _reference_parts(ct)
     assert len(part.hats) == len(want)
     for hat, (boxes, allowed) in zip(part.hats, want):
-        assert hat.bump.boxes == boxes
-        assert all(type(b) is BoxBump for b in hat.bump.boxes)
-        assert box_params(hat.bump.boxes).tobytes() == \
-            box_params(boxes).tobytes()
+        assert hat.bump.boxes.shape == (len(boxes), 8)
+        assert hat.bump.boxes.tobytes() == box_params(boxes).tobytes()
         sups = np.array([b.support for b in boxes])
         bbox = (sups[:, 0].min(), sups[:, 1].max(),
                 sups[:, 2].min(), sups[:, 3].max())
@@ -658,7 +693,8 @@ def test_every_hat_at_grid_and_probe_points(name, m):
     # probe points of every 25th hat
     for hat in part.hats:
         px, py = hat.probe_points()
-        want = _reference_jet(hat.bump.boxes, px, py, part.alphas)
+        want = _reference_jet(box_list(hat.bump.boxes), px, py,
+                              part.alphas)
         got = hat.jet(px, py, part.alphas)
         for a in part.alphas:
             assert got[a].tobytes() == want[a].tobytes()
@@ -666,3 +702,63 @@ def test_every_hat_at_grid_and_probe_points(name, m):
     px, py = (np.concatenate(c) for c in zip(*probes))
     hats = [i for i, h in enumerate(part.hats) if len(_in_bbox(h, px, py))]
     _check_every_hat(part, px, py, hats)
+
+
+def _reference_probe_points(boxes):
+    """Each box's probe points from its profiles, box by box: 6 inside each
+    ramp and 4 across the plateau per axis, on an ij grid."""
+    def axis(p: Profile) -> np.ndarray:
+        lo, hi = p.support
+        return np.concatenate([np.linspace(lo, p.lo, 8)[1:-1],
+                               np.linspace(p.hi, hi, 8)[1:-1],
+                               np.linspace(p.lo, p.hi, 4)])
+
+    xs, ys = [], []
+    for box in boxes:
+        mx, my = np.meshgrid(axis(box.px), axis(box.py), indexing="ij")
+        xs.append(mx.ravel())
+        ys.append(my.ravel())
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("name, m", _LEVELS)
+def test_probe_points_equal_box_by_box_reference(name, m):
+    _, part = _level(name, m)
+    for hat in part.hats:
+        got = hat.probe_points()
+        want = _reference_probe_points(box_list(hat.bump.boxes))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rects=st.lists(st.tuples(st.integers(0, 52), st.integers(0, 52),
+                                st.integers(4, 28), st.integers(4, 28)),
+                      min_size=1, max_size=5))
+def test_partition_of_unity_on_generated_domains(rects):
+    """On a connected union of random rectangles at h = 1/64, every level
+    m = 4..9 that can be built tiles the domain with overlap at least 1, and
+    its normalized hats sum to 1 at every hat's interior probe points."""
+    bitmap = np.zeros((64, 64), dtype=bool)
+    for i0, j0, ni, nj in rects:
+        bitmap[i0:i0 + ni, j0:j0 + nj] = True
+    # the base point at a deepest cell, where the coarse cubes are
+    depth = ndimage.distance_transform_edt(np.pad(bitmap, 1))[1:-1, 1:-1]
+    x0 = np.unravel_index(np.argmax(depth), bitmap.shape)
+    dom = GridDomain(bitmap, 1 / 64, x0, trim=True)
+    qh, dec = QhMetric(dom), whitney_decompose(dom)
+    for m in range(4, 10):
+        try:
+            ct = build_core_tentacle(dec, qh, m)
+        except DomainError:
+            continue
+        assert verify_tiling(ct), m
+        assert verify_bounded_overlap(ct).extra["min"] >= 1, m
+        part = build_partition(ct, kmax=0)
+        probes = [_probe_points(part, hat) for hat in part.hats]
+        x, y = (np.concatenate(c) for c in zip(*probes))
+        s = part.sum_jet(x, y)[(0, 0)]
+        total = np.zeros(len(x))
+        for _, pts, jets in part.hat_jets(x, y, part.alphas):
+            np.add.at(total, pts, jets[(0, 0)] / s[pts])
+        assert np.abs(total - 1.0).max() < 1e-12, m

@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from qhlab import gallery
@@ -10,34 +11,48 @@ from qhlab.qh import QhMetric
 from qhlab.svg import decomposition_layers, domain_layers
 from qhlab.whitney import whitney_decompose
 
-_SIZE = re.compile(r' width="([^"]+)" height="([^"]+)"')
+_RECT = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" '
+                   r'height="([^"]+)"')
 
 
-def _drawn_area(layer) -> float:
-    sizes = [tuple(map(float, _SIZE.search(el).groups()))
-             for el in layer.elements if el.startswith("<rect")]
-    assert all(w > 0 and h > 0 for w, h in sizes), layer.name
-    return sum(w * h for w, h in sizes)
+def _drawn_counts(layer, shape, h) -> np.ndarray:
+    """How many of the layer's rectangles cover each grid cell."""
+    counts = np.zeros(shape, dtype=int)
+    for el in layer.elements:
+        x, y, w, v = (float(c) / h for c in _RECT.match(el).groups())
+        i0, j0, ni, nj = (int(round(c)) for c in (x, y, w, v))
+        assert np.allclose((i0, j0, ni, nj), (x, y, w, v), atol=1e-4)
+        assert ni > 0 and nj > 0, layer.name
+        counts[i0:i0 + ni, j0:j0 + nj] += 1
+    return counts
 
 
 @pytest.mark.parametrize("name, h, m", [("disk", 1 / 32, 6),
                                         ("dumbbell", 1 / 64, 7)])
-def test_mask_layers_draw_their_mask_area(name, h, m):
+def test_mask_layers_draw_each_mask_cell_once(name, h, m):
+    """Rasterized back onto the grid, each mask layer's rectangles cover
+    every cell of each of its masks once and no other cell (overlapping
+    haloes cover a cell once per halo holding it)."""
     dom = gallery.make(name, h)
     ct = build_core_tentacle(whitney_decompose(dom), QhMetric(dom), m)
-    labels = ct.comp_labels
-    cells = {
-        "interior": dom.interior.sum(),
-        "core": ct.core_mask.sum(),
-        "haloes": sum(len(ct.halo[q]) for q in ct.P),
-        "components_thick": sum((labels == lab).sum() for lab in ct.U_ids),
-        "components_thin": sum((labels == lab).sum() for lab in ct.V_ids),
-        "tentacles": sum(ct.tentacle_mask(g).sum() for g in ct.groups),
+    halo_counts = np.zeros(dom.shape, dtype=int)
+    for q in ct.P:
+        halo_counts[ct.halo[q][:, 0], ct.halo[q][:, 1]] += 1
+    masks = {
+        "interior": [dom.interior],
+        "core": [ct.core_mask],
+        "components_thick": [ct.component_mask(lab) for lab in ct.U_ids],
+        "components_thin": [ct.component_mask(lab) for lab in ct.V_ids],
+        "tentacles": [ct.tentacle_mask(g) for g in ct.groups],
     }
+    want = {layer: sum((mask.astype(int) for mask in sets),
+                       np.zeros(dom.shape, dtype=int))
+            for layer, sets in masks.items()}
+    want["haloes"] = halo_counts
     layers = {layer.name: layer
               for layer in domain_layers(dom) + decomposition_layers(ct)}
-    for layer_name, n in cells.items():
-        assert _drawn_area(layers[layer_name]) == pytest.approx(
-            n * h * h, rel=1e-5), layer_name
+    for layer_name, counts in want.items():
+        got = _drawn_counts(layers[layer_name], dom.shape, h)
+        assert np.array_equal(got, counts), layer_name
     if name == "dumbbell":  # every mask layer is exercised
-        assert min(cells.values()) > 0
+        assert min(c.sum() for c in want.values()) > 0
