@@ -26,7 +26,7 @@ from .grid import (DomainError, GridDomain, components, _STRUCT8,
                    _component_at, _walk)
 from .properties import PropertyReport
 from .qh import QhMetric, search_limits
-from .whitney import WhitneyDecomposition
+from .whitney import WhitneyCube, WhitneyDecomposition
 
 
 def rectangle_cover(cell_sets: list[np.ndarray], shape: tuple[int, int]
@@ -100,13 +100,11 @@ def core_mask_at_level(dec: WhitneyDecomposition, level: float) -> np.ndarray:
     """Component of the base point in the union of unflagged cubes of side
     at least 2^-level (fractional levels allowed); empty when the base
     point's cube is smaller."""
-    dom = dec.domain
     l_min = 2.0 ** (-level)
-    big = np.zeros(dom.shape, dtype=bool)
-    for q in dec.cubes:
-        if not q.flagged and q.l >= l_min - 1e-12:
-            big[q.cell_slices()] = True
-    return _component_at(big, dom.x0)
+    # per cube; the extra last entry answers cell_cube's -1
+    big = np.array([not q.flagged and q.l >= l_min - 1e-12
+                    for q in dec.cubes] + [False])
+    return _component_at(big[dec.cell_cube], dec.domain.x0)
 
 
 def _cut_off(raw: np.ndarray, lab0: int, where) -> bool | None:
@@ -153,32 +151,33 @@ def _window_cut(domain: GridDomain, halo: np.ndarray
     return raw, n, lab0, lo
 
 
-def dilated_component_cells(
-    domain: GridDomain, dec: WhitneyDecomposition, qidx: int, scale: float
-) -> np.ndarray:
-    """Cells of the connected component (through the cube) of the dilated
-    concentric box intersected with the domain.
-
-    The dilated box is closed; a cell belongs when its center lies inside.
+def _halo_and_bq(domain: GridDomain, q: WhitneyCube, c0: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of the components, through the cube's centre cell, of the
+    domain inside the cube's c0- and 11/10*c0-dilated concentric boxes: its
+    halo and ``bq``.  A box is closed and a cell belongs when its center
+    lies inside.  Both are labelled in the window of the larger box: the
+    smaller box's cells lie inside it, and its extra cells fail their test.
     """
-    q = dec.cubes[qidx]
-    x0b, x1b, y0b, y1b = q.box(domain.h, scale)
     h = domain.h
+    small, big = q.box(h, c0), q.box(h, 1.1 * c0)
+    x0b, x1b, y0b, y1b = big
     i0 = max(int(np.floor(x0b / h - 0.5)), 0)
     i1 = min(int(np.ceil(x1b / h - 0.5)) + 1, domain.shape[0])
     j0 = max(int(np.floor(y0b / h - 0.5)), 0)
     j1 = min(int(np.ceil(y1b / h - 0.5)) + 1, domain.shape[1])
     ii = (np.arange(i0, i1) + 0.5) * h
     jj = (np.arange(j0, j1) + 0.5) * h
-    inside = ((ii >= x0b) & (ii <= x1b))[:, None] & ((jj >= y0b) & (jj <= y1b))[None, :]
-    window = inside & domain.interior[i0:i1, j0:j1]
-    ci, cj = q.center_cell()
-    cells = np.argwhere(_component_at(window, (ci - i0, cj - j0)))
-    if not len(cells):  # center not in the window (should not happen)
-        raise DomainError(f"cube {qidx} outside its own dilation window")
-    cells[:, 0] += i0
-    cells[:, 1] += j0
-    return cells
+    interior = domain.interior[i0:i1, j0:j1]
+    centre = np.subtract(q.center_cell(), (i0, j0))
+    out = []
+    for x0b, x1b, y0b, y1b in (small, big):
+        inside = np.outer((ii >= x0b) & (ii <= x1b), (jj >= y0b) & (jj <= y1b))
+        cells = np.argwhere(_component_at(inside & interior, centre))
+        if not len(cells):  # center not in the window (should not happen)
+            raise DomainError(f"cube {q.index} outside its own dilation window")
+        out.append(cells + (i0, j0))
+    return out[0], out[1]
 
 
 @dataclass
@@ -258,8 +257,7 @@ class CoreTentacleDecomposition:
         self.halo: dict[int, np.ndarray] = {}
         self.bq: dict[int, np.ndarray] = {}
         for i in self.P1:
-            self.halo[i] = dilated_component_cells(dom, dec, i, self.c0)
-            self.bq[i] = dilated_component_cells(dom, dec, i, 1.1 * self.c0)
+            self.halo[i], self.bq[i] = _halo_and_bq(dom, dec.cubes[i], self.c0)
 
         # pruning: drop band cubes whose neighborhood is blocked by another
         self.P_minus = self._prune()

@@ -37,12 +37,13 @@ are found by sorting the boxes' parameter rows (``_Profiles``); each is
 evaluated once on the points' distinct coordinates inside its support, with
 one ``_plateau`` call per derivative order for all profiles, and every pair
 gathers its box factors from these profile tables.  The table is built in
-chunks of whole (hat, point) groups, about ``_POINT_BLOCK`` pairs each, and
-each chunk is folded in one pass, rank by rank (the r-th box acting on each
-(hat, point) pair, in box order), so every jet is bitwise that of a
-box-by-box loop.  ``sum_jet``, the approximant's assembly and a single
-set bump all take the engine's chunks, and sums over hats are accumulated
-with ``np.add.at`` in hat order.
+chunks of whole (hat, bucket row) groups, about ``_POINT_BLOCK`` candidate
+pairs each: a point lies in one bucket row, so every (hat, point) group is
+whole in its chunk.  Each chunk is folded in one pass, rank by rank (the
+r-th box acting on each (hat, point) pair, in box order), so every jet is
+bitwise that of a box-by-box loop.  ``sum_jet``, the approximant's
+assembly and a single set bump all take the engine's chunks, and sums over
+hats are accumulated with ``np.add.at`` in hat order.
 ``measured_sup`` probes a normalized hat once for every alpha and keeps the
 sups in a memo owned by the partition, keyed by hat position, which a new
 partition starts empty.
@@ -293,9 +294,9 @@ def _bucket_runs(support: np.ndarray, x: np.ndarray, y: np.ndarray,
     """Pair search: bucket the points by square cells of side ``cell`` (at
     most ``_MAX_BUCKETS`` per axis) and cover each box support by one run of
     bucket-sorted points per bucket row.  Returns the points' bucket order
-    and, per run, its box, first point (in bucket order) and length; every
-    point strictly inside a support lies in one of its box's runs, because
-    the bucket index is monotone in the coordinate."""
+    and, per run, its box, bucket row, first point (in bucket order) and
+    length; every point strictly inside a support lies in one of its box's
+    runs, because the bucket index is monotone in the coordinate."""
     ox, oy = x.min(), y.min()
     cell = max(cell, (x.max() - ox) / _MAX_BUCKETS,
                (y.max() - oy) / _MAX_BUCKETS)
@@ -319,7 +320,7 @@ def _bucket_runs(support: np.ndarray, x: np.ndarray, y: np.ndarray,
         np.cumsum(rows) - rows, rows)
     first = start[row * nj + np.repeat(j0, rows)]
     length = start[row * nj + np.repeat(j1, rows) + 1] - first
-    return order, np.repeat(live, rows), first, length
+    return order, np.repeat(live, rows), row, first, length
 
 
 def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
@@ -329,40 +330,48 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
     of the hat acts (the point is strictly inside its support); the chunks
     come in hat order and each is sorted by hat.
 
-    The (hat, point, box) table is built from the runs of
-    ``_bucket_runs`` one range of (hat, point) keys at a time, each range
-    holding about ``_POINT_BLOCK`` candidate pairs, sorted by hat, then
-    point, then box, and folded whole by ``_fold``.  Each profile is evaluated
-    once on the distinct coordinates inside its support, and the pairs
-    gather their box factors from these profile tables.  On an axis where
-    such a table would outgrow the candidate pairs (points whose coordinates
-    seldom repeat, spread far beyond a few small boxes), each pair's factor
-    is evaluated directly; grid and probe points share their coordinates,
-    and on the gallery fixtures they never take that path.
+    A point lies in one bucket row, so the runs of ``_bucket_runs`` of one
+    (hat, bucket row) hold every box of that hat acting on its points.  The
+    runs are ordered by hat, then row, box order kept within each group, and
+    the (hat, point, box) table is built from whole groups at a time: a
+    chunk is cut where the group changes, once it holds about
+    ``_POINT_BLOCK`` candidate pairs, so it may exceed that by one group
+    (and when every point shares one bucket row, a hat's pairs make one
+    chunk).  Each chunk is sorted by hat, then point, then box, and folded
+    whole by ``_fold``.  Each profile is evaluated once on the distinct
+    coordinates inside its support, and the pairs gather their box factors
+    from these profile tables.  On an axis where such a table would outgrow
+    the candidate pairs (points whose coordinates seldom repeat, spread far
+    beyond a few small boxes), each pair's factor is evaluated directly;
+    grid and probe points share their coordinates, and on the gallery
+    fixtures they never take that path.
     """
     if (0, 0) not in alphas:  # every product after the first reads values
         raise DomainError(f"hat jets need the (0, 0) entry, got {alphas}")
     if not len(x):
         return
     orders = sorted({c for a in alphas for c in a})
-    order, rbox, first, length = _bucket_runs(boxes.support, x, y, cell)
-    some = length > 0
-    rbox, first, length = rbox[some], first[some], length[some]
+    order, rbox, row, first, length = _bucket_runs(boxes.support, x, y, cell)
+    some = np.flatnonzero(length > 0)
+    if not len(some):
+        return
+    # the runs by hat, then row; a stable sort keeps box order in each group
+    by = some[np.lexsort((row[some], boxes.hat[rbox[some]]))]
+    rbox, row, first, length = rbox[by], row[by], first[by], length[by]
+    rhat = boxes.hat[rbox]
     used = np.unique(rbox)
     tables = [axis.table(t, np.unique(axis.of_box[used]), orders,
                          length.sum()) for axis, t in zip(boxes.axes, (x, y))]
-    # a run covers the keys hat * n + (position in bucket order) of [lo, hi)
-    n = len(x)
-    rhat = boxes.hat[rbox]
-    lo = rhat * n + first
-    hi = lo + length
-    bounds = _chunk_bounds(lo, hi, _POINT_BLOCK)
-    s = boxes.support
-    for k0, k1 in zip(bounds[:-1], bounds[1:]):
-        r0, r1 = np.searchsorted(rhat, (k0 // n, (k1 - 1) // n + 1))
-        k_lo, k_hi = np.maximum(lo[r0:r1], k0), np.minimum(hi[r0:r1], k1)
-        m = np.maximum(k_hi - k_lo, 0)
-        key = np.repeat(k_lo - (np.cumsum(m) - m), m) + np.arange(m.sum())
+    # cut at the first (hat, row) group starting past each multiple of the
+    # budget; a run covers the keys hat * n + (position in bucket order)
+    group = np.flatnonzero(np.diff(rhat) | np.diff(row)) + 1
+    past = (np.cumsum(length) - length)[group] // _POINT_BLOCK
+    cuts = group[np.diff(past, prepend=0) > 0]
+    n, s = len(x), boxes.support
+    for r0, r1 in zip([0, *cuts], [*cuts, len(rbox)]):
+        m = length[r0:r1]
+        key = (np.repeat(rhat[r0:r1] * n + first[r0:r1] - (np.cumsum(m) - m),
+                         m) + np.arange(m.sum()))
         box = np.repeat(rbox[r0:r1], m)
         point = order[key % n]
         px, py = x[point], y[point]
@@ -384,24 +393,6 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
         if len(point):
             heads, jets = _fold(hat, point, one_minus_box, alphas)
             yield hat[heads], point[heads], jets
-
-
-def _chunk_bounds(lo: np.ndarray, hi: np.ndarray, budget: int
-                  ) -> np.ndarray:
-    """Cuts of the keys into ranges holding about ``budget`` (run, key)
-    pairs of the runs [lo, hi) each (at most one key's runs more), from the
-    number of runs covering each stretch between sorted run ends."""
-    if not len(lo):
-        return np.zeros(1, dtype=np.int64)
-    ends = np.concatenate([lo, hi])
-    by = np.argsort(ends, kind="stable")
-    ends = ends[by]
-    cover = np.cumsum(np.where(by < len(lo), 1, -1))
-    before = np.concatenate([[0], np.cumsum(cover[:-1] * np.diff(ends))])
-    targets = np.arange(budget, before[-1], budget)
-    i = np.searchsorted(before, targets, side="right") - 1
-    cuts = ends[i] + (targets - before[i]) // cover[i]
-    return np.unique(np.concatenate([ends[:1], cuts, ends[-1:]]))
 
 
 def _fold(hat, point, one_minus_box, alphas):

@@ -1,12 +1,15 @@
 """Dyadic Whitney decomposition of a grid domain.
 
-Cubes are dyadic blocks of cells anchored at the bounding-box corner.  A block
-is accepted as soon as it is fully interior and satisfies diam(Q) <= dist(Q),
-with dist measured cell-accurately as the boundary-distance field sampled at
-the block's center cell; descending from the (always rejected) root then gives
-dist(Q) <= 4 diam(Q) for every accepted cube.  Boundary cells too close to
-the boundary for even a one-cell cube are attached as flagged one-cell cubes
-so the cover stays exact.
+Cubes are dyadic blocks of cells anchored at the bounding-box corner, found
+level by level below the (always rejected) root: a level's candidates are
+the children of the blocks rejected one level up.  A block is accepted when
+it is fully interior (its interior-cell count, read from one integral image
+of the bitmap zero-padded to the root, is size^2) and satisfies diam(Q) <=
+dist(Q), with dist measured cell-accurately as the boundary-distance field
+sampled at the block's center cell; the descent then gives dist(Q) <= 4
+diam(Q) for every accepted cube.  Boundary cells too close to the boundary
+for even a one-cell cube are attached as flagged one-cell cubes so the cover
+stays exact.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import numpy as np
 from .grid import GridDomain
 
 SQRT2 = float(np.sqrt(2.0))
+# corner offsets of a block's four children, in units of the child's side
+_QUARTERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 @dataclass
@@ -88,54 +93,33 @@ class WhitneyDecomposition:
 
 
 def whitney_decompose(domain: GridDomain) -> WhitneyDecomposition:
-    interior = domain.interior
+    interior, h = domain.interior, domain.h
     size_top = 1 << int(np.ceil(np.log2(max(domain.shape))))
+    # count[i, j]: interior cells in [0, i) x [0, j); beyond the bitmap, none
+    count = np.zeros((size_top + 1, size_top + 1), dtype=np.int32)
+    count[1 : interior.shape[0] + 1, 1 : interior.shape[1] + 1] = interior
+    np.cumsum(count, axis=0, out=count)
+    np.cumsum(count, axis=1, out=count)
 
-    # all-interior pyramid per dyadic level; partial blocks count as exterior
-    all_int = [interior]
-    while all_int[-1].shape[0] > 1 or all_int[-1].shape[1] > 1:
-        a = all_int[-1]
-        ni = (a.shape[0] + 1) // 2
-        nj = (a.shape[1] + 1) // 2
-        pa = np.zeros((2 * ni, 2 * nj), dtype=bool)
-        pa[: a.shape[0], : a.shape[1]] = a
-        all_int.append(
-            pa[0::2, 0::2] & pa[1::2, 0::2] & pa[0::2, 1::2] & pa[1::2, 1::2]
-        )
-
-    cubes: list[WhitneyCube] = []
-    h = domain.h
-
-    stack = [(0, 0, size_top)]
-    while stack:
-        i0, j0, size = stack.pop()
-        lvl = size.bit_length() - 1
-        bi, bj = i0 >> lvl, j0 >> lvl
-        if lvl < len(all_int) and bi < all_int[lvl].shape[0] and bj < all_int[lvl].shape[1]:
-            full = bool(all_int[lvl][bi, bj])
-        else:
-            full = False
+    found = []  # (i0, j0, size, dist, flagged) of each cube
+    corners, size = np.zeros((1, 2), dtype=np.int64), size_top
+    while size > 1:
+        # the children of the blocks rejected one level up, inside the bitmap
+        size //= 2
+        corners = (corners[:, None] + _QUARTERS * size).reshape(-1, 2)
+        corners = corners[(corners < domain.shape).all(axis=1)]
+        i, j = corners.T
+        full = (count[i + size, j + size] - count[i, j + size]
+                - count[i + size, j] + count[i, j]) == size * size
         # rasterized dist(Q, boundary): the d field at a full block's centre
-        d = float(domain.dist[i0 + size // 2, j0 + size // 2]) if full else 0.0
-        if full and size * h * SQRT2 <= d and size < size_top:
-            cubes.append(WhitneyCube(len(cubes), (i0, j0), size, size * h, d, False))
-            continue
-        if size == 1:
-            if 0 <= i0 < domain.shape[0] and 0 <= j0 < domain.shape[1] and interior[i0, j0]:
-                d1 = float(domain.dist[i0, j0])
-                cubes.append(
-                    WhitneyCube(
-                        len(cubes), (i0, j0), 1, h, d1, flagged=not (h * SQRT2 <= d1)
-                    )
-                )
-            continue
-        half = size // 2
-        for di in (0, half):
-            for dj in (0, half):
-                stack.append((i0 + di, j0 + dj, half))
-
+        d = np.zeros(len(corners))
+        d[full] = domain.dist[i[full] + size // 2, j[full] + size // 2]
+        close = size * h * SQRT2 <= d
+        keep = full & (close | (size == 1))
+        found += zip(*corners[keep].T.tolist(), [size] * int(keep.sum()),
+                     d[keep].tolist(), (~close[keep]).tolist())
+        corners = corners[~keep]
     # deterministic order: by corner, then size
-    cubes.sort(key=lambda q: (q.corner[0], q.corner[1], q.size))
-    for new_idx, q in enumerate(cubes):
-        q.index = new_idx
-    return WhitneyDecomposition(domain, cubes)
+    return WhitneyDecomposition(domain, [
+        WhitneyCube(k, (i0, j0), s, s * h, d, f)
+        for k, (i0, j0, s, d, f) in enumerate(sorted(found))])

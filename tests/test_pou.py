@@ -529,6 +529,9 @@ def _hat_jet_at(jets_by_hat, h, idx, alphas):
        cell=st.sampled_from([0.003, 0.05, 0.4]))
 def test_hat_jets_bitwise_equal_box_loop_hat_by_hat(hats, fractions, alphas,
                                                     block, cell):
+    """Every hat's jet is bitwise the box loop's, whatever the chunk budget:
+    ``_jets_by_hat`` checks that chunk hats never decrease and that no
+    (hat, point) pair appears twice, in one chunk or in two."""
     boxes = [b for hat in hats for b in hat]
     ex, ey = _edge_points(boxes)  # support and plateau edges, shared rows
     ix, iy = _points_inside(boxes, fractions)
@@ -539,6 +542,8 @@ def test_hat_jets_bitwise_equal_box_loop_hat_by_hat(hats, fractions, alphas,
         chunks = list(_hat_jets(_HatBoxes([box_params(h) for h in hats]),
                                 x, y, alphas, cell))
     got = _jets_by_hat(chunks, alphas)
+    if block == 1:  # a cut at every (hat, bucket row) group
+        assert all(len(np.unique(hs)) == 1 for hs, _, _ in chunks)
     everywhere = np.arange(len(x))
     for h, hat in enumerate(hats):
         jet = _hat_jet_at(got, h, everywhere, alphas)

@@ -42,3 +42,52 @@ def test_library_uses_every_name_it_imports():
              for path in sorted(SRC.glob("*.py"))
              for unused in _unused_imports(ast.parse(path.read_text()))]
     assert not found, found
+
+
+def _top_level_names(tree: ast.Module) -> dict[str, int]:
+    """Functions, classes and constants a module defines at top level,
+    dunder names aside."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in a module, as names or as attributes."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)
+             and not isinstance(node.ctx, ast.Store)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names})
+
+
+def test_every_library_name_is_read():
+    """A top-level function, class or constant of the library that no
+    module of the library, its tests or its benchmark reads is a leftover
+    of a deletion."""
+    tree = ast.parse("A = 1\n__all__ = []\ndef f(): A\n")
+    assert _top_level_names(tree) == {"A": 1, "f": 3}
+    assert _read_names(tree) == {"A"}
+    root = Path(__file__).resolve().parents[1]
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "perfbench").glob("*.py")]
+    assert len(files) > 30
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    read = set().union(*map(_read_names, trees.values()))
+    found = [f"{path.name}:{name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for name, line in _top_level_names(trees[path]).items()
+             if name not in read]
+    assert not found, found

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhlab import gallery
 from qhlab.grid import GridDomain
-from qhlab.whitney import whitney_decompose
+from qhlab.whitney import SQRT2, whitney_decompose
 
 
 def check_invariants(dom, dec):
@@ -46,6 +46,71 @@ def test_invariants_on_rectangle_unions(rects, data):
     x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
     dom = GridDomain(bitmap, 1 / 32, x0, trim=True)
     check_invariants(dom, whitney_decompose(dom))
+
+
+def _depth_first_cubes(domain):
+    """Reference cover: the depth-first block recursion checked against a
+    pyramid of all-interior masks.  Returns (index, corner, size, l, dist,
+    flagged) of each cube in (corner, size) order, and the cells' cubes."""
+    interior, h = domain.interior, domain.h
+    size_top = 1 << int(np.ceil(np.log2(max(domain.shape))))
+    all_int = [interior]  # partial blocks count as exterior
+    while all_int[-1].shape[0] > 1 or all_int[-1].shape[1] > 1:
+        a = all_int[-1]
+        pa = np.zeros((a.shape[0] + a.shape[0] % 2,
+                       a.shape[1] + a.shape[1] % 2), dtype=bool)
+        pa[: a.shape[0], : a.shape[1]] = a
+        all_int.append(pa[0::2, 0::2] & pa[1::2, 0::2]
+                       & pa[0::2, 1::2] & pa[1::2, 1::2])
+    cubes = []
+    stack = [(0, 0, size_top)]
+    while stack:
+        i0, j0, size = stack.pop()
+        lvl = size.bit_length() - 1
+        bi, bj = i0 >> lvl, j0 >> lvl
+        full = (lvl < len(all_int) and bi < all_int[lvl].shape[0]
+                and bj < all_int[lvl].shape[1] and bool(all_int[lvl][bi, bj]))
+        d = float(domain.dist[i0 + size // 2, j0 + size // 2]) if full else 0.0
+        if full and size * h * SQRT2 <= d and size < size_top:
+            cubes.append(((i0, j0), size, size * h, d, False))
+        elif size == 1:
+            if i0 < domain.shape[0] and j0 < domain.shape[1] \
+                    and interior[i0, j0]:
+                d1 = float(domain.dist[i0, j0])
+                cubes.append(((i0, j0), 1, h, d1, not h * SQRT2 <= d1))
+        else:
+            half = size // 2
+            stack += [(i0 + di, j0 + dj, half)
+                      for di in (0, half) for dj in (0, half)]
+    cubes.sort(key=lambda q: (q[0], q[1]))
+    cell_cube = np.full(domain.shape, -1, dtype=np.int64)
+    for k, ((i0, j0), size, *_) in enumerate(cubes):
+        cell_cube[i0 : i0 + size, j0 : j0 + size] = k
+    return [(k, *q) for k, q in enumerate(cubes)], cell_cube
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+       rects=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1),
+                                st.integers(1, 40), st.integers(1, 40)),
+                      min_size=1, max_size=5),
+       h=st.sampled_from([1 / 64, 1 / 7, 1.0]), data=st.data())
+def test_level_passes_equal_depth_first_recursion(shape, rects, h, data):
+    """The level-by-level cover is the depth-first recursion's, cube for
+    cube and cell for cell, on non-square bitmaps, those touching the edge
+    (padded by ``GridDomain``) included."""
+    bitmap = np.zeros(shape, dtype=bool)
+    for fi, fj, ni, nj in rects:
+        i0, j0 = int(fi * (shape[0] - 1)), int(fj * (shape[1] - 1))
+        bitmap[i0 : i0 + ni, j0 : j0 + nj] = True
+    cells = np.argwhere(bitmap)
+    x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
+    dom = GridDomain(bitmap, h, x0, trim=True)
+    dec = whitney_decompose(dom)
+    want, cell_cube = _depth_first_cubes(dom)
+    assert [(q.index, q.corner, q.size, q.l, q.dist, q.flagged)
+            for q in dec.cubes] == want
+    assert np.array_equal(dec.cell_cube, cell_cube)
 
 
 def test_unit_square_central_quarter_cubes():
