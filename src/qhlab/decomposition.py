@@ -119,35 +119,38 @@ def _cut_off(raw: np.ndarray, lab0: int, where) -> bool | None:
 
 
 def _window_cut(domain: GridDomain, halo: np.ndarray
-                ) -> tuple[np.ndarray, int, int, np.ndarray] | None:
-    """Raw labels of the interior minus a halo on the halo's bounding box
-    grown by one cell: the window's labels, their number, the base point's
-    label and the window's origin cell.  None when the window labels do not
-    decide which cells lie off the base point's component.
+                ) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """Raw labels of the interior minus a halo on a window that decides
+    which cells lie off the base point's component: the window's labels,
+    their number, the base point's label (0 when the halo holds it) and the
+    window's origin cell.
 
-    The halo is interior and the bitmap keeps an exterior ring, so the
-    window stays in bounds.  Every cell outside the window reaches the
-    window's one-cell border ring inside the connected domain, and the halo
-    lies strictly inside that ring.  So when the ring's cells lie in one
-    window component, the window components are the global ones; when the
-    base point also lies outside the window, in that component or in the
-    halo, only cells inside the window can lie off the base point's
-    component.
+    The halo's bounding box grown by one cell is labelled first.  The halo
+    is interior and the bitmap keeps an exterior ring, so that window stays
+    in bounds.  Every cell outside the window reaches the window's one-cell
+    border ring inside the connected domain, and the halo lies strictly
+    inside that ring.  So when the ring's cells lie in one window component,
+    the window components are the global ones; when the base point also
+    lies outside the window, in that component or in the halo, only cells
+    inside the window can lie off the base point's component.  When the
+    ring splits, or the base point sits in a pocket, the whole bitmap is
+    labelled instead: its ring is exterior, so it always decides.
     """
-    lo = halo.min(axis=0) - 1
-    hi = halo.max(axis=0) + 2
-    removed = _cells_mask(tuple(hi - lo), halo - lo)
-    raw, n = ndimage.label(domain.interior[lo[0]:hi[0], lo[1]:hi[1]]
-                           & ~removed, structure=_STRUCT8)
-    ring = np.unique(np.concatenate([raw[0], raw[-1], raw[:, 0], raw[:, -1]]))
-    ring = ring[ring > 0]
-    x0 = np.subtract(domain.x0, lo)
-    if ((x0 >= 0) & (x0 < raw.shape)).all():
-        lab0 = int(raw[tuple(x0)])
-    else:
-        lab0 = int(ring[0]) if len(ring) else 0
-    if len(ring) > 1 or (lab0 and (ring != lab0).any()):
-        return None  # the ring split, or the base point in a pocket
+    window = (halo.min(axis=0) - 1, halo.max(axis=0) + 2)
+    for lo, hi in (window, (np.zeros(2, dtype=int), np.array(domain.shape))):
+        removed = _cells_mask(tuple(hi - lo), halo - lo)
+        raw, n = ndimage.label(domain.interior[lo[0]:hi[0], lo[1]:hi[1]]
+                               & ~removed, structure=_STRUCT8)
+        ring = np.unique(np.concatenate([raw[0], raw[-1],
+                                         raw[:, 0], raw[:, -1]]))
+        ring = ring[ring > 0]
+        x0 = np.subtract(domain.x0, lo)
+        if ((x0 >= 0) & (x0 < raw.shape)).all():
+            lab0 = int(raw[tuple(x0)])
+        else:
+            lab0 = int(ring[0]) if len(ring) else 0
+        if len(ring) <= 1 and not (lab0 and (ring != lab0).any()):
+            break
     return raw, n, lab0, lo
 
 
@@ -224,7 +227,6 @@ class CoreTentacleDecomposition:
         self.m = int(m)
         self.c0 = float(c0)
         self._trails: list[tuple[int, ...]] | None = None
-        self._chain_cache: dict[tuple[int, int], list[int]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -241,11 +243,8 @@ class CoreTentacleDecomposition:
                 f"than {l_min}"
             )
 
-        self.W1 = [
-            q.index
-            for q in dec.cubes
-            if not q.flagged and self.core_mask[q.cell_slices()].all()
-        ]
+        # the core is a union of whole unflagged cubes: those meeting it
+        self.W1 = np.unique(dec.cell_cube[self.core_mask]).tolist()
         # per cube: in W1; the extra last entry answers cell_cube's -1
         self._in_w1 = np.zeros(len(dec.cubes) + 1, dtype=bool)
         self._in_w1[self.W1] = True
@@ -307,15 +306,6 @@ class CoreTentacleDecomposition:
 
         self._group()
 
-    def _halo_cut(self, cubes) -> tuple[np.ndarray, int, int]:
-        """Raw labels of the interior minus the union of the cubes' closed
-        halos, their number, and the base point's label (0 when the union
-        holds the base point)."""
-        dom = self.domain
-        removed = _cells_mask(dom.shape, *(self.halo[q] for q in cubes))
-        raw, n = ndimage.label(dom.interior & ~removed, structure=_STRUCT8)
-        return raw, n, int(raw[dom.x0])
-
     def _prune(self) -> list[int]:
         band = self.P1
         centre = np.array([self.dec.cubes[q].center_cell() for q in band])
@@ -323,8 +313,7 @@ class CoreTentacleDecomposition:
         hi = np.array([self.bq[q].max(axis=0) for q in band])
         blocked = np.zeros(len(band), dtype=bool)
         for k, qp in enumerate(band):
-            raw, n, lab0, origin = (_window_cut(self.domain, self.halo[qp])
-                                    or (*self._halo_cut([qp]), (0, 0)))
+            raw, n, lab0, origin = _window_cut(self.domain, self.halo[qp])
             if not lab0 or n <= 1:
                 continue  # swallows the base point, or disconnects nothing
             # only a neighbourhood inside the labelled extent can lie off
@@ -371,12 +360,20 @@ class CoreTentacleDecomposition:
             for j, cubes in chosen
         ]
 
-        # assign each thin component the first group that separates it
-        cuts = [self._halo_cut(g.cubes) for g in self.groups]
+        # assign each thin component the first group that separates it.  A
+        # thin component is connected and lies off every group's halos, so
+        # it lies in one component of the domain minus a group's halos, and
+        # its first cell tells which (components labels the base one 0)
+        dom = self.domain
+        cuts = [components(dom, _cells_mask(
+                    dom.shape, *(self.halo[q] for q in g.cubes)))
+                for g in self.groups]
+        labs, first = np.unique(self.comp_labels, return_index=True)
         for vpos, lab in enumerate(self.V_ids):
-            vmask = self.comp_labels == lab
-            for g, (raw, _, lab0) in zip(self.groups, cuts):
-                if _cut_off(raw, lab0, vmask):
+            cell = np.unravel_index(first[np.searchsorted(labs, lab)],
+                                    dom.shape)
+            for g, cut in zip(self.groups, cuts):
+                if cut[cell]:
                     g.members.append(vpos)
                     break
             else:
@@ -468,30 +465,24 @@ class CoreTentacleDecomposition:
         band cubes whose trail meets it.  Returns (direct, via_trail,
         uncovered cell array); the neighborhood is covered when every cell
         is in a core cube or on some band cube's trail."""
-        dom = self.domain
         cells = self.bq[qidx]
-        cubes_here = self.dec.cell_cube[cells[:, 0], cells[:, 1]]
-        direct = np.unique(cubes_here[self._in_w1[cubes_here]]).tolist()
-        nodes = self._nodes(cells)
+        where = tuple(cells.T)
+        cubes_here = self.dec.cell_cube[where]
+        in_w1 = self._in_w1[cubes_here]
+        direct = np.unique(cubes_here[in_w1]).tolist()
+        # bq cells are interior, so each one is a graph node
         trails = self.trails()
-        rows = [trails[v] for v in nodes.tolist()]
+        rows = [trails[v] for v in self.domain.cell_node[where].tolist()]
         via = sorted(set().union(*rows))
-        cube_of = self.dec.cell_cube[tuple(dom.node_cells[nodes].T)]
-        covered = self._in_w1[cube_of] | np.array([bool(r) for r in rows],
-                                                  dtype=bool)
-        uncovered = dom.node_cells[nodes[~covered]]
-        return direct, via, uncovered
+        covered = in_w1 | np.array([bool(r) for r in rows], dtype=bool)
+        return direct, via, cells[~covered]
 
     # -- chains -------------------------------------------------------------
 
     def chain(self, q1: int, q2: int) -> list[int]:
         """Face-adjacent cube chain following the quasihyperbolic geodesic
         between the two cube centers; symmetric in its arguments."""
-        key = (min(q1, q2), max(q1, q2))
-        if key in self._chain_cache:
-            path = self._chain_cache[key]
-            return path if key == (q1, q2) else path[::-1]
-        a, b = key
+        a, b = min(q1, q2), max(q1, q2)
         ca = self.dec.cubes[a].center_cell()
         cb = self.dec.cubes[b].center_cell()
         geo = self.qh.geodesic(ca, cb)
@@ -508,8 +499,7 @@ class CoreTentacleDecomposition:
                 out.extend(bridge)
             if q != out[-1]:
                 out.append(q)
-        self._chain_cache[key] = out
-        return out if key == (q1, q2) else out[::-1]
+        return out if a == q1 else out[::-1]
 
     def _bridge(self, a: int, b: int) -> list[int] | None:
         """Shortest cube-adjacency path strictly between two cubes (BFS)."""
@@ -546,11 +536,6 @@ class CoreTentacleDecomposition:
         return sorted((band[i], band[j]) for i, j in zip(a, b))
 
     # -- quasihyperbolic distances between cubes ----------------------------
-
-    def _nodes(self, cells: np.ndarray) -> np.ndarray:
-        """Graph nodes of the interior cells of a cell array."""
-        nodes = self.domain.cell_node[tuple(cells.T)]
-        return nodes[nodes >= 0]
 
     def _cube_nodes(self, qidx: int) -> np.ndarray:
         """Graph nodes of a Whitney cube's interior cells, row-major."""

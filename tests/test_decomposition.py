@@ -152,11 +152,21 @@ def test_dumbbell_has_one_tentacle(dumbbell_ctx):
     assert sorted(set(ct.Um) | g.cubes) == sorted(ct.P)
 
 
+def _halo_cut(ct, cubes):
+    """Raw labels of the interior minus the union of the cubes' closed
+    halos, their number, and the base point's label (0 when the union holds
+    the base point), labelled on the whole bitmap."""
+    dom = ct.domain
+    removed = _cells_mask(dom.shape, *(ct.halo[q] for q in cubes))
+    raw, n = ndimage.label(dom.interior & ~removed, structure=_STRUCT8)
+    return raw, n, int(raw[dom.x0])
+
+
 def test_dumbbell_blocking(dumbbell_ctx):
     dom, qh, dec, ct = dumbbell_ctx
     cells = np.argwhere(dom.interior)
     far = cells[(cells[:, 0] + 0.5) * dom.h > 0.65]
-    cuts = [ct._halo_cut([q]) for q in ct.P1]
+    cuts = [_halo_cut(ct, [q]) for q in ct.P1]
     blockers = [q for q, (raw, _, lab0) in zip(ct.P1, cuts)
                 if lab0 and _cut_off(raw, lab0, tuple(far.T))]
     assert blockers, "some band cube separates the far chamber"
@@ -169,7 +179,7 @@ def test_dumbbell_blocking(dumbbell_ctx):
 def test_blocking_degenerate_inside_halo(dumbbell_ctx):
     dom, qh, dec, ct = dumbbell_ctx
     q = ct.P1[0]
-    raw, _, lab0 = ct._halo_cut([q])
+    raw, _, lab0 = _halo_cut(ct, [q])
     assert lab0 and _cut_off(raw, lab0, tuple(ct.halo[q].T)) is None
 
 
@@ -411,7 +421,7 @@ def test_halo_cut_equals_components_formulation(name):
     for qp in ct.P1:  # every band cube as the cutter
         removed = _cells_mask(dom.shape, ct.halo[qp])
         labels = components(dom, removed)
-        raw, _, lab0 = ct._halo_cut([qp])
+        raw, _, lab0 = _halo_cut(ct, [qp])
         assert (lab0 == 0) == bool(removed[dom.x0])
         for cells in [ct.halo[qp]] + [ct.bq[q] for q in sample]:
             where = tuple(cells.T)
@@ -423,11 +433,12 @@ def test_halo_cut_equals_components_formulation(name):
         removed = _cells_mask(dom.shape, np.concatenate(
             [ct.halo[q] for q in g.cubes]))
         labels = components(dom, removed)
-        raw, _, lab0 = ct._halo_cut(g.cubes)
+        raw, _, lab0 = _halo_cut(ct, g.cubes)
         for lab in ct.V_ids:
             vmask = ct.comp_labels == lab
             assert _cut_off(raw, lab0, vmask) \
                 == _cut_by_components(labels, dom.x0, vmask)
+    assert [g.members for g in ct.groups] == _members_reference(ct)
 
 
 def _band_pairs_dense(ct):
@@ -450,7 +461,7 @@ def _prune_reference(ct):
     cutter, every other band cube's neighbourhood tested on it."""
     blocked = set()
     for qp in ct.P1:
-        raw, n, lab0 = ct._halo_cut([qp])
+        raw, n, lab0 = _halo_cut(ct, [qp])
         if not lab0 or n <= 1:
             continue
         for q in ct.P1:
@@ -461,15 +472,14 @@ def _prune_reference(ct):
 
 
 def _prune_paths(ct):
-    """Per cutter: None for the whole-domain label, else whether the base
+    """Per cutter: None for the whole-bitmap label, else whether the base
     point lies inside the cutter's window (and off its halo)."""
     out = []
     for qp in ct.P1:
-        cut = _window_cut(ct.domain, ct.halo[qp])
-        if cut is None:
+        raw, _, lab0, origin = _window_cut(ct.domain, ct.halo[qp])
+        if raw.shape == ct.domain.shape:
             out.append(None)
         else:
-            raw, _, lab0, origin = cut
             x0 = np.subtract(ct.domain.x0, origin)
             out.append(bool(lab0) and bool(((x0 >= 0) & (x0 < raw.shape)).all()))
     return out
@@ -505,6 +515,62 @@ def test_prune_equals_whole_domain_loop_finer(name, h, m, c0):
         assert True in paths  # the base point inside a decided window
 
 
+def _members_reference(ct):
+    """Each group's thin components, each assigned to the first group that
+    cuts off its full mask on the whole-bitmap label of the group's halos."""
+    members = [[] for _ in ct.groups]
+    cuts = [_halo_cut(ct, g.cubes) for g in ct.groups]
+    for vpos, lab in enumerate(ct.V_ids):
+        vmask = ct.comp_labels == lab
+        k = next(k for k, (raw, _, lab0) in enumerate(cuts)
+                 if _cut_off(raw, lab0, vmask))
+        members[k].append(vpos)
+    return members
+
+
+def _rooms_and_corridors(rooms, corridors) -> GridDomain:
+    """Rectangular rooms (i0, j0, ni, nj) joined by L-shaped corridors
+    (a, b, width) that run from room a's centre along its rows to room b's
+    centre column, then along that column: a 64x64 bitmap at h = 1/64 with
+    the base point at a deepest cell."""
+    bitmap = np.zeros((62, 62), dtype=bool)
+    centres = []
+    for i0, j0, ni, nj in rooms:
+        bitmap[i0:i0 + ni, j0:j0 + nj] = True
+        centres.append((min(i0 + ni // 2, 61), min(j0 + nj // 2, 61)))
+    for a, b, w in corridors:
+        (ia, ja), (ib, jb) = centres[a % len(rooms)], centres[b % len(rooms)]
+        bitmap[ia:ia + w, min(ja, jb):max(ja, jb) + w] = True
+        bitmap[min(ia, ib):max(ia, ib) + w, jb:jb + w] = True
+    bitmap = np.pad(bitmap, 1)
+    depth = ndimage.distance_transform_edt(bitmap)
+    x0 = np.unravel_index(np.argmax(depth), bitmap.shape)
+    return GridDomain(bitmap, 1 / 64, x0, trim=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rooms=st.lists(st.tuples(st.integers(0, 49), st.integers(0, 49),
+                                st.integers(4, 28), st.integers(4, 28)),
+                      min_size=1, max_size=4),
+       corridors=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                    st.integers(1, 3)), max_size=3))
+def test_prune_and_groups_on_generated_domains(rooms, corridors):
+    """On rooms joined by corridors, every level m = 3..9 that can be built
+    with c0 = 10 or 14 prunes as the whole-bitmap loop does, and assigns
+    each thin component as the full-mask test on whole-bitmap labels does."""
+    dom = _rooms_and_corridors(rooms, corridors)
+    qh, dec = QhMetric(dom), whitney_decompose(dom)
+    for c0 in (10.0, 14.0):
+        for m in range(3, 10):
+            try:
+                ct = build_core_tentacle(dec, qh, m, c0)
+            except DomainError:
+                continue
+            assert ct.P_minus == _prune_reference(ct), (c0, m)
+            assert [g.members for g in ct.groups] \
+                == _members_reference(ct), (c0, m)
+
+
 @settings(max_examples=200, deadline=None)
 @given(shape=st.tuples(st.integers(8, 24), st.integers(8, 24)),
        seed=st.integers(0, 2**32 - 1), density=st.floats(0.5, 0.95),
@@ -535,10 +601,7 @@ def test_window_cut_equals_whole_domain_label(shape, seed, density, data):
     ref, n = ndimage.label(dom.interior & ~_cells_mask(dom.shape, halo),
                            structure=_STRUCT8)
     lab0 = ref[dom.x0]
-    cut = _window_cut(dom, halo)
-    if cut is None:
-        return
-    raw, n_w, lab0_w, origin = cut
+    raw, n_w, lab0_w, origin = _window_cut(dom, halo)
     assert n_w == n and bool(lab0_w) == bool(lab0)
     # the window labels the interior cells off the base component exactly
     off = (ref > 0) & (ref != lab0)

@@ -73,6 +73,15 @@ def _read_names(tree: ast.Module) -> set[str]:
                if isinstance(node, ast.ImportFrom) for alias in node.names})
 
 
+def _project_trees() -> dict[Path, ast.Module]:
+    """Parsed modules of the library, its tests and its benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "perfbench").glob("*.py")]
+    assert len(files) > 30
+    return {path: ast.parse(path.read_text()) for path in files}
+
+
 def test_every_library_name_is_read():
     """A top-level function, class or constant of the library that no
     module of the library, its tests or its benchmark reads is a leftover
@@ -80,14 +89,43 @@ def test_every_library_name_is_read():
     tree = ast.parse("A = 1\n__all__ = []\ndef f(): A\n")
     assert _top_level_names(tree) == {"A": 1, "f": 3}
     assert _read_names(tree) == {"A"}
-    root = Path(__file__).resolve().parents[1]
-    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
-             *(root / "perfbench").glob("*.py")]
-    assert len(files) > 30
-    trees = {path: ast.parse(path.read_text()) for path in files}
+    trees = _project_trees()
     read = set().union(*map(_read_names, trees.values()))
     found = [f"{path.name}:{name}:{line}"
              for path in sorted(SRC.glob("*.py"))
              for name, line in _top_level_names(trees[path]).items()
              if name not in read]
+    assert not found, found
+
+
+def _class_members(tree: ast.Module) -> dict[str, int]:
+    """Methods and properties of a module's top-level classes, as
+    ``Class.name``, dunder names aside."""
+    return {f"{cls.name}.{node.name}": node.lineno
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names a module reads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Store)}
+
+
+def test_every_library_method_is_read():
+    """A method or property of a library class that no module of the
+    library, its tests or its benchmark reads as an attribute is a leftover
+    of a deletion."""
+    tree = ast.parse("class C:\n    def __init__(self): self.f = self.g\n"
+                     "    def f(self): pass\n    def g(self): pass\n")
+    assert _class_members(tree) == {"C.f": 3, "C.g": 4}
+    assert _read_attributes(tree) == {"g"}
+    trees = _project_trees()
+    read = set().union(*map(_read_attributes, trees.values()))
+    found = [f"{path.name}:{member}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for member, line in _class_members(trees[path]).items()
+             if member.split(".")[1] not in read]
     assert not found, found
