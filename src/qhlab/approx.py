@@ -29,7 +29,7 @@ from .fixtures import AnalyticField, multi_indices
 from .grid import DomainError, GridDomain
 from .pou import PartitionOfUnity, Jet, add_jet, build_partition, \
     jet_product, jet_quotient, jet_zero
-from .poly import PolyApprox, PolyStack, _points_of_cells, fit_polynomials
+from .poly import Polynomials, fit_cubes
 from .properties import PropertyReport
 from .qh import QhMetric
 from .whitney import WhitneyDecomposition, whitney_decompose
@@ -73,10 +73,6 @@ class SampledFunction:
     k: int
     p: float
     jets: Jet = dfield(default_factory=dict, repr=False)
-    # donor fits by Whitney cube (corner, size), made once and shared by
-    # every level assembled from this function
-    _fits: dict = dfield(default_factory=dict, repr=False, init=False)
-    _cell_jets: Jet | None = dfield(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if not 1 <= self.p < np.inf:
@@ -87,41 +83,6 @@ class SampledFunction:
         for alpha in multi_indices(self.k):
             self.jets[alpha] = self.field.derivative(
                 alpha, self.grid.x, self.grid.y)
-
-    def cube_polynomials(self, dec: WhitneyDecomposition, cubes
-                         ) -> dict[int, PolyApprox]:
-        """The field's degree-(k-1) fits on the Whitney cubes ``cubes``, by
-        cube index in the order given.  The cubes not fitted yet are fitted
-        together, one ``fit_polynomials`` call per cube size: each cube's
-        derivative averages read one sample of the field at the domain's
-        interior cell centres, gathered from its cell block in
-        ``cube_cells`` order, so every fit is bitwise the one
-        ``fit_polynomial`` gives on the cube's cells."""
-        keys = {q: (dec.cubes[q].corner, dec.cubes[q].size) for q in cubes}
-        corners: dict[int, dict] = {}  # size -> corners still to fit
-        for corner, size in keys.values():
-            if (corner, size) not in self._fits:
-                corners.setdefault(size, {})[corner] = None
-        dom = self.grid.domain
-        if corners and self._cell_jets is None:
-            cx, cy = _points_of_cells(np.argwhere(dom.interior), dom.h)
-            self._cell_jets = {}
-            for a in multi_indices(self.k):
-                self._cell_jets[a] = np.zeros(dom.shape)
-                self._cell_jets[a][dom.interior] = self.field.derivative(
-                    a, cx, cy)
-        for size, todo in corners.items():
-            block = np.arange(size)
-            corner = np.array(list(todo))
-            rows = corner[:, 0, None, None] + block[:, None]
-            cols = corner[:, 1, None, None] + block
-            cells = np.stack(np.broadcast_arrays(rows, cols), axis=-1)
-            samples = {a: v[rows, cols].reshape(len(corner), -1)
-                       for a, v in self._cell_jets.items()}
-            fits = fit_polynomials(cells.reshape(len(corner), -1, 2),
-                                   samples, self.k, dom.h)
-            self._fits.update(((c, size), fit) for c, fit in zip(todo, fits))
-        return {q: self._fits[key] for q, key in keys.items()}
 
 
 def seminorm(jets: Jet, sel: np.ndarray, k: int, p: float,
@@ -141,7 +102,8 @@ class Approximant:
     m: int
     jets: Jet = dfield(repr=False, default=None)  # u_m and derivatives
     sum_jet: Jet = dfield(repr=False, default=None)
-    polynomials: dict = dfield(default_factory=dict)
+    polynomials: Polynomials = dfield(repr=False, default=None)  # donor fits
+    rows: dict = dfield(default_factory=dict)  # donor cube -> its row
     sup_norms: dict = dfield(default_factory=dict)
     error_selector: np.ndarray = dfield(repr=False, default=None)
 
@@ -149,20 +111,10 @@ class Approximant:
         return {a: u.jets[a] - self.jets[a] for a in self.jets}
 
 
-def _donors(polys: dict, pou: PartitionOfUnity
-            ) -> tuple[np.ndarray, PolyStack]:
-    """Per hat, the position of its donor polynomial in ``polys`` (-1 for
-    xi hats), and the stacked polynomials."""
-    at = {q: i for i, q in enumerate(polys)}
-    which = np.array([at[hat.donor] if hat.donor >= 0 else -1
-                      for hat in pou.hats])
-    return which, PolyStack(list(polys.values()))
-
-
-def _donor_jets(jets: Jet, which: np.ndarray, polys: PolyStack,
+def _donor_jets(jets: Jet, which: np.ndarray, polys: Polynomials,
                 x: np.ndarray, y: np.ndarray) -> Jet:
     """``jets`` with each (hat, point) pair of a psi or phi hat (which >= 0)
-    replaced by the jet of the hat's donor polynomial."""
+    replaced by the jet of the hat's donor polynomial (row ``which``)."""
     carried = which >= 0
     if carried.any():
         pj = polys.jets(which[carried], x[carried], y[carried], list(jets))
@@ -179,22 +131,22 @@ def assemble(u: SampledFunction, pou: PartitionOfUnity,
     alphas = multi_indices(u.k)
     x, y = u.grid.x, u.grid.y
 
-    cubes = [hat.donor for hat in pou.hats if hat.donor >= 0]
-    polys = u.cube_polynomials(ct.dec, dict.fromkeys(cubes))
-    which, stack = _donors(polys, pou)
+    polys, rows = fit_cubes(
+        u.field, ct.dec, [hat.donor for hat in pou.hats if hat.donor >= 0], u.k)
+    which = np.array([rows.get(hat.donor, -1) for hat in pou.hats])
 
     S = jet_zero(x.shape, alphas)  # accumulated in hat order, as sum_jet
     N = jet_zero(x.shape, alphas)
     err_sel = np.zeros(len(x), dtype=bool)  # union of psi/phi supports
     for hats, pts, hj in pou.hat_jets(x, y, alphas):
         fj = _donor_jets({a: u.jets[a][pts] for a in alphas}, which[hats],
-                         stack, x[pts], y[pts])
+                         polys, x[pts], y[pts])
         add_jet(S, pts, hj)
         add_jet(N, pts, jet_product(hj, fj, alphas))
         err_sel[pts[(which[hats] >= 0) & (hj[(0, 0)] > 0)]] = True
     um = jet_quotient(N, S, alphas)
 
-    out = Approximant(ct.m, um, S, polys, {}, err_sel)
+    out = Approximant(ct.m, um, S, polys, rows, error_selector=err_sel)
     for a in alphas:
         out.sup_norms[a] = float(np.abs(um[a]).max())
     return out
@@ -227,9 +179,9 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
                       replace=False)
     worst = 0.0
     top = [a for a in alphas if sum(a) == k]
-    which, stack = _donors(approx.polynomials, pou)
+    polys, rows = approx.polynomials, approx.rows
+    which = np.array([rows.get(hat.donor, -1) for hat in pou.hats])
     for q in pick:
-        ref = approx.polynomials[q]
         sel = u.grid.region(_cells_mask(ct.domain.shape, ct.bq[q]))
         idx = np.flatnonzero(sel)
         if len(idx) > 400:
@@ -245,8 +197,9 @@ def check_analysts_trick(u: SampledFunction, approx: Approximant,
             nj = jet_quotient(hj, {a: S[a][pts] for a in alphas}, alphas)
             px, py = x[pts], y[pts]
             src = _donor_jets({a: u.field.derivative(a, px, py)
-                               for a in alphas}, which[hats], stack, px, py)
-            fj = {a: src[a] - ref.derivative(a, px, py) for a in alphas}
+                               for a in alphas}, which[hats], polys, px, py)
+            ref = polys.jets(rows[q], px, py, alphas)
+            fj = {a: src[a] - ref[a] for a in alphas}
             prod = jet_product(fj, nj, top)
             # beta < alpha terms only
             add_jet(rebuilt, pts, {a: prod[a] - fj[a] * nj[(0, 0)]

@@ -7,11 +7,16 @@ average of grad^alpha (u - P) over E is zero.  In the shifted monomial basis
 the system is triangular in derivative order and is solved top-down, after
 an affine normalization of E that makes conditioning independent of the cell
 set's physical size.
+
+Fitted polynomials are array rows (``Polynomials``): ``fit_polynomial``
+fits n cell sets of c cells each in one solve, sampling the field at their
+cell centres, and ``fit_cubes`` fits a list of Whitney cubes with one such
+call per cube size.  A row does not depend on the batch it was fitted in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -27,26 +32,27 @@ _NORM_CUBES, _NORM_PAIRS = 20, 8  # its cubes, and its (E, F) pairs per cube
 
 
 @dataclass
-class PolyApprox:
-    """Polynomial in normalized coordinates t = (x - center)/scale."""
+class Polynomials:
+    """Degree-(k-1) polynomials as rows: row i is sum_beta coeffs[beta][i]
+    t^beta in the normalized coordinates t = (x - centers[i]) / scales[i]."""
 
-    coeffs: dict[tuple[int, int], float]  # basis t1^a t2^b
-    center: tuple[float, float]
-    scale: float
+    coeffs: dict[tuple[int, int], np.ndarray]  # per beta, one value a row
+    centers: np.ndarray  # (n, 2)
+    scales: np.ndarray  # (n,)
     k: int
-    cells: np.ndarray = dfield(repr=False, default=None)
-    moment_residuals: dict[tuple[int, int], float] = dfield(default_factory=dict)
+    residuals: dict[tuple[int, int], np.ndarray]  # moment residual per alpha
+    scale_powers: list[np.ndarray]  # [n]: Python powers scale ** n, n <= k
 
-    def derivative(self, alpha: tuple[int, int], px: np.ndarray,
-                   py: np.ndarray) -> np.ndarray:
-        """grad^alpha P at physical points (closed form)."""
-        tx = (np.asarray(px, dtype=float) - self.center[0]) / self.scale
-        ty = (np.asarray(py, dtype=float) - self.center[1]) / self.scale
-        return _derivative(self.coeffs, tx, ty, alpha,
-                           self.scale ** (alpha[0] + alpha[1]))
-
-    def __call__(self, px, py):
-        return self.derivative((0, 0), px, py)
+    def jets(self, which, px: np.ndarray, py: np.ndarray, alphas) -> dict:
+        """grad^alpha at the points (px, py) for each alpha, of row
+        ``which`` at every point (an int) or of row which[i] at point i."""
+        scale = self.scales[which]
+        tx = (px - self.centers[which, 0]) / scale
+        ty = (py - self.centers[which, 1]) / scale
+        coeffs = {b: c[which] for b, c in self.coeffs.items()}
+        return {a: _derivative(coeffs, tx, ty, a,
+                               self.scale_powers[a[0] + a[1]][which])
+                for a in alphas}
 
 
 def _derivative(coeffs, tx, ty, alpha, scale_power) -> np.ndarray:
@@ -64,56 +70,23 @@ def _derivative(coeffs, tx, ty, alpha, scale_power) -> np.ndarray:
     return out / scale_power
 
 
-class PolyStack:
-    """Polynomials of one degree evaluated together, each point with the
-    polynomial its index names; bitwise ``PolyApprox.derivative``."""
-
-    def __init__(self, polys: list[PolyApprox]):
-        self.coeffs = {b: np.array([p.coeffs[b] for p in polys])
-                       for b in (polys[0].coeffs if polys else ())}
-        self.center = np.array([p.center for p in polys]).reshape(-1, 2)
-        self.scale = np.array([p.scale for p in polys])
-        self.scale_power = [np.array([p.scale ** n for p in polys])
-                            for n in range(polys[0].k + 1 if polys else 0)]
-
-    def jets(self, which: np.ndarray, px: np.ndarray, py: np.ndarray,
-             alphas) -> dict:
-        """grad^alpha of polynomial which[i] at (px[i], py[i])."""
-        scale = self.scale[which]
-        tx = (px - self.center[which, 0]) / scale
-        ty = (py - self.center[which, 1]) / scale
-        coeffs = {b: c[which] for b, c in self.coeffs.items()}
-        return {a: _derivative(coeffs, tx, ty, a,
-                               self.scale_power[a[0] + a[1]][which])
-                for a in alphas}
-
-
 def _points_of_cells(cells: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    cells = np.asarray(cells)
     return (cells[..., 0] + 0.5) * spacing, (cells[..., 1] + 0.5) * spacing
 
 
+def _lp_norm(values: np.ndarray, spacing: float, p: float) -> float:
+    """Discrete L^p norm of values at the centres of cells of the given
+    spacing."""
+    return float((np.abs(values) ** p).sum() * spacing ** 2) ** (1.0 / p)
+
+
 def fit_polynomial(field, cells: np.ndarray, k: int,
-                   spacing: float) -> PolyApprox:
-    """Fit the degree-(k-1) polynomial matching all averaged derivatives of
-    the field over the cell set (cells at the given grid spacing): the
-    derivatives of order <= min(k, field order) sampled at the cell centres,
-    solved as a batch of one by ``fit_polynomials``."""
-    cells = np.asarray(cells)
-    if len(cells) == 0:
-        raise DomainError("cannot fit a polynomial on an empty cell set")
-    px, py = _points_of_cells(cells, spacing)
-    samples = {alpha: field.derivative(alpha, px, py)[None]
-               for alpha in multi_indices(min(k, field.order))}
-    return fit_polynomials(cells[None], samples, k, spacing)[0]
-
-
-def fit_polynomials(cells: np.ndarray, samples: dict, k: int,
-                    spacing: float) -> list[PolyApprox]:
-    """The fits of ``fit_polynomial`` on n cell sets of c cells each, solved
-    together: ``cells`` is (n, c, 2) and ``samples`` maps each alpha with
-    |alpha| <= k-1 (and those of order k whose residuals are reported) to
-    the (n, c) field derivatives at the cells' centres.
+                   spacing: float) -> Polynomials:
+    """One row per cell set: the degree-(k-1) polynomial matching all
+    averaged derivatives of the field over the set.  ``cells`` is (n, c, 2),
+    n sets of c cells at the given grid spacing; the field's derivatives of
+    order <= min(k, field order) are sampled at the cell centres, those of
+    order k only for the reported residuals.
 
     Solved top-down: coefficients of degree k-1 come directly from the
     top-order derivative averages; each lower order then subtracts the
@@ -121,7 +94,16 @@ def fit_polynomials(cells: np.ndarray, samples: dict, k: int,
     of a one-set solve (row means, Python powers of each scale), so a fit
     does not depend on the batch it is made in.
     """
+    cells = np.asarray(cells)
+    if cells.shape[1] == 0:
+        raise DomainError("cannot fit a polynomial on an empty cell set")
+    if k - 1 > field.order:
+        raise DomainError(
+            f"a fit of degree k-1 = {k - 1} (k={k}) needs derivatives beyond "
+            f"the field's jet order {field.order}")
     px, py = _points_of_cells(cells, spacing)
+    samples = {alpha: field.derivative(alpha, px, py)
+               for alpha in multi_indices(min(k, field.order))}
     cx, cy = px.mean(axis=1), py.mean(axis=1)
     scale = np.maximum(np.maximum(px.max(axis=1) - px.min(axis=1),
                                   py.max(axis=1) - py.min(axis=1)), spacing)
@@ -167,21 +149,34 @@ def fit_polynomials(cells: np.ndarray, samples: dict, k: int,
             raise DomainError(
                 f"moment condition {alpha} violated on the cells at corner "
                 f"{tuple(lo.tolist())}, size {size}: residual {res[i]:.2e}")
-
-    rows = zip(np.column_stack([*coeffs.values()]).tolist(), cx.tolist(),
-               cy.tolist(), scale.tolist(),
-               np.column_stack([*residuals.values()]).tolist())
-    return [PolyApprox(dict(zip(coeffs, c)), (x, y), s, k, cells[i],
-                       dict(zip(residuals, r)))
-            for i, (c, x, y, s, r) in enumerate(rows)]
+    return Polynomials(coeffs, np.column_stack([cx, cy]), scale, k,
+                       residuals, power)
 
 
-def poly_difference_norm(p1: PolyApprox, p2: PolyApprox,
-                         alpha: tuple[int, int], cells: np.ndarray,
-                         spacing: float, p: float) -> float:
-    px, py = _points_of_cells(cells, spacing)
-    diff = p1.derivative(alpha, px, py) - p2.derivative(alpha, px, py)
-    return float((np.abs(diff) ** p).sum() * spacing ** 2) ** (1.0 / p)
+def fit_cubes(field, dec, cubes, k: int) -> tuple[Polynomials, dict[int, int]]:
+    """The field's degree-(k-1) fits on the Whitney cubes ``cubes`` as one
+    set of rows, and each cube's row.  One ``fit_polynomial`` call per cube
+    size fits that size's cubes, each from its cells in ``cube_cells``
+    order, so every row is bitwise the fit of its cube alone."""
+    by_size: dict[int, list[int]] = {}
+    for q in dict.fromkeys(cubes):
+        by_size.setdefault(dec.cubes[q].size, []).append(q)
+    blocks = [np.array([dec.cubes[q].corner for q in qs])[:, None]
+              + np.argwhere(np.ones((size, size), dtype=bool))
+              for size, qs in by_size.items()]
+    # no cubes: one batch of no cell sets, so zero rows
+    fits = [fit_polynomial(field, cells, k, dec.domain.h)
+            for cells in blocks or [np.empty((0, 1, 2), dtype=int)]]
+    rows = Polynomials(
+        {b: np.concatenate([f.coeffs[b] for f in fits]) for b in fits[0].coeffs},
+        np.concatenate([f.centers for f in fits]),
+        np.concatenate([f.scales for f in fits]), k,
+        {a: np.concatenate([f.residuals[a] for f in fits])
+         for a in fits[0].residuals},
+        [np.concatenate([f.scale_powers[n] for f in fits])
+         for n in range(k + 1)])
+    order = [q for qs in by_size.values() for q in qs]
+    return rows, {q: i for i, q in enumerate(order)}
 
 
 def norm_equivalence_check(dec, k: int, p: float,
@@ -202,11 +197,14 @@ def norm_equivalence_check(dec, k: int, p: float,
         for _ in range(_NORM_PAIRS):
             e = cells[rng.choice(nq, size=min(nq, keep + rng.integers(0, nq - keep + 1)), replace=False)]
             f = cells[rng.choice(nq, size=min(nq, keep + rng.integers(0, nq - keep + 1)), replace=False)]
-            coeffs = {a: float(rng.normal()) for a in multi_indices(k - 1)}
-            center = tuple((cells.mean(0) + 0.5) * dom.h)
-            poly = PolyApprox(coeffs, center, dec.cubes[qi].l, k)
-            ne = poly_norm(poly, e, dom.h, p)
-            nf = poly_norm(poly, f, dom.h, p)
+            coeffs = {a: np.array([rng.normal()]) for a in multi_indices(k - 1)}
+            center = (cells.mean(0) + 0.5) * dom.h
+            scale = dec.cubes[qi].l
+            poly = Polynomials(coeffs, center[None], np.array([scale]), k, {},
+                               [np.array([scale ** n]) for n in range(k + 1)])
+            ne, nf = (_lp_norm(poly.jets(0, *_points_of_cells(sub, dom.h),
+                                         [(0, 0)])[(0, 0)], dom.h, p)
+                      for sub in (e, f))
             if nf == 0:
                 continue
             rep.constant = max(rep.constant, ne / nf)
@@ -216,52 +214,42 @@ def norm_equivalence_check(dec, k: int, p: float,
     return rep
 
 
-def poly_norm(poly: PolyApprox, cells: np.ndarray, spacing: float,
-              p: float) -> float:
-    px, py = _points_of_cells(cells, spacing)
-    return float((np.abs(poly(px, py)) ** p).sum() * spacing ** 2) ** (1.0 / p)
-
-
-def chaining_check(ct, field, k: int, p: float, pairs=None,
-                   max_pairs: int = 60, seed: int = 0) -> PropertyReport:
-    """Measured constant in the chained-oscillation estimate: for cube pairs
-    (Q, Q') joined by a face-adjacent chain, and |alpha| <= k-1,
+def chaining_check(ct, field, k: int, p: float, max_pairs: int = 60,
+                   seed: int = 0) -> PropertyReport:
+    """Measured constant in the chained-oscillation estimate over the cube
+    pairs (Q, Q') of ``chain_pair_classes``, a random ``max_pairs`` of them
+    when there are more: the largest ratio, over the pairs and |alpha| <= k-1
+    with a positive denominator (0 when there is none),
 
       ||grad^alpha (P_Q - P_Q')||_Lp(Q)
-          <= C l(Q)^(k - |alpha|) ||grad^k u||_Lp(union of chain cubes)
-             * |Q|^(1/p) / |union|^(1/p-ish)
+          / ( l(Q)^(k - |alpha|) ||grad^k u||_Lp(union of the chain cubes) )
 
-    Reports the max ratio with the size factors of the oscillation
-    estimate; asserts finiteness."""
+    where the chain joins Q to Q' by face-adjacent cubes and |grad^k u|^p
+    sums |grad^beta u|^p over |beta| = k.  Passes when it is finite."""
+    if k > field.order:
+        raise DomainError(
+            f"order k={k} exceeds the field's jet order {field.order}")
     dec, dom = ct.dec, ct.domain
     rng = np.random.default_rng(seed)
-    if pairs is None:
-        all_pairs = chain_pair_classes(ct)
-        if len(all_pairs) > max_pairs:
-            sel = rng.choice(len(all_pairs), size=max_pairs, replace=False)
-            pairs = [all_pairs[i] for i in sel]
-        else:
-            pairs = all_pairs
+    pairs = chain_pair_classes(ct)
+    if len(pairs) > max_pairs:
+        sel = rng.choice(len(pairs), size=max_pairs, replace=False)
+        pairs = [pairs[i] for i in sel]
     rep = PropertyReport("chaining", 0.0, seed=seed, resolution=dom.h)
-    fits: dict[int, PolyApprox] = {}
-
-    def fit(q):
-        if q not in fits:
-            fits[q] = fit_polynomial(field, dec.cube_cells(q), k, dom.h)
-        return fits[q]
-
+    polys, row = fit_cubes(field, dec, [q for pair in pairs for q in pair], k)
+    alphas = multi_indices(k - 1)
     top = [a for a in multi_indices(k) if sum(a) == k]
     for q1, q2 in pairs:
         chain = ct.chain(q1, q2)
-        cells1 = dec.cube_cells(q1)
         px, py = _points_of_cells(
             np.concatenate([dec.cube_cells(q) for q in chain]), dom.h)
         grad_k = sum(np.abs(field.derivative(a, px, py)) ** p for a in top)
         rhs_norm = float(grad_k.sum() * dom.h ** 2) ** (1.0 / p)
         l1 = dec.cubes[q1].l
-        p1, p2 = fit(q1), fit(q2)
-        for alpha in multi_indices(k - 1):
-            lhs = poly_difference_norm(p1, p2, alpha, cells1, dom.h, p)
+        px, py = _points_of_cells(dec.cube_cells(q1), dom.h)
+        j1, j2 = (polys.jets(row[q], px, py, alphas) for q in (q1, q2))
+        for alpha in alphas:
+            lhs = _lp_norm(j1[alpha] - j2[alpha], dom.h, p)
             denom = l1 ** (k - sum(alpha)) * rhs_norm
             if denom > 0:
                 rep.constant = max(rep.constant, lhs / denom)

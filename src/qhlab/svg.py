@@ -40,12 +40,12 @@ class SvgLayer:
             f'opacity="{opacity:.3g}"/>'
         )
 
-    def polyline(self, points: np.ndarray, *, stroke: str = "#000000",
-                 stroke_width: float = 0.004) -> None:
+    def polyline(self, points: np.ndarray, *, stroke: str = "#000000"
+                 ) -> None:
         pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in np.asarray(points))
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{stroke_width:.6g}" stroke-linejoin="round"/>'
+            f'stroke-width="0.004" stroke-linejoin="round"/>'
         )
 
     def circle(self, x: float, y: float, r: float, *,

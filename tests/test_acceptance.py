@@ -282,15 +282,16 @@ def test_criterion_7_polynomial_machinery():
     h = 1 / 16
     cells = np.argwhere(np.ones((16, 16), dtype=bool))
     f = fixtures.radial_power((-0.1, -0.1), 1.7, order=2)
-    poly = fit_polynomial(f, cells, 2, h)
-    moment_worst = max(abs(r) for a, r in poly.moment_residuals.items()
+    poly = fit_polynomial(f, cells[None], 2, h)
+    moment_worst = max(abs(r[0]) for a, r in poly.residuals.items()
                        if sum(a) <= 1)
 
     g = fixtures.polynomial({(0, 0): 1, (1, 0): 2, (0, 1): -3}, order=2)
-    fitted = fit_polynomial(g, cells, 2, h)
+    fitted = fit_polynomial(g, cells[None], 2, h)
     xs = np.array([0.13, 0.7, -0.4])
     ys = np.array([0.9, 0.05, 2.0])
-    repro_err = float(np.abs(fitted(xs, ys) - g(xs, ys)).max())
+    repro_err = float(np.abs(fitted.jets(0, xs, ys, [(0, 0)])[(0, 0)]
+                             - g(xs, ys)).max())
 
     chain_consts = []
     smooth = fixtures.smooth_background(order=2)

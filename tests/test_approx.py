@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from math import factorial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import CoreTentacleDecomposition, build_core_tentacle
 from qhlab.fixtures import multi_indices
-from qhlab.poly import fit_polynomial
+from qhlab.poly import fit_cubes, fit_polynomial
 from qhlab.pou import build_partition, jet_product, jet_quotient, jet_zero
 from qhlab.approx import (
     EvalGrid,
@@ -225,11 +226,29 @@ def test_error_decay_skips_a_level_with_an_empty_band():
 
 # -- assembly against a per-hat reference -------------------------------------
 
+def _one_fit_derivative(fit, alpha, px, py):
+    """grad^alpha of a one-row fit at physical points, evaluated alone from
+    Python-float coefficients, centre and scale powers."""
+    coeffs = {b: float(c[0]) for b, c in fit.coeffs.items()}
+    cx, cy = fit.centers[0].tolist()
+    scale = float(fit.scales[0])
+    tx, ty = (px - cx) / scale, (py - cy) / scale
+    out = np.zeros(np.shape(tx), dtype=float)
+    a1, a2 = alpha
+    for (b1, b2), c in coeffs.items():
+        if b1 < a1 or b2 < a2:
+            continue
+        f = (factorial(b1) // factorial(b1 - a1)) * \
+            (factorial(b2) // factorial(b2 - a2))
+        out += c * f * tx ** (b1 - a1) * ty ** (b2 - a2)
+    return out / float(fit.scale_powers[a1 + a2][0])
+
+
 def _reference_assemble(u, part, ct):
     """The per-hat assembly: each hat's jet evaluated alone at the points of
     its bbox (the hats themselves are checked against the box-by-box loop
-    in tests/test_pou.py), each donor cube fitted from the field at its
-    cells, and S and N accumulated hat after hat."""
+    in tests/test_pou.py), each donor cube fitted alone from the field at
+    its cells and evaluated alone, and S and N accumulated hat after hat."""
     alphas = multi_indices(u.k)
     x, y = u.grid.x, u.grid.y
     S, N = jet_zero(len(x), alphas), jet_zero(len(x), alphas)
@@ -247,9 +266,10 @@ def _reference_assemble(u, part, ct):
             q = hat.key if hat.kind == "psi" \
                 else ct.groups[hat.key].assigned_cube
             if q not in polys:
-                polys[q] = fit_polynomial(u.field, ct.dec.cube_cells(q), u.k,
-                                          ct.domain.h)
-            fj = {a: polys[q].derivative(a, x[idx], y[idx]) for a in alphas}
+                polys[q] = fit_polynomial(u.field, ct.dec.cube_cells(q)[None],
+                                          u.k, ct.domain.h)
+            fj = {a: _one_fit_derivative(polys[q], a, x[idx], y[idx])
+                  for a in alphas}
             sel[idx[hj[(0, 0)] > 0]] = True
         term = jet_product(hj, fj, alphas)
         for a in alphas:
@@ -271,7 +291,7 @@ def test_assemble_bitwise_equals_per_hat_assembly(name, levels, k):
     field = fixtures.radial_power(fixtures.boundary_point(dom), 1.6,
                                   order=max(k, 2))
     u = SampledFunction(EvalGrid(dom, 2), field, k, 1.5)
-    for m in levels:  # one u: its donor fits are shared across the levels
+    for m in levels:
         ct = build_core_tentacle(dec, qh, m)
         part = build_partition(ct, kmax=k)
         ap = assemble(u, part, ct)
@@ -280,13 +300,17 @@ def test_assemble_bitwise_equals_per_hat_assembly(name, levels, k):
             assert ap.jets[a].tobytes() == jets[a].tobytes(), (m, a)
             assert ap.sum_jet[a].tobytes() == S[a].tobytes(), (m, a)
         assert np.array_equal(ap.error_selector, sel)
-        assert list(ap.polynomials) == list(polys)
+        assert sorted(ap.rows) == sorted(polys)
+        got = ap.polynomials
         for q, want in polys.items():
-            got = ap.polynomials[q]
-            assert got.coeffs == want.coeffs and got.center == want.center
-            assert got.scale == want.scale and got.k == want.k
-            assert got.moment_residuals == want.moment_residuals
-            assert np.array_equal(got.cells, want.cells)
+            i = ap.rows[q]
+            assert got.k == want.k and list(got.coeffs) == list(want.coeffs)
+            for b in want.coeffs:
+                assert got.coeffs[b][i] == want.coeffs[b][0]
+            for a in want.residuals:
+                assert got.residuals[a][i] == want.residuals[a][0]
+            assert got.centers[i].tobytes() == want.centers[0].tobytes()
+            assert got.scales[i] == want.scales[0]
         got_S = part.sum_jet(u.grid.x, u.grid.y, multi_indices(k))
         for a in S:
             assert got_S[a].tobytes() == S[a].tobytes()
@@ -295,14 +319,11 @@ def test_assemble_bitwise_equals_per_hat_assembly(name, levels, k):
 def test_moment_violation_names_the_cube(monkeypatch):
     """The batched fit's moment check raises for the first violating cube
     of a batch, naming its corner and size."""
-    dom = gallery.disk(1 / 32)
-    dec = whitney_decompose(dom)
-    u = SampledFunction(EvalGrid(dom, 1), fixtures.smooth_background(2), 2,
-                        1.5)
+    dec = whitney_decompose(gallery.disk(1 / 32))
     cubes = [q.index for q in dec.cubes if q.size == 2][:3]
     first = dec.cubes[cubes[0]]
     monkeypatch.setattr(poly, "MOMENT_TOL", -1.0)
     with pytest.raises(DomainError, match=(
             rf"moment condition \(0, 0\) violated on the cells at corner "
             rf"\({first.corner[0]}, {first.corner[1]}\), size 2: residual")):
-        u.cube_polynomials(dec, cubes)
+        fit_cubes(fixtures.smooth_background(2), dec, cubes, 2)

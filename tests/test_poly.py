@@ -15,8 +15,8 @@ from qhlab.decomposition import build_core_tentacle
 from qhlab.poly import (
     MOMENT_TOL,
     chaining_check,
+    fit_cubes,
     fit_polynomial,
-    fit_polynomials,
     norm_equivalence_check,
 )
 
@@ -24,29 +24,34 @@ H = 1 / 16
 CELLS = np.argwhere(np.ones((16, 16), dtype=bool))
 
 
+def _value(poly, x, y, alpha=(0, 0)):
+    """grad^alpha of a one-row fit at the points."""
+    return poly.jets(0, x, y, [alpha])[alpha]
+
+
 def test_reproduces_low_degree_polynomials():
     u = fixtures.polynomial({(0, 0): 1, (1, 0): 2, (0, 1): -3, (1, 1): 0.5,
                              (2, 0): 1.25}, order=3)
-    poly = fit_polynomial(u, CELLS, 3, H)
+    poly = fit_polynomial(u, CELLS[None], 3, H)
     x = np.array([0.13, 0.7, -0.4])
     y = np.array([0.9, 0.05, 2.0])
-    assert np.abs(poly(x, y) - u(x, y)).max() < 1e-10
-    assert np.abs(poly.derivative((1, 1), x, y)
+    assert np.abs(_value(poly, x, y) - u(x, y)).max() < 1e-10
+    assert np.abs(_value(poly, x, y, (1, 1))
                   - u.derivative((1, 1), x, y)).max() < 1e-10
 
 
 def test_order_one_fit_is_the_mean():
     f = fixtures.radial_power((0.0, 0.0), 0.9, order=1)
-    poly = fit_polynomial(f, CELLS, 1, H)
+    poly = fit_polynomial(f, CELLS[None], 1, H)
     px, py = (CELLS[:, 0] + 0.5) * H, (CELLS[:, 1] + 0.5) * H
-    assert poly(np.array([0.3]), np.array([0.7]))[0] == \
+    assert _value(poly, np.array([0.3]), np.array([0.7]))[0] == \
         pytest.approx(float(f(px, py).mean()), abs=1e-12)
 
 
 def test_matches_dense_moment_solve():
     # oracle: solve the full (non-triangular) moment system directly
     u = fixtures.polynomial({(2, 0): 1.0}, order=2)
-    poly = fit_polynomial(u, CELLS, 2, H)
+    poly = fit_polynomial(u, CELLS[None], 2, H)
     px, py = (CELLS[:, 0] + 0.5) * H, (CELLS[:, 1] + 0.5) * H
     from math import factorial as ft
 
@@ -63,37 +68,43 @@ def test_matches_dense_moment_solve():
     coef = np.linalg.solve(A, b)
     x, y = np.array([0.1, 0.8]), np.array([0.5, 0.2])
     dense = coef[0] + coef[1] * x + coef[2] * y
-    assert np.abs(dense - poly(x, y)).max() < 1e-12
+    assert np.abs(dense - _value(poly, x, y)).max() < 1e-12
 
 
 def test_moment_residuals():
     f = fixtures.radial_power((-0.1, -0.1), 1.7, order=2)
-    poly = fit_polynomial(f, CELLS, 2, H)
-    for alpha, res in poly.moment_residuals.items():
+    poly = fit_polynomial(f, CELLS[None], 2, H)
+    for alpha, res in poly.residuals.items():
         if sum(alpha) <= 1:
-            assert abs(res) <= MOMENT_TOL
+            assert abs(res[0]) <= MOMENT_TOL
     # top-order residual is reported, not asserted
-    assert any(sum(a) == 2 for a in poly.moment_residuals)
+    assert any(sum(a) == 2 for a in poly.residuals)
 
 
 def test_fit_independent_of_cell_ordering():
     f = fixtures.smooth_background(order=3)
     rng = np.random.default_rng(3)
     shuffled = CELLS[rng.permutation(len(CELLS))]
-    p1 = fit_polynomial(f, CELLS, 3, H)
-    p2 = fit_polynomial(f, shuffled, 3, H)
+    p1 = fit_polynomial(f, CELLS[None], 3, H)
+    p2 = fit_polynomial(f, shuffled[None], 3, H)
     x, y = np.array([0.4]), np.array([0.2])
-    assert p1(x, y)[0] == pytest.approx(p2(x, y)[0], abs=1e-12)
+    assert _value(p1, x, y)[0] == pytest.approx(_value(p2, x, y)[0],
+                                                abs=1e-12)
 
 
 def test_empty_set_rejected():
     f = fixtures.smooth_background()
     with pytest.raises(DomainError):
-        fit_polynomial(f, np.empty((0, 2), dtype=int), 2, H)
+        fit_polynomial(f, np.empty((1, 0, 2), dtype=int), 2, H)
 
 
-def _bits(values: dict) -> tuple:
-    return tuple(values), np.array(list(values.values())).tobytes()
+def _row_bits(poly, i: int) -> tuple:
+    """Everything a fit holds for row i, as bytes."""
+    return (poly.k, tuple(poly.coeffs), tuple(poly.residuals),
+            np.array([c[i] for c in poly.coeffs.values()]).tobytes(),
+            np.array([r[i] for r in poly.residuals.values()]).tobytes(),
+            poly.centers[i].tobytes(), poly.scales[i].tobytes(),
+            np.array([s[i] for s in poly.scale_powers]).tobytes())
 
 
 @functools.cache
@@ -132,33 +143,28 @@ class _PolyRadial:
 def test_batched_fits_equal_one_block_fits(k, blocks, coeffs, b, s):
     """Square blocks of one size fitted together, from one evaluation of a
     polynomial-plus-radial field at all their cells, give bitwise the
-    one-block fits.  The radial centre b sits on a cell corner, never at a
-    cell centre."""
+    one-block fits, row by row.  The radial centre b sits on a cell corner,
+    never at a cell centre."""
     h = 1 / 64
     field = _PolyRadial(k, (*coeffs, b[0] * h, b[1] * h, s))
     for size in {size for size, _, _ in blocks}:
         corners = np.array([(i, j) for n, i, j in blocks if n == size])
         cells = corners[:, None] + np.argwhere(np.ones((size, size), bool))
-        px, py = (cells[..., 0] + 0.5) * h, (cells[..., 1] + 0.5) * h
-        samples = {a: field.derivative(a, px, py)
-                   for a in fixtures.multi_indices(k)}
-        for got, block in zip(fit_polynomials(cells, samples, k, h), cells):
-            want = fit_polynomial(field, block, k, h)
-            assert _bits(got.coeffs) == _bits(want.coeffs)
-            assert _bits(got.moment_residuals) == _bits(want.moment_residuals)
-            assert np.array([*got.center, got.scale]).tobytes() == \
-                np.array([*want.center, want.scale]).tobytes()
-            assert np.array_equal(got.cells, block) and got.k == k
+        got = fit_polynomial(field, cells, k, h)
+        assert len(got.scales) == len(cells)
+        for i, block in enumerate(cells):
+            want = fit_polynomial(field, block[None], k, h)
+            assert _row_bits(got, i) == _row_bits(want, 0)
 
 
 def test_scale_invariant_conditioning():
     # same configuration at a 1000x smaller physical scale fits identically
     f = fixtures.polynomial({(1, 0): 1.0, (0, 1): 2.0}, order=2)
-    p_big = fit_polynomial(f, CELLS, 2, H)
-    p_small = fit_polynomial(f, CELLS, 2, H / 1000)
+    p_big = fit_polynomial(f, CELLS[None], 2, H)
+    p_small = fit_polynomial(f, CELLS[None], 2, H / 1000)
     x, y = np.array([0.01]), np.array([0.02])
-    assert p_big(x, y)[0] == pytest.approx(f(x, y)[0], abs=1e-10)
-    assert p_small(x, y)[0] == pytest.approx(f(x, y)[0], abs=1e-10)
+    assert _value(p_big, x, y)[0] == pytest.approx(f(x, y)[0], abs=1e-10)
+    assert _value(p_small, x, y)[0] == pytest.approx(f(x, y)[0], abs=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +198,31 @@ def test_chaining_zero_for_low_degree(disk_ct):
     # every fitted polynomial equals u, so all differences vanish;
     # the bound denominator is 0 too, so the measured constant stays 0
     assert rep.constant == 0.0
+
+
+def test_fit_beyond_the_field_order_rejected(disk_ct):
+    """A fit of degree k-1 above the field's jet order, and a chaining check
+    that needs grad^k u beyond it, raise DomainError naming k and the order
+    (not a KeyError from the solve)."""
+    f = fixtures.radial_power((-0.1, -0.1), 0.9, order=1)
+    with pytest.raises(DomainError, match=r"\(k=3\).*jet order 1"):
+        fit_polynomial(f, CELLS[None], 3, H)
+    for k in (2, 3):
+        with pytest.raises(DomainError, match=rf"k={k} .*jet order 1"):
+            chaining_check(disk_ct[1], f, k=k, p=2.0, max_pairs=5)
+
+
+def test_fit_cubes_rows_are_the_one_cube_fits(disk_ct):
+    """fit_cubes gives each cube (repeats dropped) a row equal bitwise to
+    the fit of its cells alone, and no rows for no cubes."""
+    dec, _ = disk_ct
+    f = fixtures.smooth_background(order=3)
+    cubes = [q.index for q in dec.cubes[::37]]
+    rows, row = fit_cubes(f, dec, cubes + cubes[:3], 3)
+    assert sorted(row) == sorted(cubes)
+    assert sorted(row.values()) == list(range(len(cubes)))
+    for q in cubes:
+        want = fit_polynomial(f, dec.cube_cells(q)[None], 3, dec.domain.h)
+        assert _row_bits(rows, row[q]) == _row_bits(want, 0)
+    empty, none = fit_cubes(f, dec, [], 3)
+    assert none == {} and len(empty.scales) == 0
