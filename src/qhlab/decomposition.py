@@ -9,7 +9,10 @@ of the domain by neighborhoods with bounded overlap, which later carries a
 smooth partition of unity.
 
 All set operations are cell-exact on the occupancy grid.  Physical dyadic
-sizes assume the gallery's unit bounding box.
+sizes assume the gallery's unit bounding box.  A level's halos,
+neighbourhoods and prune cuts are labelled in array passes: windows of the
+bitmap stacked in batches, one ``ndimage.label`` call per batch, 8-connected
+inside each window and not across windows.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import cache
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, sparse
 
 from .grid import (DomainError, GridDomain, components, _STRUCT8,
@@ -41,15 +45,22 @@ def rectangle_cover(cell_sets: list[np.ndarray], shape: tuple[int, int]
     are covered in array passes over batches of about one bitmap's worth
     of cells, so no temporary outgrows a few masks of the bitmap.
     """
-    most = shape[0] * shape[1]
-    out, first, held = [], 0, 0
-    for k, cells in enumerate(cell_sets):
-        if held and held + len(cells) > most:
-            out.append(_cover_batch(cell_sets[first:k], first, shape))
-            first, held = k, 0
-        held += len(cells)
-    out.append(_cover_batch(cell_sets[first:], first, shape))
+    out = [_cover_batch(cell_sets[b], b.start, shape) for b in
+           _batches([len(c) for c in cell_sets], shape[0] * shape[1])]
     return tuple(np.concatenate(a) for a in zip(*out))
+
+
+def _batches(sizes, most: int, padded: bool = False):
+    """Slices of consecutive items whose ``sizes`` sum to at most ``most``,
+    or of one item.  ``padded`` counts each item of a batch at the size of
+    its last one instead, for ascending sizes padded to the largest."""
+    first, held = 0, 0
+    for k, n in enumerate(sizes):
+        if k > first and ((k - first + 1) * n if padded else held + n) > most:
+            yield slice(first, k)
+            first, held = k, 0
+        held += n
+    yield slice(first, len(sizes))
 
 
 def _cover_batch(cell_sets: list[np.ndarray], first: int,
@@ -107,80 +118,193 @@ def core_mask_at_level(dec: WhitneyDecomposition, level: float) -> np.ndarray:
     return _component_at(big[dec.cell_cube], dec.domain.x0)
 
 
-def _cut_off(raw: np.ndarray, lab0: int, where) -> bool | None:
-    """Do the cells ``where`` (a mask or an index tuple) lie off the base
-    point's label ``lab0`` of the raw labels ``raw``?  None (degenerate)
-    when every cell is removed (label 0)."""
-    labs = raw[where]
-    labs = labs[labs > 0]
-    if not len(labs):
-        return None
-    return bool((labs != lab0).all())
+def _window_cut(domain: GridDomain, halos: list[np.ndarray],
+                boxes: np.ndarray):
+    """Per halo, raw labels of the interior minus the halo on a window that
+    decides which cells lie off the base point's component.  Yields
+    (position in ``halos``, the window's labels, their number, the base
+    point's label (0 when the halo holds it), the window's origin cell),
+    batch by batch; ``boxes`` holds each halo's first and last cell.
 
-
-def _window_cut(domain: GridDomain, halo: np.ndarray
-                ) -> tuple[np.ndarray, int, int, np.ndarray]:
-    """Raw labels of the interior minus a halo on a window that decides
-    which cells lie off the base point's component: the window's labels,
-    their number, the base point's label (0 when the halo holds it) and the
-    window's origin cell.
-
-    The halo's bounding box grown by one cell is labelled first.  The halo
-    is interior and the bitmap keeps an exterior ring, so that window stays
-    in bounds.  Every cell outside the window reaches the window's one-cell
+    The window is the halo's bounding box grown by one cell.  The halo is
+    interior and the bitmap keeps an exterior ring, so that window stays in
+    bounds.  Every cell outside the window reaches the window's one-cell
     border ring inside the connected domain, and the halo lies strictly
-    inside that ring.  So when the ring's cells lie in one window component,
-    the window components are the global ones; when the base point also
-    lies outside the window, in that component or in the halo, only cells
-    inside the window can lie off the base point's component.  When the
-    ring splits, or the base point sits in a pocket, the whole bitmap is
-    labelled instead: its ring is exterior, so it always decides.
+    inside that ring.  A path in the domain between two ring cells runs
+    outside the window, where the halo changes nothing, or crosses the
+    window inside one component of its interior cells.  So when the halo
+    splits the ring cells of no such component, every ring cell, and every
+    cell outside the window, lies in one component of the domain minus the
+    halo: the window's ring labels are merged into one, and its components
+    are the global ones.  When the base point also lies outside the window,
+    in that component or in the halo, only cells inside the window can lie
+    off the base point's component.  When the halo splits such a
+    component's ring cells, or the base point sits in a pocket, the whole
+    bitmap is labelled instead: its ring is exterior, so it always decides.
+
+    Windows are taken in order of size and stacked in batches, each padded
+    to its largest window and holding at most ``_WINDOW_CELLS`` cells or
+    one window; each window is masked to its own part, and a batch is
+    labelled in one call.
     """
-    window = (halo.min(axis=0) - 1, halo.max(axis=0) + 2)
-    for lo, hi in (window, (np.zeros(2, dtype=int), np.array(domain.shape))):
-        removed = _cells_mask(tuple(hi - lo), halo - lo)
-        raw, n = ndimage.label(domain.interior[lo[0]:hi[0], lo[1]:hi[1]]
-                               & ~removed, structure=_STRUCT8)
-        ring = np.unique(np.concatenate([raw[0], raw[-1],
-                                         raw[:, 0], raw[:, -1]]))
-        ring = ring[ring > 0]
-        x0 = np.subtract(domain.x0, lo)
-        if ((x0 >= 0) & (x0 < raw.shape)).all():
-            lab0 = int(raw[tuple(x0)])
-        else:
-            lab0 = int(ring[0]) if len(ring) else 0
-        if len(ring) <= 1 and not (lab0 and (ring != lab0).any()):
-            break
-    return raw, n, lab0, lo
+    if not len(halos):
+        return
+    lo, hi = boxes[:, 0] - 1, boxes[:, 1] + 2
+    side = (hi - lo).max(1)
+    order = np.argsort(side, kind="stable")
+    x0 = np.array(domain.x0)
+    for b in _batches(side[order] ** 2, _WINDOW_CELLS, padded=True):
+        idx = order[b]
+        p = np.arange(len(idx))
+        shape = (hi[idx] - lo[idx]).max(0)
+        start = np.minimum(lo[idx], np.subtract(domain.shape, shape))
+        off, stop = lo[idx] - start, hi[idx] - start
+        win = _windows(domain.interior, start, shape)
+        for a in (0, 1):
+            cut = (np.arange(shape[a]) >= off[:, a, None]) \
+                & (np.arange(shape[a]) < stop[:, a, None])
+            win &= cut[:, :, None] if a == 0 else cut[:, None, :]
+        # each halo cell's position in the flattened stack
+        cells = np.concatenate([halos[k] for k in idx])
+        at = np.repeat((p * shape[0] - start[:, 0]) * shape[1] - start[:, 1],
+                       [len(halos[k]) for k in idx])
+        at += cells[:, 0] * shape[1]
+        at += cells[:, 1]
+        cut = win.copy()
+        cut.reshape(-1)[at] = False
+        raw, count = ndimage.label(cut, structure=_STACK8)
+        # each window's labels follow the previous windows' ones
+        top = raw.reshape(len(idx), -1).max(1)
+        n = np.maximum(top - np.append(0, np.maximum.accumulate(top)[:-1]), 0)
+        ring = _ring(raw, off, stop)
+        ring_max = ring.max(1)
+        ring_min = np.where(ring > 0, ring, count + 1).min(1)
+        torn = np.zeros(len(idx), dtype=bool)
+        split = np.flatnonzero(ring_min < ring_max)
+        if len(split):
+            # a halo tears a window component when its ring cells get
+            # distinct labels; otherwise the window's ring labels merge
+            # into its least one
+            whole, _ = ndimage.label(win[split], structure=_STACK8)
+            whole = _ring(whole, off[split], stop[split])
+            ring, at = ring[split], np.repeat(split, ring.shape[1])
+            keep = ring.ravel() > 0
+            whole, ring, at = whole.ravel()[keep], ring.ravel()[keep], at[keep]
+            by = np.lexsort((ring, whole))
+            whole, ring, at = whole[by], ring[by], at[by]
+            torn[at[1:][(whole[1:] == whole[:-1]) & (ring[1:] != ring[:-1])]] \
+                = True
+            labs, once = np.unique(ring, return_index=True)
+            n[split] -= np.bincount(at[once], minlength=len(idx))[split] - 1
+            lut = np.arange(count + 1, dtype=raw.dtype)
+            lut[labs] = ring_min[at[once]]
+            raw[split] = lut[raw[split]]
+        inside = ((x0 >= lo[idx]) & (x0 < hi[idx])).all(1)
+        at = np.clip(x0 - start, 0, shape - 1)
+        lab_x0 = np.where(inside, raw[p, at[:, 0], at[:, 1]], 0)
+        pocket = (lab_x0 > 0) & (ring_max > 0) & (lab_x0 != ring_min)
+        lab0 = np.where(inside, lab_x0, np.where(ring_max > 0, ring_min, 0))
+        for t, k in enumerate(idx.tolist()):
+            if torn[t] or pocket[t]:
+                raw_k, n_k = ndimage.label(
+                    domain.interior & ~_cells_mask(domain.shape, halos[k]),
+                    structure=_STRUCT8)
+                yield (k, raw_k, n_k, int(raw_k[domain.x0]),
+                       np.zeros(2, dtype=np.int64))
+            else:
+                (i0, j0), (i1, j1) = off[t], stop[t]
+                yield k, raw[t, i0:i1, j0:j1], int(n[t]), int(lab0[t]), lo[k]
 
 
-def _halo_and_bq(domain: GridDomain, q: WhitneyCube, c0: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of the components, through the cube's centre cell, of the
-    domain inside the cube's c0- and 11/10*c0-dilated concentric boxes: its
-    halo and ``bq``.  A box is closed and a cell belongs when its center
-    lies inside.  Both are labelled in the window of the larger box: the
-    smaller box's cells lie inside it, and its extra cells fail their test.
+# a batch of stacked windows holds about this many cells, a 256 x 256
+# bitmap's worth: enough that a batch's fixed cost is small against its
+# labelling, few enough that its temporaries stay a few megabytes
+_WINDOW_CELLS = 1 << 16
+
+# 8-connectivity inside each window of a (windows, rows, cols) stack, and
+# none across windows
+_STACK8 = np.zeros((3, 3, 3), dtype=bool)
+_STACK8[1] = True
+
+
+def _windows(mask: np.ndarray, start: np.ndarray, shape) -> np.ndarray:
+    """The windows of the given shape of a mask at (n, 2) start cells, as a
+    stacked copy."""
+    return sliding_window_view(mask, tuple(shape))[start[:, 0], start[:, 1]]
+
+
+def _ring(stack: np.ndarray, off: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per window of a stack, in one row, the stack's rows and columns
+    through the border ring of the window's part [off, stop); entries off
+    that part are 0."""
+    p = np.arange(len(stack))
+    return np.concatenate([stack[p, off[:, 0]], stack[p, stop[:, 0] - 1],
+                           stack[p, :, off[:, 1]],
+                           stack[p, :, stop[:, 1] - 1]], axis=1)
+
+
+def _halos_and_bqs(domain: GridDomain, cubes: list[WhitneyCube], c0: float
+                   ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Per cube, the cells, in row order, of the components through its
+    centre cell of the domain inside its c0- and 11/10*c0-dilated concentric
+    boxes: its halo and ``bq``.  Also returns their bounding boxes, (2, n, 2,
+    2): per set (halo, then bq) and cube, its first and last cell.
+
+    A box is closed and a cell belongs when its centre lies inside, tested
+    elementwise on the box ``WhitneyCube.box`` computes.  The cubes of one
+    size share a window shape: the larger box's cell range, at most the
+    bitmap.  Each window is cut out of the bitmap so that it holds every
+    cell of the cube's larger box, and so of its smaller one; the windows'
+    other cells fail the box test.  Both boxes of a batch of cubes are
+    labelled in one stacked call.
     """
-    h = domain.h
-    small, big = q.box(h, c0), q.box(h, 1.1 * c0)
-    x0b, x1b, y0b, y1b = big
-    i0 = max(int(np.floor(x0b / h - 0.5)), 0)
-    i1 = min(int(np.ceil(x1b / h - 0.5)) + 1, domain.shape[0])
-    j0 = max(int(np.floor(y0b / h - 0.5)), 0)
-    j1 = min(int(np.ceil(y1b / h - 0.5)) + 1, domain.shape[1])
-    ii = (np.arange(i0, i1) + 0.5) * h
-    jj = (np.arange(j0, j1) + 0.5) * h
-    interior = domain.interior[i0:i1, j0:j1]
-    centre = np.subtract(q.center_cell(), (i0, j0))
-    out = []
-    for x0b, x1b, y0b, y1b in (small, big):
-        inside = np.outer((ii >= x0b) & (ii <= x1b), (jj >= y0b) & (jj <= y1b))
-        cells = np.argwhere(_component_at(inside & interior, centre))
-        if not len(cells):  # center not in the window (should not happen)
-            raise DomainError(f"cube {q.index} outside its own dilation window")
-        out.append(cells + (i0, j0))
-    return out[0], out[1]
+    h, n = domain.h, len(cubes)
+    out: list = [None] * (2 * n)
+    boxes = np.zeros((2, n, 2, 2), dtype=np.int64)
+    by_size = defaultdict(list)
+    for k, q in enumerate(cubes):
+        by_size[q.size].append(k)
+    for size, ks in by_size.items():
+        ks = np.array(ks)
+        corner = np.array([cubes[k].corner for k in ks])
+        mid = (corner + size / 2.0) * h
+        l = cubes[ks[0]].l
+        half = np.array([c0 * l / 2.0, 1.1 * c0 * l / 2.0])[:, None, None]
+        lo, hi = mid - half, mid + half  # (box, cube, axis)
+        low = np.floor(lo[1] / h - 0.5).astype(np.int64)
+        shape = np.minimum((np.ceil(hi[1] / h - 0.5).astype(np.int64) + 1
+                            - low).max(0), domain.shape)
+        start = np.clip(low, 0, np.subtract(domain.shape, shape))
+        centre = corner + (size - 1) // 2 - start
+        ok = []  # per box, cube and window row (column): inside the box
+        for a in (0, 1):
+            x = (start[:, a, None] + np.arange(shape[a]) + 0.5) * h
+            ok.append((x >= lo[:, :, a, None]) & (x <= hi[:, :, a, None]))
+        for b in _batches([2 * shape.prod()] * len(ks), _WINDOW_CELLS):
+            nb = len(ks[b])
+            stack = (_windows(domain.interior, start[b], shape)
+                     & ok[0][:, b, :, None] & ok[1][:, b, None, :])
+            raw, _ = ndimage.label(stack.reshape(2 * nb, *shape),
+                                   structure=_STACK8)
+            at = np.tile(centre[b], (2, 1))
+            lab = raw[np.arange(2 * nb), at[:, 0], at[:, 1]]
+            if not lab.all():  # should not happen
+                q = cubes[ks[b][np.flatnonzero(lab == 0)[0] % nb]]
+                raise DomainError(
+                    f"cube {q.index} outside its own dilation window")
+            keep = raw == lab[:, None, None]
+            # per set, its cells as np.argwhere lays them out, and its
+            # first and last row (column)
+            origin = np.tile(start[b], (2, 1))
+            pos = np.concatenate([ks[b], ks[b] + n]).tolist()
+            for p, w, o in zip(pos, keep, origin.tolist()):
+                out[p] = np.argwhere(w) + o
+            for a, seen in enumerate((keep.any(2), keep.any(1))):
+                ends = np.stack([seen.argmax(1), seen.shape[1] - 1
+                                 - seen[:, ::-1].argmax(1)], axis=1)
+                boxes[..., a][:, ks[b]] = (ends + origin[:, a, None]
+                                           ).reshape(2, nb, 2)
+    return out[:n], out[n:], boxes
 
 
 @dataclass
@@ -253,13 +377,13 @@ class CoreTentacleDecomposition:
             if l_min - 1e-12 <= dec.cubes[i].l < l_cap - 1e-12
         ]
 
-        self.halo: dict[int, np.ndarray] = {}
-        self.bq: dict[int, np.ndarray] = {}
-        for i in self.P1:
-            self.halo[i], self.bq[i] = _halo_and_bq(dom, dec.cubes[i], self.c0)
+        halos, bqs, boxes = _halos_and_bqs(
+            dom, [dec.cubes[i] for i in self.P1], self.c0)
+        self.halo: dict[int, np.ndarray] = dict(zip(self.P1, halos))
+        self.bq: dict[int, np.ndarray] = dict(zip(self.P1, bqs))
 
         # pruning: drop band cubes whose neighborhood is blocked by another
-        self.P_minus = self._prune()
+        self.P_minus = self._prune(boxes)
         pruned = set(self.P_minus)
         self.P = [i for i in self.P1 if i not in pruned]
 
@@ -306,14 +430,15 @@ class CoreTentacleDecomposition:
 
         self._group()
 
-    def _prune(self) -> list[int]:
-        band = self.P1
+    def _prune(self, boxes: np.ndarray) -> list[int]:
+        """Band cubes whose ``bq`` some other band cube's halo cuts off the
+        base point's component; ``boxes`` as ``_halos_and_bqs`` gives."""
+        band, bqs = self.P1, list(self.bq.values())
         centre = np.array([self.dec.cubes[q].center_cell() for q in band])
-        lo = np.array([self.bq[q].min(axis=0) for q in band])
-        hi = np.array([self.bq[q].max(axis=0) for q in band])
+        lo, hi = boxes[1, :, 0], boxes[1, :, 1]
         blocked = np.zeros(len(band), dtype=bool)
-        for k, qp in enumerate(band):
-            raw, n, lab0, origin = _window_cut(self.domain, self.halo[qp])
+        for k, raw, n, lab0, origin in _window_cut(
+                self.domain, list(self.halo.values()), boxes[0]):
             if not lab0 or n <= 1:
                 continue  # swallows the base point, or disconnects nothing
             # only a neighbourhood inside the labelled extent can lie off
@@ -324,10 +449,20 @@ class CoreTentacleDecomposition:
             inside[k] = False
             idx = np.flatnonzero(inside)
             ci, cj = (centre[idx] - origin).T
-            for t in idx[raw[ci, cj] != lab0]:
-                cells = self.bq[band[t]] - origin
-                if _cut_off(raw, lab0, tuple(cells.T)):
-                    blocked[t] = True
+            idx = idx[raw[ci, cj] != lab0].tolist()
+            if not idx:
+                continue
+            # cut off: some bq cells lie off the halo (label 0), and none
+            # carries the base label; read in batches of cells small enough
+            # to stay in cache
+            sizes = [len(bqs[t]) for t in idx]
+            for b in _batches(sizes, _WINDOW_CELLS // 4):
+                cells = np.concatenate([bqs[t] for t in idx[b]]) - origin
+                labs = raw[cells[:, 0], cells[:, 1]]
+                first = np.cumsum(sizes[b]) - sizes[b]
+                cut = np.logical_or.reduceat(labs > 0, first)
+                cut &= ~np.logical_or.reduceat(labs == lab0, first)
+                blocked[np.array(idx[b])[cut]] = True
         return [q for q, b in zip(band, blocked) if b]
 
     def _group(self) -> None:

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from qhlab import gallery
-from qhlab.grid import DomainError, GridDomain, _STRUCT8, components
+from qhlab import decomposition, gallery
+from qhlab.grid import (DomainError, GridDomain, _STRUCT8, _component_at,
+                        components)
 from qhlab.qh import QhMetric
 from qhlab.whitney import whitney_decompose
 from qhlab.decomposition import (
     _cells_mask,
-    _cut_off,
     _window_cut,
     build_core_tentacle,
     chain_pair_classes,
@@ -150,6 +150,17 @@ def test_dumbbell_has_one_tentacle(dumbbell_ctx):
     assert g.assigned_cube == min(g.cubes)
     assert g.cubes <= set(ct.P)
     assert sorted(set(ct.Um) | g.cubes) == sorted(ct.P)
+
+
+def _cut_off(raw, lab0, where):
+    """Do the cells ``where`` (a mask or an index tuple) lie off the base
+    point's label ``lab0`` of the raw labels ``raw``?  None (degenerate)
+    when every cell is removed (label 0)."""
+    labs = raw[where]
+    labs = labs[labs > 0]
+    if not len(labs):
+        return None
+    return bool((labs != lab0).all())
 
 
 def _halo_cut(ct, cubes):
@@ -471,32 +482,103 @@ def _prune_reference(ct):
     return sorted(blocked)
 
 
+def _boxes(cell_sets):
+    """Each (n, 2) cell set's first and last cell, (sets, 2, 2)."""
+    return np.array([[c.min(0), c.max(0)] for c in cell_sets],
+                    dtype=np.int64).reshape(-1, 2, 2)
+
+
 def _prune_paths(ct):
     """Per cutter: None for the whole-bitmap label, else whether the base
     point lies inside the cutter's window (and off its halo)."""
-    out = []
-    for qp in ct.P1:
-        raw, _, lab0, origin = _window_cut(ct.domain, ct.halo[qp])
-        if raw.shape == ct.domain.shape:
-            out.append(None)
-        else:
+    halos = list(ct.halo.values())
+    out, seen = [None] * len(halos), []
+    for k, raw, _, lab0, origin in _window_cut(ct.domain, halos,
+                                               _boxes(halos)):
+        seen.append(k)
+        if raw.shape != ct.domain.shape:
             x0 = np.subtract(ct.domain.x0, origin)
-            out.append(bool(lab0) and bool(((x0 >= 0) & (x0 < raw.shape)).all()))
+            out[k] = bool(lab0) and bool(((x0 >= 0) & (x0 < raw.shape)).all())
+    assert sorted(seen) == list(range(len(halos)))
     return out
 
 
+def _halo_and_bq_reference(domain, q, c0):
+    """Cells of the components, through the cube's centre cell, of the
+    domain inside the cube's c0- and 11/10*c0-dilated concentric boxes, one
+    cube at a time: each box's cells tested in the larger box's window,
+    clipped to the bitmap, and labelled on it."""
+    h = domain.h
+    small, big = q.box(h, c0), q.box(h, 1.1 * c0)
+    x0b, x1b, y0b, y1b = big
+    i0 = max(int(np.floor(x0b / h - 0.5)), 0)
+    i1 = min(int(np.ceil(x1b / h - 0.5)) + 1, domain.shape[0])
+    j0 = max(int(np.floor(y0b / h - 0.5)), 0)
+    j1 = min(int(np.ceil(y1b / h - 0.5)) + 1, domain.shape[1])
+    ii = (np.arange(i0, i1) + 0.5) * h
+    jj = (np.arange(j0, j1) + 0.5) * h
+    interior = domain.interior[i0:i1, j0:j1]
+    centre = np.subtract(q.center_cell(), (i0, j0))
+    out = []
+    for x0b, x1b, y0b, y1b in (small, big):
+        inside = np.outer((ii >= x0b) & (ii <= x1b), (jj >= y0b) & (jj <= y1b))
+        cells = np.argwhere(_component_at(inside & interior, centre))
+        assert len(cells)
+        out.append(cells + (i0, j0))
+    return out
+
+
+def _assert_halos_equal_reference(domain, cubes, c0, halos, bqs, boxes=None):
+    """Each cube's halo and bq equal the per-cube reference, cell for cell
+    and in row order, and ``boxes`` their first and last cells."""
+    assert len(halos) == len(bqs) == len(cubes)
+    for k, q in enumerate(cubes):
+        for s, (got, want) in enumerate(zip(
+                (halos[k], bqs[k]), _halo_and_bq_reference(domain, q, c0))):
+            assert got.dtype == want.dtype and np.array_equal(got, want), q
+            if boxes is not None:
+                assert np.array_equal(boxes[s, k], _boxes([want])[0])
+
+
+def _record_bands(monkeypatch):
+    """Record each ``_halos_and_bqs`` call a build makes, even one whose
+    level then raises: (cubes, c0, halos, bqs, boxes)."""
+    calls, real = [], decomposition._halos_and_bqs
+
+    def record(domain, cubes, c0):
+        out = real(domain, cubes, c0)
+        calls.append((cubes, c0, *out))
+        return out
+    monkeypatch.setattr(decomposition, "_halos_and_bqs", record)
+    return calls
+
+
+def _assert_level_halos(ct):
+    """The level's halo and bq dicts run in P1 order and equal the per-cube
+    reference."""
+    assert list(ct.halo) == list(ct.bq) == ct.P1
+    _assert_halos_equal_reference(
+        ct.domain, [ct.dec.cubes[q] for q in ct.P1], ct.c0,
+        list(ct.halo.values()), list(ct.bq.values()))
+
+
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
-def test_prune_equals_whole_domain_loop(name):
+def test_prune_equals_whole_domain_loop(name, monkeypatch):
     dom = gallery.make(name, h=1 / 128)
     qh, dec = QhMetric(dom), whitney_decompose(dom)
     paths = []
+    calls = _record_bands(monkeypatch)
     for m in range(5, 10):
         try:
             ct = build_core_tentacle(dec, qh, m)
         except DomainError:
             continue  # not constructible at this level
+        _assert_level_halos(ct)
         assert ct.P_minus == _prune_reference(ct)
         paths += _prune_paths(ct)
+    # every level's halos, those of levels that then raise included
+    for cubes, c0, *out in calls:
+        _assert_halos_equal_reference(dom, cubes, c0, *out)
     if name in ("spiral", "dumbbell", "slit_disk"):
         assert None in paths  # split windows: the whole-domain label
     if name != "punctured_square":  # its only level has an empty band
@@ -513,6 +595,55 @@ def test_prune_equals_whole_domain_loop_finer(name, h, m, c0):
     assert None in paths and False in paths
     if name == "slit_disk":
         assert True in paths  # the base point inside a decided window
+
+
+@pytest.mark.parametrize("name, h, levels", [
+    ("disk", 1 / 256, (6, 7)), ("dumbbell", 1 / 256, (6, 7)),
+    ("disk", 1 / 100, (5, 6, 7)), ("dumbbell", 1 / 100, (5, 6, 7))])
+def test_halos_equal_per_cube_reference(name, h, levels, monkeypatch):
+    """Finer and non-dyadic grids: the box test stays elementwise, so a
+    non-dyadic h gives the same cells as the per-cube construction."""
+    dom = gallery.make(name, h=h)
+    qh, dec = QhMetric(dom), whitney_decompose(dom)
+    calls = _record_bands(monkeypatch)
+    for m in levels:
+        try:
+            ct = build_core_tentacle(dec, qh, m)
+        except DomainError:
+            continue
+        _assert_level_halos(ct)
+        assert ct.P_minus == _prune_reference(ct)
+    assert len(calls) == len(levels)
+    for cubes, c0, *out in calls:
+        _assert_halos_equal_reference(dom, cubes, c0, *out)
+
+
+@pytest.mark.parametrize("name, m", [("dumbbell", 7), ("punctured_square", 9)])
+def test_window_batches_change_no_output(name, m, monkeypatch):
+    """Batches of one window, and of a few, give the same level as the
+    default budget; punctured_square's level has an empty band."""
+    dom = gallery.make(name, h=1 / 128)
+    qh, dec = QhMetric(dom), whitney_decompose(dom)
+    want = build_core_tentacle(dec, qh, m)
+    real = decomposition._batches
+    for budget in (0, 1000):
+        splits = []
+
+        def batches(sizes, most, padded=False):
+            out = list(real(sizes, most, padded))
+            splits.append((len(sizes), len(out)))
+            return out
+        monkeypatch.setattr(decomposition, "_WINDOW_CELLS", budget)
+        monkeypatch.setattr(decomposition, "_batches", batches)
+        got = build_core_tentacle(dec, qh, m)
+        assert got.as_dict() == want.as_dict()
+        assert got.P_minus == want.P_minus
+        assert list(got.halo) == list(want.halo) == want.P1
+        for q in want.P1:
+            assert np.array_equal(got.halo[q], want.halo[q])
+            assert np.array_equal(got.bq[q], want.bq[q])
+        assert all(b > 1 for n, b in splits if n > 1)
+        assert (max((n for n, _ in splits), default=0) > 1) == bool(want.P1)
 
 
 def _members_reference(ct):
@@ -556,8 +687,9 @@ def _rooms_and_corridors(rooms, corridors) -> GridDomain:
                                     st.integers(1, 3)), max_size=3))
 def test_prune_and_groups_on_generated_domains(rooms, corridors):
     """On rooms joined by corridors, every level m = 3..9 that can be built
-    with c0 = 10 or 14 prunes as the whole-bitmap loop does, and assigns
-    each thin component as the full-mask test on whole-bitmap labels does."""
+    with c0 = 10 or 14 has the per-cube halos and bq, prunes as the
+    whole-bitmap loop does, and assigns each thin component as the
+    full-mask test on whole-bitmap labels does."""
     dom = _rooms_and_corridors(rooms, corridors)
     qh, dec = QhMetric(dom), whitney_decompose(dom)
     for c0 in (10.0, 14.0):
@@ -566,9 +698,35 @@ def test_prune_and_groups_on_generated_domains(rooms, corridors):
                 ct = build_core_tentacle(dec, qh, m, c0)
             except DomainError:
                 continue
+            _assert_level_halos(ct)
             assert ct.P_minus == _prune_reference(ct), (c0, m)
             assert [g.members for g in ct.groups] \
                 == _members_reference(ct), (c0, m)
+
+
+def _assert_window_cuts_exact(dom, halos):
+    """``_window_cut`` of the halos in one call: each halo yielded once,
+    with the component count, base label and off-base cells of the whole
+    bitmap's label.  Returns the halos whose window decided."""
+    seen, decided = [], []
+    for k, raw, n_w, lab0_w, origin in _window_cut(dom, halos, _boxes(halos)):
+        seen.append(k)
+        ref, n = ndimage.label(
+            dom.interior & ~_cells_mask(dom.shape, halos[k]),
+            structure=_STRUCT8)
+        lab0 = ref[dom.x0]
+        assert n_w == n and bool(lab0_w) == bool(lab0), k
+        # the window labels the interior cells off the base component exactly
+        win = np.zeros(dom.shape, dtype=bool)
+        i0, j0 = origin
+        win[i0:i0 + raw.shape[0], j0:j0 + raw.shape[1]] = \
+            (raw > 0) & (raw != lab0_w)
+        if lab0:
+            assert np.array_equal(win, (ref > 0) & (ref != lab0)), k
+        if raw.shape != dom.shape:
+            decided.append(k)
+    assert sorted(seen) == list(range(len(halos)))
+    return decided
 
 
 @settings(max_examples=200, deadline=None)
@@ -586,28 +744,42 @@ def test_window_cut_equals_whole_domain_label(shape, seed, density, data):
     pick = data.draw(st.integers(0, len(cells) - 1))
     dom = GridDomain(bitmap, 1 / 16, tuple(cells[pick]), trim=True)
     inner = np.argwhere(dom.interior)
-    # a halo: the interior cells of a box frame around an interior cell (a
-    # full box when the frame is thick), so that it may enclose pockets
-    ci, cj = inner[data.draw(st.integers(0, len(inner) - 1))]
-    r = data.draw(st.integers(0, 8))
-    t = data.draw(st.integers(1, r + 1))
-    box = np.zeros(dom.shape, dtype=bool)
-    box[max(ci - r, 0):ci + r + 1, max(cj - r, 0):cj + r + 1] = True
-    box[max(ci - r + t, 0):max(ci + r - t + 1, 0),
-        max(cj - r + t, 0):max(cj + r - t + 1, 0)] = False
-    halo = np.argwhere(box & dom.interior)
-    if not len(halo):
-        return
-    ref, n = ndimage.label(dom.interior & ~_cells_mask(dom.shape, halo),
-                           structure=_STRUCT8)
-    lab0 = ref[dom.x0]
-    raw, n_w, lab0_w, origin = _window_cut(dom, halo)
-    assert n_w == n and bool(lab0_w) == bool(lab0)
-    # the window labels the interior cells off the base component exactly
-    off = (ref > 0) & (ref != lab0)
-    win = np.zeros(dom.shape, dtype=bool)
-    i0, j0 = origin
-    win[i0:i0 + raw.shape[0], j0:j0 + raw.shape[1]] = \
-        (raw > 0) & (raw != lab0_w)
-    if lab0:
-        assert np.array_equal(win, off)
+    # one to three halos, cut in one call: each the interior cells of a box
+    # frame around an interior cell (a full box when the frame is thick),
+    # so that it may enclose pockets
+    halos = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        ci, cj = inner[data.draw(st.integers(0, len(inner) - 1))]
+        r = data.draw(st.integers(0, 8))
+        t = data.draw(st.integers(1, r + 1))
+        box = np.zeros(dom.shape, dtype=bool)
+        box[max(ci - r, 0):ci + r + 1, max(cj - r, 0):cj + r + 1] = True
+        box[max(ci - r + t, 0):max(ci + r - t + 1, 0),
+            max(cj - r + t, 0):max(cj + r - t + 1, 0)] = False
+        halo = np.argwhere(box & dom.interior)
+        if len(halo):
+            halos.append(halo)
+    if halos:
+        _assert_window_cuts_exact(dom, halos)
+
+
+def test_window_cut_joins_arms_and_skips_empty_windows():
+    """Two cases the generated domains seldom reach.  A frame across both
+    arms of a U, which join below the window, splits neither arm: the
+    window decides, with its two ring labels as one component and a pocket
+    in each arm.  A window left with no cell (its halo holds the whole
+    room) between two others in one batch: the windows after it count
+    their own components only."""
+    u = np.zeros((26, 18), dtype=bool)
+    u[1:25, 1:7] = u[1:25, 11:17] = u[19:25, 1:17] = True
+    dom = GridDomain(u, 1 / 16, (22, 8))
+    frame = np.zeros(u.shape, dtype=bool)
+    frame[6:13, 3:15] = True
+    frame[7:12, 4:14] = False
+    halo = np.argwhere(frame & dom.interior)
+    assert _assert_window_cuts_exact(dom, [halo]) == [0]
+    room = np.zeros((7, 7), dtype=bool)
+    room[1:5, 1:5] = True
+    dom = GridDomain(room, 1 / 16, (3, 3))
+    halos = [np.array([[2, 2]]), np.argwhere(room), np.array([[1, 1], [4, 4]])]
+    assert _assert_window_cuts_exact(dom, halos) == [0, 1, 2]
