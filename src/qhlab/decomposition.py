@@ -30,7 +30,7 @@ from .grid import (DomainError, GridDomain, components, _STRUCT8,
                    _component_at, _walk)
 from .properties import PropertyReport
 from .qh import QhMetric, search_limits
-from .whitney import WhitneyCube, WhitneyDecomposition
+from .whitney import WhitneyDecomposition
 
 
 def rectangle_cover(cell_sets: list[np.ndarray], shape: tuple[int, int]
@@ -113,8 +113,8 @@ def core_mask_at_level(dec: WhitneyDecomposition, level: float) -> np.ndarray:
     point's cube is smaller."""
     l_min = 2.0 ** (-level)
     # per cube; the extra last entry answers cell_cube's -1
-    big = np.array([not q.flagged and q.l >= l_min - 1e-12
-                    for q in dec.cubes] + [False])
+    q = dec.cubes
+    big = np.append(~q.flagged & (q.l >= l_min - 1e-12), False)
     return _component_at(big[dec.cell_cube], dec.domain.x0)
 
 
@@ -243,39 +243,37 @@ def _ring(stack: np.ndarray, off: np.ndarray, stop: np.ndarray) -> np.ndarray:
                            stack[p, :, stop[:, 1] - 1]], axis=1)
 
 
-def _halos_and_bqs(domain: GridDomain, cubes: list[WhitneyCube], c0: float
+def _halos_and_bqs(dec: WhitneyDecomposition, cubes: list[int], c0: float
                    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Per cube, the cells, in row order, of the components through its
-    centre cell of the domain inside its c0- and 11/10*c0-dilated concentric
-    boxes: its halo and ``bq``.  Also returns their bounding boxes, (2, n, 2,
-    2): per set (halo, then bq) and cube, its first and last cell.
+    """Per Whitney cube of ``cubes``, the cells, in row order, of the
+    components through its centre cell of the domain inside its c0- and
+    11/10*c0-dilated concentric boxes: its halo and ``bq``.  Also returns
+    their bounding boxes, (2, n, 2, 2): per set (halo, then bq) and cube,
+    its first and last cell.
 
     A box is closed and a cell belongs when its centre lies inside, tested
-    elementwise on the box ``WhitneyCube.box`` computes.  The cubes of one
-    size share a window shape: the larger box's cell range, at most the
-    bitmap.  Each window is cut out of the bitmap so that it holds every
-    cell of the cube's larger box, and so of its smaller one; the windows'
-    other cells fail the box test.  Both boxes of a batch of cubes are
-    labelled in one stacked call.
+    elementwise on the boxes ``WhitneyDecomposition.boxes`` gives.  The
+    cubes of one side share a window shape: the larger box's cell range, at
+    most the bitmap.  Each window is cut out of the bitmap so that it holds
+    every cell of the cube's larger box, and so of its smaller one; the
+    windows' other cells fail the box test.  Both boxes of a batch of cubes
+    are labelled in one stacked call.
     """
-    h, n = domain.h, len(cubes)
+    domain, h, n = dec.domain, dec.domain.h, len(cubes)
+    cubes = np.asarray(cubes, dtype=np.int64)
     out: list = [None] * (2 * n)
     boxes = np.zeros((2, n, 2, 2), dtype=np.int64)
-    by_size = defaultdict(list)
-    for k, q in enumerate(cubes):
-        by_size[q.size].append(k)
-    for size, ks in by_size.items():
-        ks = np.array(ks)
-        corner = np.array([cubes[k].corner for k in ks])
-        mid = (corner + size / 2.0) * h
-        l = cubes[ks[0]].l
-        half = np.array([c0 * l / 2.0, 1.1 * c0 * l / 2.0])[:, None, None]
-        lo, hi = mid - half, mid + half  # (box, cube, axis)
+    side = dec.cubes.side[cubes]
+    for s in dict.fromkeys(side.tolist()):
+        ks = np.flatnonzero(side == s)
+        box = np.stack([dec.boxes(cubes[ks], c0),
+                        dec.boxes(cubes[ks], 1.1 * c0)])
+        lo, hi = box[..., 0::2], box[..., 1::2]  # (box, cube, axis)
         low = np.floor(lo[1] / h - 0.5).astype(np.int64)
         shape = np.minimum((np.ceil(hi[1] / h - 0.5).astype(np.int64) + 1
                             - low).max(0), domain.shape)
         start = np.clip(low, 0, np.subtract(domain.shape, shape))
-        centre = corner + (size - 1) // 2 - start
+        centre = dec.centre_cells(cubes[ks]) - start
         ok = []  # per box, cube and window row (column): inside the box
         for a in (0, 1):
             x = (start[:, a, None] + np.arange(shape[a]) + 0.5) * h
@@ -291,7 +289,7 @@ def _halos_and_bqs(domain: GridDomain, cubes: list[WhitneyCube], c0: float
             if not lab.all():  # should not happen
                 q = cubes[ks[b][np.flatnonzero(lab == 0)[0] % nb]]
                 raise DomainError(
-                    f"cube {q.index} outside its own dilation window")
+                    f"cube {q} outside its own dilation window")
             keep = raw == lab[:, None, None]
             # per set, its cells as np.argwhere lays them out, and its
             # first and last row (column)
@@ -372,15 +370,20 @@ class CoreTentacleDecomposition:
         # per cube: in W1; the extra last entry answers cell_cube's -1
         self._in_w1 = np.zeros(len(dec.cubes) + 1, dtype=bool)
         self._in_w1[self.W1] = True
-        self.P1 = [
-            i for i in self.W1
-            if l_min - 1e-12 <= dec.cubes[i].l < l_cap - 1e-12
-        ]
+        l = dec.cubes.l[self.W1]
+        self.P1 = np.asarray(self.W1)[
+            (l_min - 1e-12 <= l) & (l < l_cap - 1e-12)].tolist()
 
-        halos, bqs, boxes = _halos_and_bqs(
-            dom, [dec.cubes[i] for i in self.P1], self.c0)
+        halos, bqs, boxes = _halos_and_bqs(dec, self.P1, self.c0)
         self.halo: dict[int, np.ndarray] = dict(zip(self.P1, halos))
         self.bq: dict[int, np.ndarray] = dict(zip(self.P1, bqs))
+        # a band halo holding the base point swallows it: no other halo can
+        # cut that cube's bq, which holds the base point too, off it
+        x0 = np.array(dom.x0)
+        near = ((boxes[0, :, 0] <= x0) & (x0 <= boxes[0, :, 1])).all(1)
+        if any((halos[k] == x0).all(1).any() for k in np.flatnonzero(near)):
+            raise DomainError("base point swallowed by a blocking "
+                              "neighborhood; increase m or decrease c0")
 
         # pruning: drop band cubes whose neighborhood is blocked by another
         self.P_minus = self._prune(boxes)
@@ -389,11 +392,6 @@ class CoreTentacleDecomposition:
 
         # components of the domain minus the closed halos of the pruned band
         removed = _cells_mask(dom.shape, *(self.halo[i] for i in self.P))
-        if removed[dom.x0]:
-            raise DomainError(
-                "base point swallowed by a blocking neighborhood; "
-                "increase m or decrease c0"
-            )
         self.comp_labels = components(dom, removed)
         n_comp = int(self.comp_labels.max()) + 1
 
@@ -418,8 +416,7 @@ class CoreTentacleDecomposition:
         # relabel: thick components are those all of whose incident Whitney
         # cubes are unflagged with l >= 2^-(m-2); the base component is
         # always thick
-        thin_cube = np.array([q.flagged or q.l < l_cap - 1e-12
-                              for q in dec.cubes])
+        thin_cube = dec.cubes.flagged | (dec.cubes.l < l_cap - 1e-12)
         cells = (self.comp_labels >= 0) & (dec.cell_cube >= 0)
         thin = np.zeros(n_comp, dtype=bool)
         thin[self.comp_labels[cells][thin_cube[dec.cell_cube[cells]]]] = True
@@ -434,13 +431,13 @@ class CoreTentacleDecomposition:
         """Band cubes whose ``bq`` some other band cube's halo cuts off the
         base point's component; ``boxes`` as ``_halos_and_bqs`` gives."""
         band, bqs = self.P1, list(self.bq.values())
-        centre = np.array([self.dec.cubes[q].center_cell() for q in band])
+        centre = self.dec.centre_cells(band)
         lo, hi = boxes[1, :, 0], boxes[1, :, 1]
         blocked = np.zeros(len(band), dtype=bool)
         for k, raw, n, lab0, origin in _window_cut(
                 self.domain, list(self.halo.values()), boxes[0]):
-            if not lab0 or n <= 1:
-                continue  # swallows the base point, or disconnects nothing
+            if n <= 1:
+                continue  # disconnects nothing (no halo holds the base point)
             # only a neighbourhood inside the labelled extent can lie off
             # the base label, and not when its centre cell (bq is the
             # component through it) carries that label
@@ -618,9 +615,7 @@ class CoreTentacleDecomposition:
         """Face-adjacent cube chain following the quasihyperbolic geodesic
         between the two cube centers; symmetric in its arguments."""
         a, b = min(q1, q2), max(q1, q2)
-        ca = self.dec.cubes[a].center_cell()
-        cb = self.dec.cubes[b].center_cell()
-        geo = self.qh.geodesic(ca, cb)
+        geo = self.qh.geodesic(*self.dec.centre_cells([a, b]))
         raw = self.dec.cell_cube[tuple(self.domain.node_cells[geo.nodes].T)]
         seq = raw[np.append(True, raw[1:] != raw[:-1])].tolist()
         # repair: 16-neighbor moves can hop over a face neighbor
@@ -669,13 +664,6 @@ class CoreTentacleDecomposition:
             shape=(len(band), self.domain.interior.size))
         a, b = sparse.triu(B @ B.T, k=1).nonzero()
         return sorted((band[i], band[j]) for i, j in zip(a, b))
-
-    # -- quasihyperbolic distances between cubes ----------------------------
-
-    def _cube_nodes(self, qidx: int) -> np.ndarray:
-        """Graph nodes of a Whitney cube's interior cells, row-major."""
-        nodes = self.domain.cell_node[self.dec.cubes[qidx].cell_slices()]
-        return nodes[nodes >= 0]
 
 
 def build_core_tentacle(
@@ -766,7 +754,9 @@ def verify_distance_lemmas(ct: CoreTentacleDecomposition) -> PropertyReport:
     # reached node, whose minimum is then exact; a path through the base
     # point bounds the limit needed.
     root = ct.qh.radial_tree().dist
-    cube_nodes = cache(ct._cube_nodes)
+    # a cube's graph nodes, row-major: its cells are interior
+    cell_node = ct.domain.cell_node
+    cube_nodes = cache(lambda q: cell_node[tuple(ct.dec.cube_cells(q).T)])
     maxima = [0.0, 0.0, 0.0]
     for qa, targets in queries.items():
         sources = cube_nodes(qa)

@@ -156,14 +156,12 @@ def fit_polynomial(field, cells: np.ndarray, k: int,
 def fit_cubes(field, dec, cubes, k: int) -> tuple[Polynomials, dict[int, int]]:
     """The field's degree-(k-1) fits on the Whitney cubes ``cubes`` as one
     set of rows, and each cube's row.  One ``fit_polynomial`` call per cube
-    size fits that size's cubes, each from its cells in ``cube_cells``
+    side fits that side's cubes, each from its cells in ``cube_cells``
     order, so every row is bitwise the fit of its cube alone."""
-    by_size: dict[int, list[int]] = {}
-    for q in dict.fromkeys(cubes):
-        by_size.setdefault(dec.cubes[q].size, []).append(q)
-    blocks = [np.array([dec.cubes[q].corner for q in qs])[:, None]
-              + np.argwhere(np.ones((size, size), dtype=bool))
-              for size, qs in by_size.items()]
+    cubes = np.array(list(dict.fromkeys(cubes)), dtype=np.int64)
+    side = dec.cubes.side[cubes]
+    by_side = [cubes[side == s] for s in dict.fromkeys(side.tolist())]
+    blocks = [dec.cube_cells(qs) for qs in by_side]
     # no cubes: one batch of no cell sets, so zero rows
     fits = [fit_polynomial(field, cells, k, dec.domain.h)
             for cells in blocks or [np.empty((0, 1, 2), dtype=int)]]
@@ -175,7 +173,7 @@ def fit_cubes(field, dec, cubes, k: int) -> tuple[Polynomials, dict[int, int]]:
          for a in fits[0].residuals},
         [np.concatenate([f.scale_powers[n] for f in fits])
          for n in range(k + 1)])
-    order = [q for qs in by_size.values() for q in qs]
+    order = [q for qs in by_side for q in qs.tolist()]
     return rows, {q: i for i, q in enumerate(order)}
 
 
@@ -187,7 +185,8 @@ def norm_equivalence_check(dec, k: int, p: float,
     rng = np.random.default_rng(seed)
     dom = dec.domain
     rep = PropertyReport("norm_equivalence", 1.0, seed=seed, resolution=dom.h)
-    unflagged = [q.index for q in dec.cubes if not q.flagged and q.size >= 2]
+    l = dec.cubes.l
+    unflagged = np.flatnonzero(~dec.cubes.flagged & (dec.cubes.side >= 2))
     idx = rng.choice(len(unflagged), size=min(_NORM_CUBES, len(unflagged)),
                      replace=False)
     for qi in (unflagged[i] for i in idx):
@@ -199,7 +198,7 @@ def norm_equivalence_check(dec, k: int, p: float,
             f = cells[rng.choice(nq, size=min(nq, keep + rng.integers(0, nq - keep + 1)), replace=False)]
             coeffs = {a: np.array([rng.normal()]) for a in multi_indices(k - 1)}
             center = (cells.mean(0) + 0.5) * dom.h
-            scale = dec.cubes[qi].l
+            scale = float(l[qi])
             poly = Polynomials(coeffs, center[None], np.array([scale]), k, {},
                                [np.array([scale ** n]) for n in range(k + 1)])
             ne, nf = (_lp_norm(poly.jets(0, *_points_of_cells(sub, dom.h),
@@ -239,13 +238,14 @@ def chaining_check(ct, field, k: int, p: float, max_pairs: int = 60,
     polys, row = fit_cubes(field, dec, [q for pair in pairs for q in pair], k)
     alphas = multi_indices(k - 1)
     top = [a for a in multi_indices(k) if sum(a) == k]
+    l = dec.cubes.l
     for q1, q2 in pairs:
         chain = ct.chain(q1, q2)
         px, py = _points_of_cells(
             np.concatenate([dec.cube_cells(q) for q in chain]), dom.h)
         grad_k = sum(np.abs(field.derivative(a, px, py)) ** p for a in top)
         rhs_norm = float(grad_k.sum() * dom.h ** 2) ** (1.0 / p)
-        l1 = dec.cubes[q1].l
+        l1 = float(l[q1])
         px, py = _points_of_cells(dec.cube_cells(q1), dom.h)
         j1, j2 = (polys.jets(row[q], px, py, alphas) for q in (q1, q2))
         for alpha in alphas:

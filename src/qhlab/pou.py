@@ -501,8 +501,8 @@ def _cube_boxes(ct: CoreTentacleDecomposition, cubes: list[int]) -> list:
     h = ct.domain.h
     owner, i0, j0, ni, nj = rectangle_cover([ct.halo[q] for q in cubes],
                                             ct.domain.shape)
-    allowed = np.array([ct.dec.cubes[q].box(h, 1.1 * ct.c0) for q in cubes])
-    ramp = np.array([0.05 * ct.c0 * ct.dec.cubes[q].l for q in cubes])[owner]
+    allowed = ct.dec.boxes(cubes, 1.1 * ct.c0)
+    ramp = (0.05 * ct.c0 * ct.dec.cubes.l[cubes])[owner]
 
     def w(gap):
         return np.maximum(np.minimum(ramp, gap + 0.5 * h), 0.25 * h)

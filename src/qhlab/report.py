@@ -239,21 +239,19 @@ def _tolist(obj):
 
 # -- pipeline stages ---------------------------------------------------------
 
-def stage_gallery(cfg: ExperimentConfig, em: Emitter,
-                  dom: GridDomain) -> None:
+def stage_gallery(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
+                  extent: tuple[float, float]) -> None:
     em.write_json("domain.json", {
         "name": dom.name, "h": dom.h, "shape": list(dom.shape),
         "interior_cells": int(dom.interior.sum()),
         "x0": list(dom.x0),
         "max_boundary_distance": float(dom.dist.max()),
     })
-    extent = (dom.shape[0] * dom.h, dom.shape[1] * dom.h)
     em.write_svg("domain.svg", svg.domain_layers(dom), extent)
 
 
 def stage_metrics(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
-                  qh: QhMetric) -> None:
-    pairs = sample_pairs(dom, cfg.n_pairs, cfg.seed)
+                  qh: QhMetric, pairs, extent: tuple[float, float]) -> None:
     geos = pair_geodesics(qh, pairs)
     em.write_json("geodesics.json", [g.as_dict() for g in geos])
     delta = estimate_delta(qh, cfg.n_triangles, cfg.seed)
@@ -262,7 +260,6 @@ def stage_metrics(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
         "seed": delta.seed, "argmax": delta.argmax,
         "per_triangle": delta.per_triangle,
     })
-    extent = (dom.shape[0] * dom.h, dom.shape[1] * dom.h)
     layers = svg.domain_layers(dom) + [svg.geodesic_layer(geos)]
     if delta.argmax is not None:
         layers.append(svg.triangle_layer(qh, delta.argmax))
@@ -271,8 +268,7 @@ def stage_metrics(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
 
 
 def stage_properties(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
-                     qh: QhMetric) -> None:
-    pairs = sample_pairs(dom, cfg.n_pairs, cfg.seed)
+                     qh: QhMetric, pairs) -> None:
     geos = pair_geodesics(qh, pairs[: max(4, cfg.n_pairs // 4)])
     reports = [
         check_ball_separation(qh, geos, seed=cfg.seed),
@@ -294,8 +290,7 @@ def stage_properties(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
 
 
 def stage_decompose(cfg: ExperimentConfig, em: Emitter, dom: GridDomain,
-                    dec, levels) -> None:
-    extent = (dom.shape[0] * dom.h, dom.shape[1] * dom.h)
+                    dec, levels, extent: tuple[float, float]) -> None:
     em.write_svg("whitney.svg", svg.whitney_layers(dec), extent)
     rows = []
     for m, ct in levels:
@@ -375,19 +370,22 @@ def run(cfg: ExperimentConfig, stages: str = "report") -> int:
     em = Emitter(cfg.outdir, cfg)
     t0 = time.monotonic()
     dom = gallery.make(cfg.fixture, h=cfg.h)
-    qh = dec = levels = None
+    extent = (dom.shape[0] * dom.h, dom.shape[1] * dom.h)
+    qh = dec = levels = pairs = None
     if set(wanted) - {"gallery"}:
         qh = QhMetric(dom)
+    if "metrics" in wanted or "properties" in wanted:
+        pairs = sample_pairs(dom, cfg.n_pairs, cfg.seed)
     if "decompose" in wanted or "approx" in wanted:
         dec = whitney_decompose(dom)
         levels = list(build_levels(dec, qh, cfg.m_list, cfg.c0))
-    stage_gallery(cfg, em, dom)
+    stage_gallery(cfg, em, dom, extent)
     if "metrics" in wanted:
-        stage_metrics(cfg, em, dom, qh)
+        stage_metrics(cfg, em, dom, qh, pairs, extent)
     if "properties" in wanted:
-        stage_properties(cfg, em, dom, qh)
+        stage_properties(cfg, em, dom, qh, pairs)
     if "decompose" in wanted:
-        stage_decompose(cfg, em, dom, dec, levels)
+        stage_decompose(cfg, em, dom, dec, levels, extent)
     if "approx" in wanted:
         stage_approx(cfg, em, dom, dec, levels)
     status = em.finish()

@@ -106,15 +106,17 @@ def whitney_layers(dec: WhitneyDecomposition) -> list[SvgLayer]:
     layer."""
     by_level: dict[int, SvgLayer] = {}
     flagged = SvgLayer("flagged")
-    h = dec.domain.h
-    for q in dec.cubes:
-        x0, y0 = q.corner[0] * h, q.corner[1] * h
-        if q.flagged:
-            flagged.rect(x0, y0, q.l, q.l, fill="#f4a582", opacity=0.8)
+    q = dec.cubes
+    for (x0, y0), l, side, flag in zip((q.corner * dec.domain.h).tolist(),
+                                       q.l.tolist(), q.side.tolist(),
+                                       q.flagged.tolist()):
+        if flag:
+            flagged.rect(x0, y0, l, l, fill="#f4a582", opacity=0.8)
             continue
-        layer = by_level.setdefault(q.level, SvgLayer(f"level_{q.level}"))
-        layer.rect(x0, y0, q.l, q.l,
-                   stroke=LEVEL_COLORS[q.level % len(LEVEL_COLORS)])
+        level = side.bit_length() - 1
+        layer = by_level.setdefault(level, SvgLayer(f"level_{level}"))
+        layer.rect(x0, y0, l, l,
+                   stroke=LEVEL_COLORS[level % len(LEVEL_COLORS)])
     return [by_level[k] for k in sorted(by_level)] + [flagged]
 
 
@@ -125,10 +127,9 @@ def decomposition_layers(ct: CoreTentacleDecomposition) -> list[SvgLayer]:
                         fill="#c6dbef")
 
     band = SvgLayer("band")
-    for i in ct.P:
-        q = dec.cubes[i]
-        band.rect(q.corner[0] * h, q.corner[1] * h, q.l, q.l,
-                  fill="#2171b5", opacity=0.5, stroke="#08306b")
+    for (x0, y0), l in zip((dec.cubes.corner[ct.P] * h).tolist(),
+                           dec.cubes.l[ct.P].tolist()):
+        band.rect(x0, y0, l, l, fill="#2171b5", opacity=0.5, stroke="#08306b")
 
     haloes = _cover_layer("haloes", [ct.halo[i] for i in ct.P], shape, h,
                           fill="#9ecae1", opacity=0.35)

@@ -10,11 +10,17 @@ sampled at the block's center cell; the descent then gives dist(Q) <= 4
 diam(Q) for every accepted cube.  Boundary cells too close to the boundary
 for even a one-cell cube are attached as flagged one-cell cubes so the cover
 stays exact.
+
+The cubes are one table, ``WhitneyDecomposition.cubes``: a record array with
+a row per cube, by corner, then side, so a cube's index is its row.  Its
+columns are the low ``corner`` cell, the ``side`` in cells (a power of two),
+the euclidean side ``l``, the boundary distance ``dist`` sampled at the centre
+cell, and ``flagged`` (diam > dist: a sub-scale boundary cell).  Each cube
+formula is written once, for many cubes at a time: ``boxes`` (dilated closed
+boxes), ``centre_cells`` and ``cube_cells``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,55 +29,26 @@ from .grid import GridDomain
 SQRT2 = float(np.sqrt(2.0))
 # corner offsets of a block's four children, in units of the child's side
 _QUARTERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
-
-
-@dataclass
-class WhitneyCube:
-    index: int
-    corner: tuple[int, int]  # cell coordinates of the low corner
-    size: int  # side length in cells (power of two)
-    l: float  # euclidean side length
-    dist: float  # boundary distance sampled at the center cell
-    flagged: bool  # True when diam > dist (sub-scale boundary cell)
-
-    @property
-    def diam(self) -> float:
-        return self.l * SQRT2
-
-    @property
-    def level(self) -> int:
-        return int(self.size).bit_length() - 1
-
-    def cell_slices(self) -> tuple[slice, slice]:
-        i0, j0 = self.corner
-        return slice(i0, i0 + self.size), slice(j0, j0 + self.size)
-
-    def center_cell(self) -> tuple[int, int]:
-        i0, j0 = self.corner
-        return (i0 + (self.size - 1) // 2, j0 + (self.size - 1) // 2)
-
-    def box(self, h: float, scale: float = 1.0) -> tuple[float, float, float, float]:
-        """Physical closed box (x0, x1, y0, y1) of the cube dilated by ``scale``."""
-        i0, j0 = self.corner
-        cx, cy = (i0 + self.size / 2.0) * h, (j0 + self.size / 2.0) * h
-        half = scale * self.l / 2.0
-        return (cx - half, cx + half, cy - half, cy + half)
+_CUBE_DTYPE = np.dtype([("corner", np.int64, (2,)), ("side", np.int64),
+                        ("l", np.float64), ("dist", np.float64),
+                        ("flagged", bool)])
 
 
 class WhitneyDecomposition:
-    def __init__(self, domain: GridDomain, cubes: list[WhitneyCube]):
+    def __init__(self, domain: GridDomain, cubes: np.recarray):
         self.domain = domain
         self.cubes = cubes
         self.cell_cube = np.full(domain.shape, -1, dtype=np.int64)
-        for q in cubes:
-            self.cell_cube[q.cell_slices()] = q.index
+        for s in np.unique(cubes.side).tolist():
+            idx = np.flatnonzero(cubes.side == s)
+            self.cell_cube[tuple(self.cube_cells(idx).T)] = idx
         self._adjacency: list[set[int]] | None = None
 
     @property
     def adjacency(self) -> list[set[int]]:
         """Face-adjacency (shared edge segment) between distinct cubes."""
         if self._adjacency is None:
-            adj: list[set[int]] = [set() for _ in self.cubes]
+            adj: list[set[int]] = [set() for _ in range(len(self.cubes))]
             cc = self.cell_cube
             for a, b in (
                 (cc[:-1, :], cc[1:, :]),
@@ -86,10 +63,25 @@ class WhitneyDecomposition:
             self._adjacency = adj
         return self._adjacency
 
-    def cube_cells(self, index: int) -> np.ndarray:
-        """(n, 2) array of cell coordinates of a cube."""
-        q = self.cubes[index]
-        return np.argwhere(np.ones((q.size, q.size), dtype=bool)) + q.corner
+    def cube_cells(self, idx) -> np.ndarray:
+        """Cell coordinates, row-major: (side^2, 2) of one cube, or
+        (n, side^2, 2) of an array of n cubes of one side."""
+        s = int(np.max(self.cubes.side[idx]))
+        return (self.cubes.corner[idx][..., None, :]
+                + np.argwhere(np.ones((s, s), dtype=bool)))
+
+    def centre_cells(self, idx) -> np.ndarray:
+        """(n, 2) centre cells of cubes: of an even side, the low one of the
+        middle four."""
+        return self.cubes.corner[idx] + (self.cubes.side[idx, None] - 1) // 2
+
+    def boxes(self, idx, scale: float) -> np.ndarray:
+        """(n, 4) closed physical boxes (x0, x1, y0, y1) of cubes dilated
+        about their centres by ``scale``."""
+        cubes = self.cubes[idx]
+        mid = (cubes.corner + cubes.side[:, None] / 2.0) * self.domain.h
+        half = (scale * cubes.l / 2.0)[:, None]
+        return np.stack([mid - half, mid + half], axis=2).reshape(-1, 4)
 
 
 def whitney_decompose(domain: GridDomain) -> WhitneyDecomposition:
@@ -101,7 +93,7 @@ def whitney_decompose(domain: GridDomain) -> WhitneyDecomposition:
     np.cumsum(count, axis=0, out=count)
     np.cumsum(count, axis=1, out=count)
 
-    found = []  # (i0, j0, size, dist, flagged) of each cube
+    found = []  # per level, the rows of its cubes
     corners, size = np.zeros((1, 2), dtype=np.int64), size_top
     while size > 1:
         # the children of the blocks rejected one level up, inside the bitmap
@@ -116,10 +108,12 @@ def whitney_decompose(domain: GridDomain) -> WhitneyDecomposition:
         d[full] = domain.dist[i[full] + size // 2, j[full] + size // 2]
         close = size * h * SQRT2 <= d
         keep = full & (close | (size == 1))
-        found += zip(*corners[keep].T.tolist(), [size] * int(keep.sum()),
-                     d[keep].tolist(), (~close[keep]).tolist())
+        n = int(keep.sum())
+        found.append(np.rec.fromarrays(
+            [corners[keep], np.full(n, size), np.full(n, size * h), d[keep],
+             ~close[keep]], dtype=_CUBE_DTYPE))
         corners = corners[~keep]
-    # deterministic order: by corner, then size
-    return WhitneyDecomposition(domain, [
-        WhitneyCube(k, (i0, j0), s, s * h, d, f)
-        for k, (i0, j0, s, d, f) in enumerate(sorted(found))])
+    cubes = np.concatenate(found).view(np.recarray)
+    # deterministic order: by corner, then side
+    return WhitneyDecomposition(domain, cubes[np.lexsort(
+        (cubes.side, cubes.corner[:, 1], cubes.corner[:, 0]))])

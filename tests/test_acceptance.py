@@ -34,7 +34,7 @@ from qhlab.properties import (
 from qhlab.qh import QhMetric, estimate_delta, sample_nodes
 from qhlab.uniformize import build_deformation, check_bilipschitz, \
     check_deformed_uniformity
-from qhlab.whitney import whitney_decompose
+from qhlab.whitney import SQRT2, whitney_decompose
 
 ALL_FIXTURES = sorted(gallery.GALLERY)
 
@@ -60,16 +60,20 @@ def test_criterion_1_whitney_invariants():
             t0 = time.monotonic()
             dec = whitney_decompose(dom)
             counts = np.zeros(dom.shape, dtype=int)
-            for q in dec.cubes:
-                counts[q.cell_slices()] += 1
-                if q.flagged:
+            q = dec.cubes
+            for k, ((i0, j0), s, diam, dist, flagged) in enumerate(zip(
+                    q.corner.tolist(), q.side.tolist(),
+                    (q.l * SQRT2).tolist(), q.dist.tolist(),
+                    q.flagged.tolist())):
+                counts[i0 : i0 + s, j0 : j0 + s] += 1
+                if flagged:
                     # single cells where the dyadic cascade bottoms out;
                     # they violate diam <= dist by construction
-                    if q.size != 1 or q.diam <= q.dist:
-                        failures.append((name, h, q.index, "flag"))
-                elif not (q.diam <= q.dist + 1e-12
-                          and q.dist <= 4 * q.diam + 1e-12):
-                    failures.append((name, h, q.index, "distance"))
+                    if s != 1 or diam <= dist:
+                        failures.append((name, h, k, "flag"))
+                elif not (diam <= dist + 1e-12
+                          and dist <= 4 * diam + 1e-12):
+                    failures.append((name, h, k, "distance"))
             if not (np.array_equal(counts > 0, dom.interior)
                     and counts.max() <= 1):
                 failures.append((name, h, -1, "tiling"))
@@ -259,10 +263,11 @@ def test_criterion_6_partition_of_unity(disk256):
     alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     sups = {a: [] for a in alphas}
     ms = (6, 7, 8)
+    l = dec.cubes.l
     for m in ms:
         pm = build_partition(build_core_tentacle(dec, qh, m), kmax=2)
         small = [h for h in pm.hats if h.kind == "psi"
-                 and abs(dec.cubes[h.key].l - 2.0 ** (-m)) < 1e-12]
+                 and abs(l[h.key] - 2.0 ** (-m)) < 1e-12]
         sel = small[::max(1, len(small) // 60)]
         for a in alphas:
             sups[a].append(max(pm.measured_sup(h, a) for h in sel))

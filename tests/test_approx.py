@@ -320,10 +320,10 @@ def test_moment_violation_names_the_cube(monkeypatch):
     """The batched fit's moment check raises for the first violating cube
     of a batch, naming its corner and size."""
     dec = whitney_decompose(gallery.disk(1 / 32))
-    cubes = [q.index for q in dec.cubes if q.size == 2][:3]
-    first = dec.cubes[cubes[0]]
+    cubes = np.flatnonzero(dec.cubes.side == 2)[:3].tolist()
+    i0, j0 = dec.cubes.corner[cubes[0]].tolist()
     monkeypatch.setattr(poly, "MOMENT_TOL", -1.0)
     with pytest.raises(DomainError, match=(
             rf"moment condition \(0, 0\) violated on the cells at corner "
-            rf"\({first.corner[0]}, {first.corner[1]}\), size 2: residual")):
+            rf"\({i0}, {j0}\), size 2: residual")):
         fit_cubes(fixtures.smooth_background(2), dec, cubes, 2)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,16 +90,18 @@ def test_band_cubes_in_size_window(ct6, ct7):
     for ct in (ct6, ct7):
         lo, hi = 2.0 ** (-ct.m), 2.0 ** (-(ct.m - 2))
         w1 = set(ct.W1)
+        flagged, l = ct.dec.cubes.flagged, ct.dec.cubes.l
         for q in ct.P1:
-            cube = ct.dec.cubes[q]
-            assert not cube.flagged
-            assert lo - 1e-12 <= cube.l < hi - 1e-12
+            assert not flagged[q]
+            assert lo - 1e-12 <= l[q] < hi - 1e-12
             assert q in w1
 
 
 def test_core_cubes_fully_inside(ct6):
+    corner, side = ct6.dec.cubes.corner, ct6.dec.cubes.side
     for q in ct6.W1:
-        assert ct6.core_mask[ct6.dec.cubes[q].cell_slices()].all()
+        (i0, j0), s = corner[q], side[q]
+        assert ct6.core_mask[i0 : i0 + s, j0 : j0 + s].all()
 
 
 def test_disk_has_no_tentacles(ct6):
@@ -467,15 +470,16 @@ def test_band_overlap_pairs_equal_dense_and(ct6, ct7, dumbbell_ctx):
         assert ct.band_overlap_pairs() == ref
 
 
-def _prune_reference(ct):
+def _prune_reference(ct, targets=None):
     """The whole-domain loop: one label of the domain per band cube as the
-    cutter, every other band cube's neighbourhood tested on it."""
+    cutter, every other band cube's neighbourhood (or only those of the
+    band cubes ``targets``) tested on it."""
     blocked = set()
     for qp in ct.P1:
         raw, n, lab0 = _halo_cut(ct, [qp])
         if not lab0 or n <= 1:
             continue
-        for q in ct.P1:
+        for q in ct.P1 if targets is None else targets:
             if q != qp and q not in blocked \
                     and _cut_off(raw, lab0, tuple(ct.bq[q].T)):
                 blocked.add(q)
@@ -503,13 +507,16 @@ def _prune_paths(ct):
     return out
 
 
-def _halo_and_bq_reference(domain, q, c0):
+def _halo_and_bq_reference(dec, q, c0):
     """Cells of the components, through the cube's centre cell, of the
     domain inside the cube's c0- and 11/10*c0-dilated concentric boxes, one
     cube at a time: each box's cells tested in the larger box's window,
     clipped to the bitmap, and labelled on it."""
-    h = domain.h
-    small, big = q.box(h, c0), q.box(h, 1.1 * c0)
+    domain, h, row = dec.domain, dec.domain.h, dec.cubes[q]
+    (ci, cj), s, l = row.corner.tolist(), int(row.side), float(row.l)
+    cx, cy = (ci + s / 2.0) * h, (cj + s / 2.0) * h
+    small, big = ((cx - half, cx + half, cy - half, cy + half)
+                  for half in (c0 * l / 2.0, 1.1 * c0 * l / 2.0))
     x0b, x1b, y0b, y1b = big
     i0 = max(int(np.floor(x0b / h - 0.5)), 0)
     i1 = min(int(np.ceil(x1b / h - 0.5)) + 1, domain.shape[0])
@@ -518,7 +525,7 @@ def _halo_and_bq_reference(domain, q, c0):
     ii = (np.arange(i0, i1) + 0.5) * h
     jj = (np.arange(j0, j1) + 0.5) * h
     interior = domain.interior[i0:i1, j0:j1]
-    centre = np.subtract(q.center_cell(), (i0, j0))
+    centre = (ci + (s - 1) // 2 - i0, cj + (s - 1) // 2 - j0)
     out = []
     for x0b, x1b, y0b, y1b in (small, big):
         inside = np.outer((ii >= x0b) & (ii <= x1b), (jj >= y0b) & (jj <= y1b))
@@ -528,13 +535,13 @@ def _halo_and_bq_reference(domain, q, c0):
     return out
 
 
-def _assert_halos_equal_reference(domain, cubes, c0, halos, bqs, boxes=None):
+def _assert_halos_equal_reference(dec, cubes, c0, halos, bqs, boxes=None):
     """Each cube's halo and bq equal the per-cube reference, cell for cell
     and in row order, and ``boxes`` their first and last cells."""
     assert len(halos) == len(bqs) == len(cubes)
     for k, q in enumerate(cubes):
         for s, (got, want) in enumerate(zip(
-                (halos[k], bqs[k]), _halo_and_bq_reference(domain, q, c0))):
+                (halos[k], bqs[k]), _halo_and_bq_reference(dec, q, c0))):
             assert got.dtype == want.dtype and np.array_equal(got, want), q
             if boxes is not None:
                 assert np.array_equal(boxes[s, k], _boxes([want])[0])
@@ -545,12 +552,66 @@ def _record_bands(monkeypatch):
     level then raises: (cubes, c0, halos, bqs, boxes)."""
     calls, real = [], decomposition._halos_and_bqs
 
-    def record(domain, cubes, c0):
-        out = real(domain, cubes, c0)
+    def record(dec, cubes, c0):
+        out = real(dec, cubes, c0)
         calls.append((cubes, c0, *out))
         return out
     monkeypatch.setattr(decomposition, "_halos_and_bqs", record)
     return calls
+
+
+def _swallowed_reference(dec, cubes, halos, bqs):
+    """Does the whole-bitmap prune loop leave a band cube whose halo holds
+    the base point?  The band as one ``_halos_and_bqs`` call gives it.
+    Whether a cube is pruned does not depend on the other cubes tested, so
+    only those whose halo holds the base point are."""
+    band = SimpleNamespace(domain=dec.domain, P1=list(cubes),
+                           halo=dict(zip(cubes, halos)),
+                           bq=dict(zip(cubes, bqs)))
+    holding = [q for q in band.P1
+               if (band.halo[q] == dec.domain.x0).all(1).any()]
+    return bool(holding) and bool(
+        set(holding) - set(_prune_reference(band, holding)))
+
+
+def _build_checking_swallowed(dec, qh, m, c0):
+    """Build a level, or return its DomainError text, checking that it
+    raises "swallowed" exactly when the whole-bitmap prune loop leaves a
+    band halo holding the base point, and then before any prune."""
+    prunes, real = [], decomposition.CoreTentacleDecomposition._prune
+
+    def prune(self, boxes):
+        prunes.append(self.m)
+        return real(self, boxes)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_bands(mp)
+        mp.setattr(decomposition.CoreTentacleDecomposition, "_prune", prune)
+        try:
+            out = build_core_tentacle(dec, qh, m, c0)
+        except DomainError as exc:
+            out = str(exc)
+    swallowed = isinstance(out, str) and "swallowed" in out
+    for cubes, _, halos, bqs, _ in calls:
+        assert swallowed == _swallowed_reference(dec, cubes, halos, bqs)
+    assert calls or not swallowed
+    assert not (swallowed and prunes), (m, c0)
+    return out
+
+
+def test_swallowed_reads_halo_cells_not_boxes(disk_ctx, monkeypatch):
+    """Only a halo cell at the base point swallows it, not a halo's
+    bounding box around it: with the base point cut out of every halo, the
+    swallowed disk level m=5 goes on to the prune."""
+    dom, qh, dec = disk_ctx
+    real = decomposition._halos_and_bqs
+
+    def punched(dec, cubes, c0):
+        halos, bqs, boxes = real(dec, cubes, c0)
+        return [c[(c != dom.x0).any(1)] for c in halos], bqs, boxes
+    assert "swallowed" in _build_checking_swallowed(dec, qh, 5, 10.0)
+    monkeypatch.setattr(decomposition, "_halos_and_bqs", punched)
+    out = _build_checking_swallowed(dec, qh, 5, 10.0)
+    assert not (isinstance(out, str) and "swallowed" in out)
 
 
 def _assert_level_halos(ct):
@@ -558,31 +619,34 @@ def _assert_level_halos(ct):
     reference."""
     assert list(ct.halo) == list(ct.bq) == ct.P1
     _assert_halos_equal_reference(
-        ct.domain, [ct.dec.cubes[q] for q in ct.P1], ct.c0,
-        list(ct.halo.values()), list(ct.bq.values()))
+        ct.dec, ct.P1, ct.c0, list(ct.halo.values()), list(ct.bq.values()))
 
 
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_prune_equals_whole_domain_loop(name, monkeypatch):
+    """Levels m = 3..9: each is swallowed exactly when the whole-bitmap
+    loop says, before pruning, and each one built prunes as that loop
+    does."""
     dom = gallery.make(name, h=1 / 128)
     qh, dec = QhMetric(dom), whitney_decompose(dom)
-    paths = []
+    paths, swallowed = [], 0
     calls = _record_bands(monkeypatch)
-    for m in range(5, 10):
-        try:
-            ct = build_core_tentacle(dec, qh, m)
-        except DomainError:
+    for m in range(3, 10):
+        ct = _build_checking_swallowed(dec, qh, m, 10.0)
+        if isinstance(ct, str):
+            swallowed += "swallowed" in ct
             continue  # not constructible at this level
         _assert_level_halos(ct)
         assert ct.P_minus == _prune_reference(ct)
         paths += _prune_paths(ct)
     # every level's halos, those of levels that then raise included
     for cubes, c0, *out in calls:
-        _assert_halos_equal_reference(dom, cubes, c0, *out)
+        _assert_halos_equal_reference(dec, cubes, c0, *out)
     if name in ("spiral", "dumbbell", "slit_disk"):
         assert None in paths  # split windows: the whole-domain label
     if name != "punctured_square":  # its only level has an empty band
         assert False in paths  # decided on the window
+    assert swallowed
 
 
 @pytest.mark.parametrize("name, h, m, c0", [("dumbbell", 1 / 256, 7, 10.0),
@@ -615,7 +679,7 @@ def test_halos_equal_per_cube_reference(name, h, levels, monkeypatch):
         assert ct.P_minus == _prune_reference(ct)
     assert len(calls) == len(levels)
     for cubes, c0, *out in calls:
-        _assert_halos_equal_reference(dom, cubes, c0, *out)
+        _assert_halos_equal_reference(dec, cubes, c0, *out)
 
 
 @pytest.mark.parametrize("name, m", [("dumbbell", 7), ("punctured_square", 9)])
@@ -686,18 +750,18 @@ def _rooms_and_corridors(rooms, corridors) -> GridDomain:
        corridors=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                     st.integers(1, 3)), max_size=3))
 def test_prune_and_groups_on_generated_domains(rooms, corridors):
-    """On rooms joined by corridors, every level m = 3..9 that can be built
-    with c0 = 10 or 14 has the per-cube halos and bq, prunes as the
-    whole-bitmap loop does, and assigns each thin component as the
+    """On rooms joined by corridors, every level m = 3..9 with c0 = 10 or
+    14 is swallowed exactly as the whole-bitmap loop says, before pruning;
+    every one that can be built has the per-cube halos and bq, prunes as
+    the whole-bitmap loop does, and assigns each thin component as the
     full-mask test on whole-bitmap labels does."""
     dom = _rooms_and_corridors(rooms, corridors)
     qh, dec = QhMetric(dom), whitney_decompose(dom)
     for c0 in (10.0, 14.0):
         for m in range(3, 10):
-            try:
-                ct = build_core_tentacle(dec, qh, m, c0)
-            except DomainError:
-                continue
+            ct = _build_checking_swallowed(dec, qh, m, c0)
+            if isinstance(ct, str):
+                continue  # not constructible at this level
             _assert_level_halos(ct)
             assert ct.P_minus == _prune_reference(ct), (c0, m)
             assert [g.members for g in ct.groups] \

@@ -217,7 +217,7 @@ def test_fit_cubes_rows_are_the_one_cube_fits(disk_ct):
     the fit of its cells alone, and no rows for no cubes."""
     dec, _ = disk_ct
     f = fixtures.smooth_background(order=3)
-    cubes = [q.index for q in dec.cubes[::37]]
+    cubes = list(range(0, len(dec.cubes), 37))
     rows, row = fit_cubes(f, dec, cubes + cubes[:3], 3)
     assert sorted(row) == sorted(cubes)
     assert sorted(row.values()) == list(range(len(cubes)))

@@ -640,9 +640,13 @@ def _reference_parts(ct):
                 for i0, j0, ni, nj in _mask_rects(mask)]
 
     def cube_part(q):
-        cube = ct.dec.cubes[q]
-        allowed = ax0, ax1, ay0, ay1 = cube.box(h, 1.1 * ct.c0)
-        ramp = 0.05 * ct.c0 * cube.l
+        row = ct.dec.cubes[q]
+        (i0, j0), s, l = row.corner.tolist(), int(row.side), float(row.l)
+        cx, cy = (i0 + s / 2.0) * h, (j0 + s / 2.0) * h
+        half = 1.1 * ct.c0 * l / 2.0
+        allowed = ax0, ax1, ay0, ay1 = (cx - half, cx + half,
+                                        cy - half, cy + half)
+        ramp = 0.05 * ct.c0 * l
 
         def w(gap):
             return max(min(ramp, gap + 0.5 * h), 0.25 * h)

@@ -204,6 +204,7 @@ def test_geodesic_length_within_whitney_cubes():
     for name in ("disk", "slit_disk"):
         dom = gallery.make(name, 1 / 128)
         dec = whitney_decompose(dom)
+        l = dec.cubes.l
         qh = QhMetric(dom)
         nodes = sample_nodes(dom, 20, seed=41)
         for t in range(10):
@@ -213,5 +214,4 @@ def test_geodesic_length_within_whitney_cubes():
             seg = np.sqrt((np.diff(geo.points, axis=0) ** 2).sum(1))
             for qid in np.unique(cube_ids):
                 inside = (cube_ids[:-1] == qid) | (cube_ids[1:] == qid)
-                q = dec.cubes[int(qid)]
-                assert seg[inside].sum() <= 5 * q.l + 4 * dom.h
+                assert seg[inside].sum() <= 5 * l[qid] + 4 * dom.h

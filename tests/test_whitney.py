@@ -10,18 +10,19 @@ from qhlab.whitney import SQRT2, whitney_decompose
 
 
 def check_invariants(dom, dec):
+    q = dec.cubes
     counts = np.zeros(dom.shape, dtype=int)
-    for q in dec.cubes:
-        counts[q.cell_slices()] += 1
-        if not q.flagged:
-            assert q.diam <= q.dist + 1e-12
-            assert q.dist <= 4 * q.diam + 1e-12
+    for (i0, j0), s in zip(q.corner.tolist(), q.side.tolist()):
+        counts[i0 : i0 + s, j0 : j0 + s] += 1
+    diam, dist = (q.l * SQRT2)[~q.flagged], q.dist[~q.flagged]
+    assert (diam <= dist + 1e-12).all()
+    assert (dist <= 4 * diam + 1e-12).all()
     assert np.array_equal(counts > 0, dom.interior)  # exact tiling ...
     assert counts.max() <= 1  # ... with disjoint cubes
-    for q in dec.cubes:
-        for j in dec.adjacency[q.index]:
-            r = dec.cubes[j]
-            ratio = max(q.size, r.size) / min(q.size, r.size)
+    side = q.side.tolist()
+    for k, s in enumerate(side):
+        for j in dec.adjacency[k]:
+            ratio = max(s, side[j]) / min(s, side[j])
             assert ratio <= 4
 
 
@@ -108,17 +109,19 @@ def test_level_passes_equal_depth_first_recursion(shape, rects, h, data):
     dom = GridDomain(bitmap, h, x0, trim=True)
     dec = whitney_decompose(dom)
     want, cell_cube = _depth_first_cubes(dom)
-    assert [(q.index, q.corner, q.size, q.l, q.dist, q.flagged)
-            for q in dec.cubes] == want
+    q = dec.cubes
+    assert list(zip(range(len(q)), map(tuple, q.corner.tolist()),
+                    q.side.tolist(), q.l.tolist(), q.dist.tolist(),
+                    q.flagged.tolist())) == want
     assert np.array_equal(dec.cell_cube, cell_cube)
 
 
 def test_unit_square_central_quarter_cubes():
     dom = gallery.square(1 / 256, margin=0.0)
     dec = whitney_decompose(dom)
-    quarters = [q for q in dec.cubes if abs(q.l - 0.25) < 1e-12]
+    quarters = np.flatnonzero(np.abs(dec.cubes.l - 0.25) < 1e-12)
     assert len(quarters) == 4
-    corners = sorted(q.corner for q in quarters)
+    corners = sorted(map(tuple, dec.cubes.corner[quarters].tolist()))
     assert corners == [(64, 64), (64, 128), (128, 64), (128, 128)]
 
 
@@ -129,7 +132,6 @@ def test_minimal_square_single_cube():
     h = 1.0
     dom = GridDomain(mask, h, (7, 7))
     dec = whitney_decompose(dom)
-    real = [q for q in dec.cubes if not q.flagged]
     # the central block is too close to its own boundary for a 4-cube
     # (dist ~ 2h < diam 4h*sqrt2); expect a valid decomposition regardless
     check_invariants(dom, dec)
@@ -149,8 +151,8 @@ def test_scaling_self_similarity():
                    (2 * a.x0[0], 2 * a.x0[1]), trim=True)
     # skip the padding ring difference: compare multisets of levels per count
     decc = whitney_decompose(c)
-    sizes_a = sorted(q.size * 2 for q in deca.cubes if not q.flagged)
-    sizes_c = sorted(q.size for q in decc.cubes if not q.flagged)
+    sizes_a = sorted((deca.cubes.side[~deca.cubes.flagged] * 2).tolist())
+    sizes_c = sorted(decc.cubes.side[~decc.cubes.flagged].tolist())
     # doubling the mask doubles distances, so every unflagged cube at h
     # reappears doubled (finer splitting may add small cubes near boundary)
     from collections import Counter
@@ -169,17 +171,55 @@ def test_locate_cube():
     for _ in range(1000):
         node = rng.integers(0, dom.n_nodes)
         cell = tuple(dom.node_cells[node])
-        q = dec.cubes[dec.cell_cube[cell]]
-        si, sj = q.cell_slices()
-        assert si.start <= cell[0] < si.stop and sj.start <= cell[1] < sj.stop
+        q = dec.cell_cube[cell]
+        (i0, j0), s = dec.cubes.corner[q], dec.cubes.side[q]
+        assert i0 <= cell[0] < i0 + s and j0 <= cell[1] < j0 + s
     assert not dom.interior[0, 0] and dec.cell_cube[0, 0] == -1
 
 
 def test_locate_cube_center_and_same_cell():
     dom = gallery.disk(1 / 64)
     dec = whitney_decompose(dom)
-    q = next(q for q in dec.cubes if q.size >= 4)
-    assert dec.cubes[dec.cell_cube[q.center_cell()]] is q
+    q = np.flatnonzero(dec.cubes.side >= 4)[0]
+    assert dec.cell_cube[tuple(dec.centre_cells([q])[0])] == q
+
+
+@pytest.mark.parametrize("h", [1 / 128, 1 / 100])
+def test_cube_table_columns_and_formulas(h):
+    """The cubes are one record array whose columns shadow no ndarray
+    attribute; boxes, centre cells and cells are the closed forms, cube by
+    cube; and a row reads as perfbench reads it."""
+    dom = gallery.disk(h)
+    dec = whitney_decompose(dom)
+    q = dec.cubes
+    assert isinstance(q, np.recarray)
+    assert [(name, q.dtype[name]) for name in q.dtype.names] == [
+        ("corner", np.dtype((np.int64, (2,)))), ("side", np.int64),
+        ("l", np.float64), ("dist", np.float64), ("flagged", np.bool_)]
+    assert not set(q.dtype.names) & set(dir(np.ndarray))
+    assert q.corner.shape == (len(q), 2)
+    idx = np.arange(len(q))
+    scales = (1.0, 10.0, 1.1 * 10.0)
+    boxes = [dec.boxes(idx, scale).tolist() for scale in scales]
+    centres = dec.centre_cells(idx).tolist()
+    for k, ((i0, j0), s, l) in enumerate(zip(q.corner.tolist(),
+                                             q.side.tolist(), q.l.tolist())):
+        assert l == s * h
+        cx, cy = (i0 + s / 2.0) * h, (j0 + s / 2.0) * h
+        for scale, got in zip(scales, boxes):
+            half = scale * l / 2.0
+            assert got[k] == [cx - half, cx + half, cy - half, cy + half]
+        assert centres[k] == [i0 + (s - 1) // 2, j0 + (s - 1) // 2]
+        assert dec.cube_cells(k).tolist() == [
+            [i, j] for i in range(i0, i0 + s) for j in range(j0, j0 + s)]
+    # many cubes of one side at once: the one-cube cells, stacked
+    same = np.flatnonzero(q.side == q.side.max())
+    assert np.array_equal(dec.cube_cells(same),
+                          np.stack([dec.cube_cells(k) for k in same]))
+    # perfbench reads a row's l and the table's length
+    assert len(dec.cubes) == len(idx) > 0
+    assert [dec.cubes[k].l for k in (0, len(q) - 1)] == [q.l[0], q.l[-1]]
+    assert int((q.side ** 2).sum()) == int(dom.interior.sum())
 
 
 def test_runtime_budget():
