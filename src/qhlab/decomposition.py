@@ -374,16 +374,29 @@ class CoreTentacleDecomposition:
         self.P1 = np.asarray(self.W1)[
             (l_min - 1e-12 <= l) & (l < l_cap - 1e-12)].tolist()
 
-        halos, bqs, boxes = _halos_and_bqs(dec, self.P1, self.c0)
-        self.halo: dict[int, np.ndarray] = dict(zip(self.P1, halos))
-        self.bq: dict[int, np.ndarray] = dict(zip(self.P1, bqs))
         # a band halo holding the base point swallows it: no other halo can
-        # cut that cube's bq, which holds the base point too, off it
+        # cut that cube's bq, which holds the base point too, off it.  A
+        # halo lies in its cube's c0 box, so the cubes whose box holds the
+        # base point's centre (tested as _halos_and_bqs tests a cell) are
+        # labelled and checked first, and the rest only if none swallows it
         x0 = np.array(dom.x0)
-        near = ((boxes[0, :, 0] <= x0) & (x0 <= boxes[0, :, 1])).all(1)
-        if any((halos[k] == x0).all(1).any() for k in np.flatnonzero(near)):
+        box, at = dec.boxes(self.P1, self.c0), (x0 + 0.5) * dom.h
+        near = ((box[:, 0::2] <= at) & (at <= box[:, 1::2])).all(1)
+        order = np.argsort(~near, kind="stable")  # the near cubes first
+        cubes = np.asarray(self.P1, dtype=np.int64)[order].tolist()
+        k = int(near.sum())
+        halos, bqs, boxes = _halos_and_bqs(dec, cubes[:k], self.c0)
+        if any((halo == x0).all(1).any() for halo in halos):
             raise DomainError("base point swallowed by a blocking "
                               "neighborhood; increase m or decrease c0")
+        rest = _halos_and_bqs(dec, cubes[k:], self.c0)
+        halos, bqs = halos + rest[0], bqs + rest[1]
+        back = np.argsort(order).tolist()  # per P1 cube, its labelled row
+        self.halo: dict[int, np.ndarray] = {
+            q: halos[i] for q, i in zip(self.P1, back)}
+        self.bq: dict[int, np.ndarray] = {
+            q: bqs[i] for q, i in zip(self.P1, back)}
+        boxes = np.concatenate([boxes, rest[2]], axis=1)[:, back]
 
         # pruning: drop band cubes whose neighborhood is blocked by another
         self.P_minus = self._prune(boxes)

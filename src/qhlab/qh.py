@@ -55,7 +55,6 @@ class QhMetric:
         self.edge_weights *= domain.edges()[2]
         self.edge_weights *= 0.5
         self.engine = domain.graph(self.edge_weights)
-        self._tree: GeodesicTree | None = None
 
     def min_field(self, nodes, limit: float = np.inf) -> np.ndarray:
         """k(S, .) = min over sources; one multi-source Dijkstra, inf where
@@ -81,11 +80,8 @@ class QhMetric:
         return self.geodesic_from_nodes(self.engine.path(nx, ny))
 
     def radial_tree(self) -> GeodesicTree:
-        if self._tree is None:
-            root = self.domain.require_interior(self.domain.x0)
-            dist, pred = self.engine.from_source(root)
-            self._tree = GeodesicTree(root, dist, pred)
-        return self._tree
+        """The k-geodesics from x0: a view of the engine's root field."""
+        return GeodesicTree(self.engine.root, *self.engine.root_field())
 
 
 def sample_nodes(domain: GridDomain, n: int, seed: int) -> np.ndarray:
@@ -98,7 +94,9 @@ def sample_nodes(domain: GridDomain, n: int, seed: int) -> np.ndarray:
     pairing of consecutive samples survives refinement.
     Samples avoid the single boundary-adjacent cell layer (d ~ h/2), where
     the trapezoidal 1/d quadrature error is largest; each point snaps to the
-    nearest cell outside that layer.
+    nearest cell outside that layer, the first in raster order on a tie.
+    The squared cell distances are integers, summed per coordinate column,
+    so the choice is exact.
     """
     rng = np.random.default_rng(seed)
     ext = np.asarray(domain.shape) * domain.h
@@ -107,12 +105,10 @@ def sample_nodes(domain: GridDomain, n: int, seed: int) -> np.ndarray:
     ok = dvals >= 1.5 * domain.h
     candidates = domain.node_cells[ok] if ok.any() else domain.node_cells
     nodes = domain.cell_node[tuple(candidates.T)]
+    ci, cj = (np.ascontiguousarray(col) for col in candidates.T)
     cells = np.floor(pts / domain.h).astype(int)
-    out = []
-    for c in cells:
-        best = int(np.argmin(((candidates - c) ** 2).sum(1)))
-        out.append(int(nodes[best]))
-    return np.asarray(out, dtype=int)
+    return np.asarray([nodes[np.argmin((ci - c0) ** 2 + (cj - c1) ** 2)]
+                       for c0, c1 in cells.tolist()], dtype=int)
 
 
 @dataclass
@@ -147,7 +143,7 @@ def estimate_delta(
     over triangles.  Uses the thin-triangle definition directly; see
     ``four_point_delta`` for the cross-check variant.
     """
-    dom = qh.domain
+    dom, eng = qh.domain, qh.engine
     nodes = sample_nodes(dom, 3 * n_triangles, seed)
     best, arg = 0.0, None
     per = []
@@ -158,10 +154,14 @@ def estimate_delta(
             continue
         ends = ((a, b), (a, c), (b, c))
         try:
-            # the search from b stops at k(b, a) + k(a, c), which bounds k(b, c)
-            k_ab, k_ac = qh.engine.distance(a, b), qh.engine.distance(a, c)
-            sides = [np.asarray(qh.engine.path(u, v, bound)) for (u, v), bound
-                     in zip(ends, (k_ab, k_ac, k_ab + k_ac))]
+            # one search from a reaches b and c, each within its root tree
+            # path; the search from b stops at k(b, a) + k(a, c) or at the
+            # tree's b-c path, whichever is shorter: both bound k(b, c)
+            reach = max(eng.tree_length(a, b), eng.tree_length(a, c))
+            k_ab, k_ac = eng.distance(a, b, reach), eng.distance(a, c, reach)
+            bc = min(k_ab + k_ac, eng.tree_length(b, c))
+            sides = [np.asarray(eng.path(u, v, bound)) for (u, v), bound
+                     in zip(ends, (k_ab, k_ac, bc))]
         except UnreachableError:
             per.append(0.0)
             continue
@@ -172,7 +172,7 @@ def estimate_delta(
             # it (of its triangle, or of the earlier triangles for a first
             # side) by much; the other sides hold the side's ends, and each
             # node of a geodesic lies within half its k-length of one
-            half = 0.5 * qh.engine.distance(u, v)
+            half = 0.5 * eng.distance(u, v)
             for limit in search_limits(1.25 * (thin if i else best), half):
                 near = qh.min_field(others, limit * (1 + 1e-9))[sides[i]]
                 if np.isfinite(near).all():

@@ -20,6 +20,7 @@ from qhlab.decomposition import (
     _window_cut,
     build_core_tentacle,
     chain_pair_classes,
+    core_mask_at_level,
     rectangle_cover,
     verify_bounded_overlap,
     verify_chain_overlap,
@@ -614,6 +615,40 @@ def test_swallowed_reads_halo_cells_not_boxes(disk_ctx, monkeypatch):
     assert not (isinstance(out, str) and "swallowed" in out)
 
 
+@pytest.mark.parametrize("name", ["comb", "spiral"])
+def test_swallowed_level_labels_only_cubes_near_the_base_point(
+        name, monkeypatch):
+    """A swallowed level labels the halos of the band cubes whose c0 box
+    holds the base point's centre, in one call, and never the rest of its
+    band; a level that builds labels the rest in a second call."""
+    dom = gallery.make(name, 1 / 128)
+    qh, dec = QhMetric(dom), whitney_decompose(dom)
+    calls = _record_bands(monkeypatch)
+    at = (np.array(dom.x0) + 0.5) * dom.h
+    outcomes = []
+    for m in (6, 7, 8):
+        # the band, as the level's P1 is defined
+        w1 = np.unique(dec.cell_cube[core_mask_at_level(dec, m)])
+        l = dec.cubes.l[w1]
+        band = w1[(2.0 ** -m - 1e-12 <= l) & (l < 2.0 ** (2 - m) - 1e-12)]
+        box = dec.boxes(band, 10.0)
+        holds = ((box[:, 0::2] <= at) & (at <= box[:, 1::2])).all(1)
+        del calls[:]
+        try:
+            build_core_tentacle(dec, qh, m)
+            outcomes.append("built")
+        except DomainError as exc:
+            assert "swallowed" in str(exc)
+            outcomes.append("swallowed")
+        assert list(calls[0][0]) == band[holds].tolist()
+        if outcomes[-1] == "swallowed":
+            assert len(calls) == 1 and holds.sum() < len(band)
+        else:
+            assert len(calls) == 2
+            assert list(calls[1][0]) == band[~holds].tolist()
+    assert outcomes == ["swallowed", "swallowed", "built"]
+
+
 def _assert_level_halos(ct):
     """The level's halo and bq dicts run in P1 order and equal the per-cube
     reference."""
@@ -670,14 +705,17 @@ def test_halos_equal_per_cube_reference(name, h, levels, monkeypatch):
     dom = gallery.make(name, h=h)
     qh, dec = QhMetric(dom), whitney_decompose(dom)
     calls = _record_bands(monkeypatch)
+    built = 0
     for m in levels:
         try:
             ct = build_core_tentacle(dec, qh, m)
         except DomainError:
             continue
+        built += 1
         _assert_level_halos(ct)
         assert ct.P_minus == _prune_reference(ct)
-    assert len(calls) == len(levels)
+    # a swallowed level labels its band in one call, a built one in two
+    assert len(calls) == len(levels) + built
     for cubes, c0, *out in calls:
         _assert_halos_equal_reference(dec, cubes, c0, *out)
 

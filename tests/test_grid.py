@@ -20,7 +20,8 @@ from qhlab.grid import (
     intrinsic_diameter_distance,
     intrinsic_distance,
 )
-from qhlab.qh import QhMetric
+from qhlab.qh import QhMetric, sample_nodes
+from qhlab.uniformize import build_deformation
 
 RNG = np.random.default_rng(7)
 
@@ -29,6 +30,21 @@ def sample_cells(dom, n, seed=0):
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, dom.n_nodes, size=n)
     return [tuple(dom.node_cells[p]) for p in picks]
+
+
+RECTS = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24),
+                           st.integers(2, 14), st.integers(2, 14)),
+                 min_size=1, max_size=5)
+
+
+def _rect_union(rects, data) -> GridDomain:
+    """The component of a drawn cell in a union of rectangles."""
+    bitmap = np.zeros((32, 32), dtype=bool)
+    for i0, j0, ni, nj in rects:
+        bitmap[i0 : i0 + ni, j0 : j0 + nj] = True
+    cells = np.argwhere(bitmap)
+    x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
+    return GridDomain(bitmap, 1 / 32, x0, trim=True)
 
 
 def _diameter_table(pts):
@@ -281,6 +297,73 @@ def test_diameter_distance_identity_and_bounds():
     assert eu - 1e-9 <= delta <= lam + 1e-9
 
 
+def _diameter_reference(domain, x, y):
+    """intrinsic_diameter_distance(detail=True) bisecting on lens masks
+    over the whole bitmap."""
+    nx, ny = domain.require_interior(x), domain.require_interior(y)
+    best_path = domain.polyline(domain.length_engine().path(nx, ny))
+    best = best_path.diameter
+    px, py = domain.position(x), domain.position(y)
+    centers = (domain.node_cells + 0.5) * domain.h
+    dxf = np.full(domain.shape, np.inf)
+    dyf = np.full(domain.shape, np.inf)
+    dxf[tuple(domain.node_cells.T)] = np.sqrt(((centers - px) ** 2).sum(1))
+    dyf[tuple(domain.node_cells.T)] = np.sqrt(((centers - py) ** 2).sum(1))
+    lo, hi, feasible = float(np.hypot(*(px - py))), best, None
+    for _ in range(24):
+        if hi - lo <= max(domain.h / 4.0, 1e-12):
+            break
+        mid = 0.5 * (lo + hi)
+        mask = domain.interior & (dxf <= mid) & (dyf <= mid)
+        labels, _ = ndimage.label(mask, structure=_STRUCT8)
+        if labels[tuple(x)] and labels[tuple(x)] == labels[tuple(y)]:
+            hi, feasible = mid, mask
+        else:
+            lo = mid
+    if feasible is not None:
+        path = _masked_geodesic(domain, feasible, x, y)
+        if path is not None and path.diameter < best:
+            best, best_path = path.diameter, path
+    return float(best), float(lo), best_path
+
+
+def _assert_diameter_equals_reference(dom, x, y):
+    value, lo, path = intrinsic_diameter_distance(dom, x, y, detail=True)
+    want = _diameter_reference(dom, x, y)
+    assert (value, lo) == want[:2]
+    assert np.array_equal(path.nodes, want[2].nodes)
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_diameter_window_equals_whole_bitmap(name):
+    """Bisecting on the window of cells near both ends gives the value,
+    the certified lower bound and the path of the whole-bitmap bisection."""
+    dom = gallery.make(name, 1 / 128)
+    for seed in range(4):
+        _assert_diameter_equals_reference(dom, *sample_cells(dom, 2, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rects=RECTS, data=st.data())
+def test_diameter_window_clipped_at_the_bitmap_edge(rects, data):
+    """Pairs with an end in a cell next to the bitmap's exterior ring,
+    whose window reaches past the bitmap and is clipped to it.  The drawn
+    rectangles join a U along the bitmap's edge, whose pocket, where they
+    leave it, makes paths that bend back and so a bisection to run."""
+    dom = _rect_union(rects + [(0, 0, 3, 32), (0, 0, 32, 3), (29, 0, 3, 32)],
+                      data)
+    i, j = dom.node_cells.T
+    edge = dom.node_cells[(i == i.min()) | (i == i.max())
+                          | (j == j.min()) | (j == j.max())]
+    x = tuple(edge[data.draw(st.integers(0, len(edge) - 1))])
+    # the end whose path from x is longest against the chord
+    lam = dom.length_engine().from_source(dom.cell_node[x])[0]
+    far = np.argmax(lam - np.hypot(*(dom.node_cells - x).T) * dom.h)
+    for y in (tuple(edge[data.draw(st.integers(0, len(edge) - 1))]),
+              tuple(dom.node_cells[far])):
+        _assert_diameter_equals_reference(dom, x, y)
+
+
 def test_capital_lambda_and_delta_from_lambda_and_delta():
     """Lambda = log(1 + lambda/(d^d)) and Delta likewise from delta."""
     dom = gallery.slit_disk(1 / 128)
@@ -302,21 +385,6 @@ def test_capital_lambda_and_delta_from_lambda_and_delta():
     x, y = dom.cell_at((0.8, 0.53)), dom.cell_at((0.8, 0.47))
     # strict: going around the slit is long but not wide
     assert intrinsic_diameter_distance(dom, x, y) < intrinsic_distance(dom, x, y)
-
-
-RECTS = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24),
-                           st.integers(2, 14), st.integers(2, 14)),
-                 min_size=1, max_size=5)
-
-
-def _rect_union(rects, data) -> GridDomain:
-    """The component of a drawn cell in a union of rectangles."""
-    bitmap = np.zeros((32, 32), dtype=bool)
-    for i0, j0, ni, nj in rects:
-        bitmap[i0 : i0 + ni, j0 : j0 + nj] = True
-    cells = np.argwhere(bitmap)
-    x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
-    return GridDomain(bitmap, 1 / 32, x0, trim=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -368,6 +436,59 @@ def test_bounded_queries_equal_unbounded_on_generated_domains(rects, data):
             dist, pred = eng.from_source(src)
             assert np.array_equal(dist, full_dist)
             assert np.array_equal(pred, full_pred)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rects=RECTS, data=st.data())
+def test_tree_bounded_queries_equal_unbounded_search(rects, data):
+    """Without a caller's bound, each engine bounds a query by its root
+    tree's path, yet distance and path equal those of a search with no
+    limit (dist bitwise, the same nodes): for a drawn pair, x == y, an end
+    at the root, and both ends on one branch of the tree.  The tree path
+    is never shorter than the distance, beyond the margin the engine adds
+    for a sum taken in another order."""
+    dom = _rect_union(rects, data)
+    a, b = (data.draw(st.integers(0, dom.n_nodes - 1)) for _ in range(2))
+    deformed = build_deformation(QhMetric(dom), 0.2)
+    for eng in (dom.length_engine(), deformed.qh.engine, deformed.engine,
+                deformed.k_rho_engine()):
+        root = eng.root
+        assert root == dom.cell_node[dom.x0]
+        tree = csgraph.dijkstra(eng.matrix, indices=root,
+                                return_predecessors=True)[1]
+        branch = _walk(tree, root, a)
+        mid = branch[len(branch) // 2]
+        for u, v in ((a, b), (a, a), (root, a), (a, root), (a, mid),
+                     (mid, a)):
+            dist, pred = csgraph.dijkstra(eng.matrix, indices=u,
+                                          return_predecessors=True)
+            fresh = dom.graph(eng.matrix.data)
+            assert fresh.distance(u, v) == dist[v]
+            assert fresh.path(u, v) == _walk(pred, u, v)
+            assert dist[v] <= fresh.tree_length(u, v) * (1 + 1e-9)
+        assert fresh.root_field()[1].tolist() == tree.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_tree_bound_never_reruns_unbounded(name, monkeypatch):
+    """200 unbounded k and lambda queries per fixture: each search stops at
+    its root tree path's length, and none falls short and searches again
+    without a limit."""
+    dom = gallery.make(name, 1 / 128)
+    limits, real = [], grid._DijkstraCache._search
+
+    def search(self, node, limit):
+        limits.append(limit)
+        return real(self, node, limit)
+
+    monkeypatch.setattr(grid._DijkstraCache, "_search", search)
+    qh = QhMetric(dom)
+    nodes = sample_nodes(dom, 400, seed=17)
+    for a, b in zip(nodes[::2].tolist(), nodes[1::2].tolist()):
+        x, y = tuple(dom.node_cells[a]), tuple(dom.node_cells[b])
+        qh.distance(x, y)
+        intrinsic_distance(dom, x, y)
+    assert limits and np.isfinite(limits).all()
 
 
 _HALF_NEIGHBORS = [  # offset, clearance cells (the cell graph's definition)

@@ -82,6 +82,43 @@ def test_lower_bounds_eq2_eq3():
             assert k >= abs(np.log(dv[a] / dv[b])) - 0.02 * k - 1e-12
 
 
+def _sample_nodes_reference(domain, n, seed):
+    """sample_nodes with one argmin over the candidate table per point."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 1, size=(n, 2)) * np.asarray(domain.shape) * domain.h
+    ok = domain.node_dist() >= 1.5 * domain.h
+    candidates = domain.node_cells[ok] if ok.any() else domain.node_cells
+    nodes = domain.cell_node[tuple(candidates.T)]
+    out = []
+    for c in np.floor(pts / domain.h).astype(int):
+        out.append(int(nodes[int(np.argmin(((candidates - c) ** 2).sum(1)))]))
+    return np.asarray(out, dtype=int)
+
+
+@pytest.mark.parametrize("name, h, n, seeds", [
+    *((name, 1 / 128, 2000, (17,)) for name in sorted(gallery.GALLERY)),
+    ("spiral", 1 / 512, 16, (1, 2, 3))])
+def test_sample_nodes_equal_per_point_loop(name, h, n, seeds):
+    dom = gallery.make(name, h)
+    for seed in seeds:
+        got, want = sample_nodes(dom, n, seed), _sample_nodes_reference(
+            dom, n, seed)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_radial_tree_is_the_engine_root_field():
+    """The radial tree is a view of the k engine's root field: made on
+    first use, outside the engine's LRU, and the same arrays each time."""
+    dom = gallery.comb(1 / 128)
+    qh = QhMetric(dom)
+    assert qh.engine._root_field is None
+    tree = qh.radial_tree()
+    assert tree.root == dom.require_interior(dom.x0) == qh.engine.root
+    assert tree.dist is qh.radial_tree().dist
+    assert tree.dist is qh.engine.from_source(tree.root)[0]
+    assert not qh.engine._cache
+
+
 def test_radial_tree_matches_pairwise_distance():
     dom = gallery.comb(1 / 128)
     qh = QhMetric(dom)
