@@ -41,12 +41,17 @@ chunks of whole (hat, bucket row) groups, about ``_POINT_BLOCK`` candidate
 pairs each: a point lies in one bucket row, so every (hat, point) group is
 whole in its chunk.  Each chunk is folded in one pass, rank by rank (the
 r-th box acting on each (hat, point) pair, in box order), so every jet is
-bitwise that of a box-by-box loop.  ``sum_jet``, the approximant's
-assembly and a single set bump all take the engine's chunks, and sums over
-hats are accumulated with ``np.add.at`` in hat order.
-``measured_sup`` probes a normalized hat once for every alpha and keeps the
-sups in a memo owned by the partition, keyed by hat position, which a new
-partition starts empty.
+bitwise that of a box-by-box loop.  A (hat, point) group whose point lies
+in the closed plateau of one of its boxes is a unit group: that box alone
+fixes the jet at exactly (1.0, -0.0, ...), the loop's result (see
+``_fold``), so it is written without gathering a factor and only the other
+groups are folded.  ``sum_jet``, the approximant's assembly and a single
+set bump all take the engine's chunks, and sums over hats are accumulated
+with ``np.add.at`` in hat order.
+``measured_sup`` probes a normalized hat once for every alpha, in one
+engine pass over its probe points that yields both the hat sum and the
+hat's own jet, and keeps the sups in a memo owned by the partition, keyed
+by hat position, which a new partition starts empty.
 """
 
 from __future__ import annotations
@@ -280,12 +285,14 @@ class _Profiles:
 
 class _HatBoxes:
     """The boxes of a sequence of hats, given as each hat's (n, 8) box rows,
-    hat after hat: each box's hat, support and per-axis profile index."""
+    hat after hat: each box's hat, support, plateau (x lo, x hi, y lo,
+    y hi) and per-axis profile index."""
 
     def __init__(self, hats: list[np.ndarray]):
         boxes = np.concatenate(hats)
         self.hat = np.repeat(np.arange(len(hats)), [len(h) for h in hats])
         self.support = _supports(boxes)
+        self.plateau = boxes[:, [0, 1, 4, 5]]
         self.axes = (_Profiles(boxes[:, :4]), _Profiles(boxes[:, 4:]))
 
 
@@ -338,13 +345,15 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
     ``_POINT_BLOCK`` candidate pairs, so it may exceed that by one group
     (and when every point shares one bucket row, a hat's pairs make one
     chunk).  Each chunk is sorted by hat, then point, then box, and folded
-    whole by ``_fold``.  Each profile is evaluated once on the distinct
-    coordinates inside its support, and the pairs gather their box factors
-    from these profile tables.  On an axis where such a table would outgrow
-    the candidate pairs (points whose coordinates seldom repeat, spread far
-    beyond a few small boxes), each pair's factor is evaluated directly;
-    grid and probe points share their coordinates, and on the gallery
-    fixtures they never take that path.
+    whole by ``_fold``, which writes the unit groups (a point in the closed
+    plateau, lo <= t <= hi on both axes, of one of the group's boxes)
+    directly and folds the rest.  Each profile is evaluated once on the
+    distinct coordinates inside its support, and the pairs gather their box
+    factors from these profile tables.  On an axis where such a table would
+    outgrow the candidate pairs (points whose coordinates seldom repeat,
+    spread far beyond a few small boxes), each pair's factor is evaluated
+    directly; grid and probe points share their coordinates, and on the
+    gallery fixtures they never take that path.
     """
     if (0, 0) not in alphas:  # every product after the first reads values
         raise DomainError(f"hat jets need the (0, 0) entry, got {alphas}")
@@ -375,11 +384,15 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
         box = np.repeat(rbox[r0:r1], m)
         point = order[key % n]
         px, py = x[point], y[point]
-        keep = ((px > s[box, 0]) & (px < s[box, 1])
-                & (py > s[box, 2]) & (py < s[box, 3]))
-        by = np.argsort(key[keep], kind="stable")
-        point, box = point[keep][by], box[keep][by]
-        del key, keep, by, px, py
+        keep = np.flatnonzero((px > s[box, 0]) & (px < s[box, 1])
+                              & (py > s[box, 2]) & (py < s[box, 3]))
+        keep = keep[np.argsort(key[keep], kind="stable")]
+        point, box, px, py = point[keep], box[keep], px[keep], py[keep]
+        del key, keep
+        p = boxes.plateau[box]
+        flat = ((px >= p[:, 0]) & (px <= p[:, 1])
+                & (py >= p[:, 2]) & (py <= p[:, 3]))
+        del px, py, p
         hat = boxes.hat[box]
 
         def one_minus_box(sel):
@@ -391,34 +404,53 @@ def _hat_jets(boxes: _HatBoxes, x: np.ndarray, y: np.ndarray, alphas,
             return comp
 
         if len(point):
-            heads, jets = _fold(hat, point, one_minus_box, alphas)
+            heads, jets = _fold(hat, point, flat, one_minus_box, alphas)
             yield hat[heads], point[heads], jets
 
 
-def _fold(hat, point, one_minus_box, alphas):
+def _fold(hat, point, flat, one_minus_box, alphas):
     """1 - prod(1 - b) of every (hat, point) group of the sorted pairs, with
     ``one_minus_box(pairs)`` the jets of 1 - b: returns the index of each
     group's first pair and the groups' jets.  1 - b is multiplied in rank by
     rank, the r-th box acting on each group in box order, so every group sees
-    the operations of a box-by-box loop in the same order."""
+    the operations of a box-by-box loop in the same order.
+
+    A group holding a ``flat`` pair (its point in the box's closed plateau)
+    is a unit group and gathers no factor: its product stays +0.0 in every
+    entry, which is what the loop computes.  On the closed plateau that box
+    is exactly 1 with derivatives +-0 (at lo and hi the ramp argument is 1
+    up to rounding, where sigma rounds to 1.0), so its 1 - b jet is +-0,
+    every Leibniz term of the product holds a factor of it, and each entry,
+    summed from 0.0, is +0.0 from that rank on.  The group's jet is then
+    (1.0, -0.0, ...)."""
     new = np.ones(len(point), dtype=bool)
     new[1:] = (hat[1:] != hat[:-1]) | (point[1:] != point[:-1])
     heads = np.flatnonzero(new)
     gid = np.cumsum(new) - 1
-    rank = np.arange(len(point)) - heads[gid]
-    # the pairs by rank: rank 0 is every group's first pair, in order
-    by = np.argsort(rank, kind="stable")
-    ends = np.cumsum(np.bincount(rank))
-    gid = gid[by]
-    comp = one_minus_box(by)
-    # rank 0 times the constant 1, each entry from 0.0 as jet_product sums
-    acc = {a: 0.0 + c[:ends[0]] for a, c in comp.items()}
-    for r0, r1 in zip(ends[:-1], ends[1:]):
-        dst = gid[r0:r1]
-        prod = jet_product({a: acc[a][dst] for a in alphas},
-                           {a: c[r0:r1] for a, c in comp.items()}, alphas)
-        for a in alphas:
-            acc[a][dst] = prod[a]
+    unit = np.zeros(len(heads), dtype=bool)
+    unit[gid[flat]] = True
+    acc = jet_zero(len(heads), alphas)
+    pairs = np.flatnonzero(~unit[gid])  # the other groups' pairs
+    if len(pairs):
+        gid = gid[pairs]
+        rank = pairs - heads[gid]
+        # the pairs by rank: rank 0 is every group's first pair, in order
+        by = np.argsort(rank, kind="stable")
+        ends = np.cumsum(np.bincount(rank))
+        gid = gid[by]
+        comp = one_minus_box(pairs[by])
+        # rank 0 times the constant 1: each entry from 0.0, as jet_product
+        # sums
+        dst = gid[:ends[0]]
+        for a, c in comp.items():
+            acc[a][dst] = 0.0 + c[:ends[0]]
+        for r0, r1 in zip(ends[:-1], ends[1:]):
+            dst = gid[r0:r1]
+            prod = jet_product({a: acc[a][dst] for a in alphas},
+                               {a: c[r0:r1] for a, c in comp.items()},
+                               alphas)
+            for a in alphas:
+                acc[a][dst] = prod[a]
     return heads, _one_minus(acc)
 
 
@@ -594,16 +626,24 @@ class PartitionOfUnity:
     def measured_sup(self, hat: Hat, alpha: tuple[int, int]) -> float:
         """sup |grad^alpha (hat / S)| over ramp-straddling probe points
         (accurate even when ramps are narrower than any evaluation grid).
-        One probe gives every alpha's sup, kept for the partition's life."""
+        One probe, a single engine pass (``_probe_jet``), gives every
+        alpha's sup, kept for the partition's life."""
         pos = self._positions.get(id(hat))
         if pos is None:
             raise DomainError("hat is not a member of this partition")
         if pos not in self._sups:
-            self._sups[pos] = self._probe_sups(hat)
+            jet = self._probe_jet(pos)
+            self._sups[pos] = {a: float(np.abs(v).max(initial=0.0))
+                               for a, v in jet.items()}
         return self._sups[pos][alpha]
 
-    def _probe_sups(self, hat: Hat) -> dict:
-        x, y = hat.probe_points()
+    def _probe_jet(self, pos: int) -> Jet:
+        """The normalized jet of the hat at position pos at its probe points
+        in interior cells, from one engine pass: S accumulated as
+        ``sum_jet`` does, and the hat's own groups taken into the jet that
+        ``SetBump.jet`` gives where none of its boxes acts, so both are
+        bitwise the box loop's."""
+        x, y = self.hats[pos].probe_points()
         ok = self.domain.interior[
             np.clip((x / self.domain.h).astype(int), 0,
                     self.domain.shape[0] - 1),
@@ -611,11 +651,14 @@ class PartitionOfUnity:
                     self.domain.shape[1] - 1),
         ]
         x, y = x[ok], y[ok]
-        if not len(x):
-            return {a: 0.0 for a in self.alphas}
-        jet = jet_quotient(hat.jet(x, y, self.alphas),
-                           self.sum_jet(x, y, self.alphas), self.alphas)
-        return {a: float(np.abs(jet[a]).max()) for a in self.alphas}
+        total = jet_zero(len(x), self.alphas)
+        own = _one_minus(jet_one(len(x), self.alphas))
+        for hats, pts, hj in self.hat_jets(x, y, self.alphas):
+            add_jet(total, pts, hj)
+            mine = hats == pos
+            for a in self.alphas:
+                own[a][pts[mine]] = hj[a][mine]
+        return jet_quotient(own, total, self.alphas)
 
     def support_violation(self, hat: Hat, x: np.ndarray, y: np.ndarray,
                           tol: float = 1e-12) -> int:

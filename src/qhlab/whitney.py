@@ -57,9 +57,9 @@ class WhitneyDecomposition:
                 pairs = np.column_stack([a.ravel(), b.ravel()])
                 pairs = pairs[(pairs[:, 0] >= 0) & (pairs[:, 1] >= 0)]
                 pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-                for u, v in np.unique(pairs, axis=0):
-                    adj[u].add(int(v))
-                    adj[v].add(int(u))
+                for u, v in np.unique(pairs, axis=0).tolist():
+                    adj[u].add(v)
+                    adj[v].add(u)
             self._adjacency = adj
         return self._adjacency
 

@@ -1,5 +1,7 @@
 """Tests for the occupancy-grid domain and the base metrics d, lambda, delta."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,14 +39,40 @@ RECTS = st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24),
                  min_size=1, max_size=5)
 
 
-def _rect_union(rects, data) -> GridDomain:
-    """The component of a drawn cell in a union of rectangles."""
+def _rect_bitmap(rects) -> np.ndarray:
     bitmap = np.zeros((32, 32), dtype=bool)
     for i0, j0, ni, nj in rects:
         bitmap[i0 : i0 + ni, j0 : j0 + nj] = True
+    return bitmap
+
+
+def _rect_union(rects, data) -> GridDomain:
+    """The component of a drawn cell in a union of rectangles."""
+    bitmap = _rect_bitmap(rects)
     cells = np.argwhere(bitmap)
     x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
     return GridDomain(bitmap, 1 / 32, x0, trim=True)
+
+
+# A U of three rectangles round a two-cell-wide pocket, which is cut out of
+# whatever rectangles are drawn over it: a path between the tips of the U's
+# arms bends round the pocket's end, far wider than their chord.
+_POCKET_U = [(12, 4, 3, 28), (17, 4, 3, 28), (12, 4, 8, 3)]
+_POCKET = (slice(15, 17), slice(7, 32))
+_POCKET_TIPS = [(13, 31), (18, 31)]
+
+
+def _pocket_union(rects, data):
+    """The component of a drawn cell of the U in the union of the drawn
+    rectangles and the U, the pocket cut out; and the U's tips as cells of
+    that domain."""
+    bitmap = _rect_bitmap(rects + _POCKET_U)
+    bitmap[_POCKET] = False
+    cells = np.argwhere(_rect_bitmap(_POCKET_U) & bitmap)
+    x0 = cells[data.draw(st.integers(0, len(cells) - 1))]
+    dom = GridDomain(bitmap, 1 / 32, x0, trim=True)
+    shift = np.subtract(dom.x0, x0)  # a bitmap touching its edge is padded
+    return dom, tuple(tuple(np.add(t, shift).tolist()) for t in _POCKET_TIPS)
 
 
 def _diameter_table(pts):
@@ -388,26 +416,37 @@ def test_capital_lambda_and_delta_from_lambda_and_delta():
 
 
 @settings(max_examples=30, deadline=None)
-@given(rects=RECTS, data=st.data())
-def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, data):
+@given(rects=RECTS, pocket=st.booleans(), data=st.data())
+def test_generated_domains_order_euclid_delta_lambda_and_bound_k(rects, pocket,
+                                                                 data):
     """On a connected union of random rectangles: |x-y| <= delta <= lambda,
     and criterion 2's bounds k >= log(1 + lambda/(d^d)) and
-    k >= |log(d(x)/d(y))|, each with 2% slack."""
-    dom = _rect_union(rects, data)
+    k >= |log(d(x)/d(y))|, each with 2% slack.  With a pocket cut in, the
+    pair across its mouth also makes the delta search bisect its lenses."""
+    if pocket:
+        dom, tips = _pocket_union(rects, data)
+        pairs = [tips]
+    else:
+        dom, pairs = _rect_union(rects, data), []
     qh = QhMetric(dom)
     nodes = data.draw(st.lists(st.integers(0, dom.n_nodes - 1),
                                min_size=2, max_size=8))
-    for a, b in zip(nodes[::2], nodes[1::2]):
-        x, y = tuple(dom.node_cells[a]), tuple(dom.node_cells[b])
-        eu = float(np.hypot(*(dom.position(x) - dom.position(y))))
-        lam = intrinsic_distance(dom, x, y)
-        delta = intrinsic_diameter_distance(dom, x, y)
-        assert eu - 1e-9 <= delta <= lam + 1e-9
-        k = qh.distance(x, y)
-        dmin = min(dom.boundary_distance(x), dom.boundary_distance(y))
-        assert k >= np.log1p(lam / dmin) - 0.02 * k - 1e-12
-        ratio = dom.boundary_distance(x) / dom.boundary_distance(y)
-        assert k >= abs(np.log(ratio)) - 0.02 * k - 1e-12
+    pairs += [(tuple(dom.node_cells[a]), tuple(dom.node_cells[b]))
+              for a, b in zip(nodes[::2], nodes[1::2])]
+    with mock.patch.object(grid, "_component_at",
+                           wraps=grid._component_at) as lens:
+        for x, y in pairs:
+            eu = float(np.hypot(*(dom.position(x) - dom.position(y))))
+            lam = intrinsic_distance(dom, x, y)
+            delta = intrinsic_diameter_distance(dom, x, y)
+            assert eu - 1e-9 <= delta <= lam + 1e-9
+            k = qh.distance(x, y)
+            dmin = min(dom.boundary_distance(x), dom.boundary_distance(y))
+            assert k >= np.log1p(lam / dmin) - 0.02 * k - 1e-12
+            ratio = dom.boundary_distance(x) / dom.boundary_distance(y)
+            assert k >= abs(np.log(ratio)) - 0.02 * k - 1e-12
+    if pocket:
+        assert lens.call_count > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -553,6 +553,69 @@ def test_hat_jets_bitwise_equal_box_loop_hat_by_hat(hats, fractions, alphas,
             assert jet[a].tobytes() == want[a].tobytes(), a
 
 
+def _plateau_edge_points(boxes):
+    """Per box, the grid of its plateau edges, one ulp either side of each,
+    the plateau's middle and the middle of each ramp, on both axes: edges,
+    corners, and edge points whose other coordinate lies in a ramp."""
+    def axis(p: Profile) -> np.ndarray:
+        edges = np.array([p.lo, p.hi])
+        return np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf),
+                               [0.5 * (p.lo + p.hi), p.lo - 0.5 * p.w_lo,
+                                p.hi + 0.5 * p.w_hi]])
+
+    xs, ys = [], []
+    for b in boxes:
+        mx, my = np.meshgrid(axis(b.px), axis(b.py))
+        xs.append(mx.ravel())
+        ys.append(my.ravel())
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hats=st.lists(_boxes, min_size=1, max_size=4),
+       alphas=st.sampled_from([ALPHAS, multi_indices(2), [(0, 0)]]),
+       block=st.sampled_from([1, 5, pou_module._POINT_BLOCK]),
+       cell=st.sampled_from([0.003, 0.05, 0.4]))
+def test_unit_groups_skip_the_fold_bitwise(hats, alphas, block, cell):
+    """A (hat, point) group whose point lies in the closed plateau of one of
+    its boxes is written as (1.0, -0.0, ...) without a factor gathered; the
+    jets stay bitwise the box loop's on plateau edges and corners and one
+    ulp either side of them.  Both paths run in every example: a point in
+    the ramp of the box reaching lowest in x lies in no plateau of its hat."""
+    x, y = _plateau_edge_points([b for hat in hats for b in hat])
+    counts = {"unit": 0, "folded": 0, "pairs": 0, "factors": 0}
+    fold = pou_module._fold
+
+    def spy(hat, point, flat, one_minus_box, alphas):
+        groups = hat * len(x) + point
+        unit = np.isin(groups, groups[flat])
+        counts["unit"] += len(np.unique(groups[unit]))
+        counts["folded"] += len(np.unique(groups[~unit]))
+        counts["pairs"] += int((~unit).sum())
+
+        def factors(sel):
+            counts["factors"] += len(sel)
+            return one_minus_box(sel)
+
+        return fold(hat, point, flat, factors, alphas)
+
+    with mock.patch.object(pou_module, "_POINT_BLOCK", block), \
+            mock.patch.object(pou_module, "_fold", spy):
+        chunks = list(_hat_jets(_HatBoxes([box_params(h) for h in hats]),
+                                x, y, alphas, cell))
+    assert counts["unit"] > 0 and counts["folded"] > 0
+    # the unit groups' pairs gather no factor
+    assert counts["factors"] == counts["pairs"]
+    got = _jets_by_hat(chunks, alphas)
+    everywhere = np.arange(len(x))
+    for h, hat in enumerate(hats):
+        jet = _hat_jet_at(got, h, everywhere, alphas)
+        want = _reference_jet(hat, x, y, alphas)
+        for a in alphas:
+            assert jet[a].tobytes() == want[a].tobytes(), (h, a)
+
+
 def _separated_box(x0, y0):
     """A 0.05-wide box with ramps 0.01 at (x0, y0)."""
     return BoxBump(Profile(x0, x0 + 0.05, 0.01, 0.01),
@@ -711,6 +774,42 @@ def test_every_hat_at_grid_and_probe_points(name, m):
     px, py = (np.concatenate(c) for c in zip(*probes))
     hats = [i for i, h in enumerate(part.hats) if len(_in_bbox(h, px, py))]
     _check_every_hat(part, px, py, hats)
+
+
+def _check_probe_jets(part, hats):
+    """The one-pass probe jet of each hat, bitwise the two-pass reference
+    (the hat's own jet over the hat sum); returns the reference jets."""
+    wants = []
+    for i in hats:
+        wants.append(_probe_jet(part, part.hats[i]))
+        got = part._probe_jet(i)
+        for a in part.alphas:
+            assert got[a].tobytes() == wants[-1][a].tobytes(), (i, a)
+    return wants
+
+
+@pytest.mark.parametrize("name, m", [("disk", 6), ("dumbbell", 7)])
+def test_one_pass_probe_equals_two_pass_reference(name, m):
+    _, part = _level(name, m)
+    _check_probe_jets(part, range(len(part.hats)))
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_one_pass_probe_on_the_smallest_psi_hats(m):
+    """Three evenly spaced psi hats over the cubes of side 2^-m of disk
+    h=1/256, the sup-norm probe's subset at levels 6 and 7."""
+    dom = gallery.disk(1 / 256)
+    dec = whitney_decompose(dom)
+    part = build_partition(build_core_tentacle(dec, QhMetric(dom), m),
+                           kmax=2)
+    small = [i for i, h in enumerate(part.hats) if h.kind == "psi"
+             and abs(dec.cubes[h.key].l - 2.0 ** (-m)) < 1e-12]
+    hats = small[::max(1, len(small) // 3)][:3]
+    assert len(hats) == 3
+    for i, want in zip(hats, _check_probe_jets(part, hats)):
+        for a in part.alphas:
+            assert part.measured_sup(part.hats[i], a) == float(
+                np.abs(want[a]).max()), (i, a)
 
 
 def _reference_probe_points(boxes):
